@@ -13,7 +13,7 @@ from .diagram import (Event, FrontDiagram, StrandTrace, ValidationReport,
                       Violation, disjoint_union, generate_negative_braid_closure,
                       generate_torus4, generate_trefoil, generate_unknot,
                       lc, n_components, parse, rc, serialize, stacked_union,
-                      trace_components, validate, x)
+                      trace_components, transpose_events, validate, x)
 from .errors import (BudgetExceeded, ClaspLabError, EvennessViolation,
                      InvalidBraidLetter, InvalidDiagram, InvalidRuling,
                      NotApplicable, OutOfDomain, ParseError, SameEye,
@@ -24,7 +24,7 @@ from .fillability import (CobordismParity, FillingCertificate, MoveScript,
                           random_script, run_script, search_filling)
 from .moves import (Move, RulingTransport, apply_move,
                     enumerate_applicable_moves, normalize, parse_script,
-                    serialize_script, transport_ruling, transpose_events)
+                    serialize_script, transport_ruling)
 from .render import ascii_render, svg_render
 from .rulings import (EMPTY_RULING, NormalRuling, PairingState,
                       brute_force_rulings, enumerate_rulings,

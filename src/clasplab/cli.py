@@ -79,7 +79,9 @@ def _parse_ruling(text: str):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _UsageError(f"--ruling must be a JSON array: {exc}") from exc
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+    # bool is a subclass of int, so JSON true would pass as ordinal 1.
+    if not isinstance(data, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in data):
         raise _UsageError("--ruling must be a JSON array of integers")
     return frozenset(data)
 
@@ -96,7 +98,13 @@ def _budget(args):
     if args.budget is not None:
         return args.budget
     env = os.environ.get("CLASPLAB_BUDGET")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise _UsageError(
+            f"CLASPLAB_BUDGET must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------

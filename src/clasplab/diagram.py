@@ -16,7 +16,7 @@ the last event.  Crossings are numbered 1..c left to right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .errors import InvalidBraidLetter, InvalidDiagram, ParseError
 
@@ -230,6 +230,106 @@ def trace_components(diagram: FrontDiagram) -> StrandTrace:
 
 def n_components(diagram: FrontDiagram) -> int:
     return trace_components(diagram).n_components
+
+
+# ---------------------------------------------------------------------------
+# far commutation
+
+_DELTA = {LEFT_CUSP: 2, RIGHT_CUSP: -2, CROSSING: 0}
+
+
+def _footprint_after(e: Event) -> tuple:
+    """Vertical extent an already-performed event occupies on the slice
+    to its right: newborn slots for lc, the closed gap for rc."""
+    if e.kind == RIGHT_CUSP:
+        return (e.pos - 0.5, e.pos - 0.5)
+    return (e.pos, e.pos + 1)
+
+
+def _footprint_before(e: Event) -> tuple:
+    """Vertical extent an upcoming event needs on the slice to its left."""
+    if e.kind == LEFT_CUSP:
+        return (e.pos - 0.5, e.pos - 0.5)
+    return (e.pos, e.pos + 1)
+
+
+def transpose_events(first: Event, second: Event) -> Optional[tuple]:
+    """Swap two adjacent events when their supports are disjoint.
+
+    Returns the renumbered (second, first) pair, or None when the events
+    interact (shared slots, or a birth/death aimed at the same gap).
+    """
+    fa = _footprint_after(first)
+    fb = _footprint_before(second)
+    if not (fa[1] < fb[0] or fb[1] < fa[0]):
+        return None
+    b_above = fb[0] > fa[1]
+    a_above = fa[0] > fb[1]
+    new_second = Event(second.kind,
+                       second.pos - (_DELTA[first.kind] if b_above else 0))
+    new_first = Event(first.kind,
+                      first.pos + (_DELTA[second.kind] if a_above else 0))
+    return new_second, new_first
+
+
+_RANK = {RIGHT_CUSP: 0, CROSSING: 1, LEFT_CUSP: 2}
+
+
+def far_commutation_order(diagram: FrontDiagram) -> tuple:
+    """Greedy topological order of a valid word under far commutation.
+
+    Each step takes, among the remaining events that commute to the front
+    of the remaining word, the least by kind -- right cusps, then
+    crossings, then left cusps -- then by slot on the front slice, then
+    by word order.  Closing eyes early and opening them late keeps few
+    strands alive.  Running the order on its own output changes nothing.
+
+    Returns (reordered diagram, hops), where hops[t] is the number of
+    remaining events that the t-th emitted event commuted past; each hop
+    is one ``tr`` move.
+    """
+    rest = [(e.kind, e.pos) for e in diagram.events]
+    out = []
+    hops = []
+    width = 0
+    while rest:
+        # Doubled coordinates on the slice left of rest[k]: slot p is 2p,
+        # the gap below it 2p-1.  front[d] is the coordinate d has on the
+        # front slice, or None once an earlier remaining event occupies d,
+        # so that nothing needing d commutes to the front.
+        front = list(range(2 * width + 2))
+        best = None
+        for k, (kind, p) in enumerate(rest):
+            if kind == LEFT_CUSP:
+                gap = front[2 * p - 1]
+                key = None if gap is None else (2, gap + 1, k)
+                # Both outer gaps of the new eye are the old gap.
+                front[2 * p:2 * p] = (None, None, None, gap)
+            else:
+                lo, mid, hi = front[2 * p:2 * p + 3]
+                key = None if lo is None or mid is None or hi is None \
+                    else (_RANK[kind], lo, k)
+                if kind == CROSSING:
+                    front[2 * p:2 * p + 3] = (None, None, None)
+                else:
+                    front[2 * p - 1:2 * p + 4] = (None,)
+            if key is not None and (best is None or key < best):
+                best = key
+        k = best[2]
+        kind, p = rest.pop(k)
+        # Commute it to the front as transpose_events does: of each two
+        # swapped events, the upper one shifts by the lower one's delta.
+        for j in range(k - 1, -1, -1):
+            other, q = rest[j]
+            lo = 2 * p - 1 if kind == LEFT_CUSP else 2 * p
+            if lo > (2 * q - 1 if other == RIGHT_CUSP else 2 * q + 2):
+                p -= _DELTA[other]
+            else:
+                rest[j] = (other, q + _DELTA[kind])
+        out.append(Event(kind, p))
+        hops.append(k)
+        width += _DELTA[kind]
+    return FrontDiagram(out), tuple(hops)
 
 
 # ---------------------------------------------------------------------------

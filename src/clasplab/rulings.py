@@ -21,8 +21,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
-from .diagram import CROSSING, LEFT_CUSP, Event, FrontDiagram, require_valid
-from .errors import BudgetExceeded, InvalidRuling, SameEye
+from .diagram import (CROSSING, LEFT_CUSP, Event, FrontDiagram,
+                      far_commutation_order, require_valid, transpose_events)
+from .errors import BudgetExceeded, InvalidRuling, SameEye, TransportFailure
 
 #: A normal ruling is just its switch set, as crossing ordinals (1-based).
 NormalRuling = frozenset
@@ -167,14 +168,13 @@ def ruling_sort_key(ruling: Iterable) -> tuple:
     return (len(t), t)
 
 
-def enumerate_rulings(diagram: FrontDiagram, budget: Optional[int] = None) -> list:
-    """All normal rulings, found by backtracking over the switch choices.
+def _search(diagram: FrontDiagram, budget: Optional[int]) -> list:
+    """Backtracking over the switch choices of the word as given.
 
     Each crossing branches on switch / non-switch; dead states prune the
-    subtree.  The optional ``budget`` bounds the number of event steps
-    taken before BudgetExceeded is raised.
+    subtree.  Raises BudgetExceeded once more than ``budget`` event steps
+    have been taken.
     """
-    require_valid(diagram)
     events = diagram.events
     ordinal_at = {}
     c = 0
@@ -209,6 +209,104 @@ def enumerate_rulings(diagram: FrontDiagram, budget: Optional[int] = None) -> li
         found.append(frozenset(switched))
 
     walk(0, PairingState(), [])
+    # walk reaches itself through its closure cell; break that cycle so
+    # a reordered word is freed now, not at the next full collection.
+    walk = None
+    return found
+
+
+def _hop_windows(diagram: FrontDiagram, hops: tuple) -> list:
+    """Replay far_commutation_order's hops on the original word.
+
+    Returns (t, windows) for each emitted event t that hopped, where
+    windows[j] pairs the reordered-side and original-side events at word
+    indices t+j, t+j+1.  The original side is recorded rather than
+    recomputed because a swap is not always undone by swapping back: the
+    swap of [lc p, rc p+2] is [rc p, lc p], which alone does not say on
+    which side of the dying eye the new one was born.
+    """
+    word = list(diagram.events)
+    steps = []
+    for t, k in enumerate(hops):
+        windows = []
+        for i in range(t + k - 1, t - 1, -1):
+            before = (word[i], word[i + 1])
+            word[i], word[i + 1] = transpose_events(*before)
+            windows.append(((word[i], word[i + 1]), before))
+        if windows:
+            steps.append((t, windows[::-1]))
+    return steps
+
+
+def _retrace(diagram: FrontDiagram, narrow: FrontDiagram, steps: list,
+             ruling: frozenset) -> frozenset:
+    """Carry a ruling of ``narrow`` back to the crossings of ``diagram``.
+
+    Undoes the hops of _hop_windows last first.  A hop past a cusp keeps
+    every switch on its crossing.  A hop of two crossings is a ``tr``
+    move and takes the boundary-matching switch choice, which does not
+    always follow crossing identity: when the two crossings involve the
+    same two eyes, a lone switch can pass to the other crossing.  Undoing
+    the hops of event t only touches word indices >= t, so their entry
+    state is the reordered word's prefix state at t.
+    """
+    flags = []
+    ordinal = 0
+    for e in narrow.events:
+        if e.kind == CROSSING:
+            ordinal += 1
+        flags.append(e.kind == CROSSING and ordinal in ruling)
+    entries = {t: None for t, _ in steps}
+    state = PairingState()
+    for t, e in enumerate(narrow.events):
+        if t in entries:
+            entries[t] = state.copy()
+        state.step(e, flags[t])
+    for t, windows in reversed(steps):
+        state = entries[t]
+        for i, ((first, second), (old_first, old_second)) in \
+                enumerate(windows, start=t):
+            f1, f2 = flags[i], flags[i + 1]
+            if first.kind == CROSSING and second.kind == CROSSING \
+                    and f1 != f2:
+                matches = window_matches(state, (first, second),
+                                         {1} if f1 else {2},
+                                         (old_first, old_second))
+                if matches is None or len(matches) != 1:
+                    raise TransportFailure(
+                        "no unique boundary-matching switch choice while "
+                        "mapping a ruling back to the original word")
+                f2, f1 = 1 in matches[0], 2 in matches[0]
+            flags[i], flags[i + 1] = f2, f1
+            state.step(old_first, f2)
+    switched = [f for e, f in zip(diagram.events, flags)
+                if e.kind == CROSSING]
+    return frozenset(o for o, f in enumerate(switched, start=1) if f)
+
+
+def enumerate_rulings(diagram: FrontDiagram, budget: Optional[int] = None) -> list:
+    """All normal rulings, by backtracking over the switch choices.
+
+    The backtracking cost grows with the width (the most strands alive on
+    one slice), so the word is first reordered by far commutation: among
+    the events that can commute to the front of what is left, right cusps
+    go first, then crossings, then left cusps, lower slots first (see
+    far_commutation_order).  The search runs on that word when it is
+    strictly narrower, else on ``diagram`` itself, and each ruling found
+    on the reordered word is carried back along the ``tr`` moves, so
+    switch sets are always crossing ordinals of ``diagram`` itself, in
+    ruling_sort_key order.  The optional ``budget`` bounds the event
+    steps taken on the word actually searched before BudgetExceeded is
+    raised.
+    """
+    require_valid(diagram)
+    narrow, hops = far_commutation_order(diagram)
+    if max(narrow.strand_counts()) < max(diagram.strand_counts()):
+        steps = _hop_windows(diagram, hops)
+        found = [_retrace(diagram, narrow, steps, r)
+                 for r in _search(narrow, budget)]
+    else:
+        found = _search(diagram, budget)
     return sorted(found, key=ruling_sort_key)
 
 
@@ -245,3 +343,46 @@ def pairing_state_at(diagram: FrontDiagram, switches: Iterable,
         if fail is not None:
             raise InvalidRuling(f"event {i}: {fail}")
     return state
+
+
+def _scan_window(entry: PairingState, window, switch_locals) -> Optional[list]:
+    st = entry.copy()
+    local = 0
+    for e in window:
+        if e.kind == CROSSING:
+            local += 1
+            fail = st.step(e, local in switch_locals)
+        else:
+            fail = st.step(e)
+        if fail is not None:
+            return None
+    # The mate list pins the pairing down as partition() does, without
+    # building the pair tuples that would crowd CPython's tuple free lists.
+    return st._m
+
+
+def window_matches(entry: PairingState, old, old_switches,
+                   new) -> Optional[list]:
+    """Boundary matching for a rewrite of one window of the word.
+
+    Switch sets are local crossing ordinals (1-based) of their window.
+    Returns None when ``old`` does not scan from ``entry`` under
+    ``old_switches``; otherwise every switch set of ``new`` that scans
+    from ``entry`` to the same exit pairing.  Windows with equal crossing
+    counts only exchange switch sets of equal size: boundary matching
+    alone cannot split e.g. the one-switch and all-switch assignments of
+    a triple point, whose exit pairings coincide.
+    """
+    exit_pairing = _scan_window(entry, old, old_switches)
+    if exit_pairing is None:
+        return None
+    cs = sum(1 for e in old if e.kind == CROSSING)
+    ct = sum(1 for e in new if e.kind == CROSSING)
+    matches = []
+    for mask in range(1 << ct):
+        locals_ = {k + 1 for k in range(ct) if mask >> k & 1}
+        if cs == ct and len(locals_) != len(old_switches):
+            continue
+        if _scan_window(entry, new, locals_) == exit_pairing:
+            matches.append(locals_)
+    return matches

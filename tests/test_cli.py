@@ -189,3 +189,20 @@ class TestErrorsAndDeterminism:
         monkeypatch.setenv("CLASPLAB_BUDGET", "100000")
         code, out, _ = run(capsys, "rulings", "--generate", "trefoil")
         assert code == 0
+
+    def test_budget_env_var_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("CLASPLAB_BUDGET", "abc")
+        code, out, err = run(capsys, "rulings", "--generate", "trefoil")
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: CLASPLAB_BUDGET must be an integer, " \
+                      "got 'abc'\n"
+
+    @pytest.mark.parametrize("command", ["parity", "clasps"])
+    @pytest.mark.parametrize("ruling", ["[true]", "[1,false]"])
+    def test_boolean_ruling_rejected(self, capsys, command, ruling):
+        code, out, err = run(capsys, command, "--generate", "trefoil",
+                             "--ruling", ruling)
+        assert code == 2
+        assert out == ""
+        assert "usage error: --ruling must be a JSON array of integers" in err

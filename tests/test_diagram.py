@@ -8,8 +8,10 @@ from clasplab import (FrontDiagram, InvalidBraidLetter, InvalidDiagram,
                       generate_negative_braid_closure, generate_torus4,
                       generate_trefoil, generate_unknot, lc, n_components,
                       parse, rc, serialize, stacked_union, trace_components,
-                      validate, x)
+                      transpose_events, validate, x)
+from clasplab.diagram import far_commutation_order
 from clasplab.fillability import random_script, run_script
+from conftest import random_fillable
 
 
 class TestValidate:
@@ -156,3 +158,55 @@ class TestTextFormat:
     def test_round_trip_random_fillable(self, seed, length):
         d = run_script(random_script(length, seed)).diagram
         assert parse(serialize(d)).events == d.events
+
+
+def reference_order(diagram):
+    """The greedy far-commutation order, found the slow way: every
+    remaining event tries its whole transposition chain to the front."""
+    rank = {"rc": 0, "x": 1, "lc": 2}
+    rest, out, hops = list(diagram.events), [], []
+    while rest:
+        best = None
+        for k in range(len(rest)):
+            e = rest[k]
+            for j in range(k - 1, -1, -1):
+                swapped = transpose_events(rest[j], e)
+                if swapped is None:
+                    break
+                e = swapped[0]
+            else:
+                key = (rank[e.kind], e.pos, k)
+                if best is None or key < best:
+                    best = key
+        k = best[2]
+        e = rest.pop(k)
+        for j in range(k - 1, -1, -1):
+            e, rest[j] = transpose_events(rest[j], e)
+        out.append(e)
+        hops.append(k)
+    return FrontDiagram(out), tuple(hops)
+
+
+class TestFarCommutationOrder:
+    def test_matches_transposition_reference(self, corpus):
+        diagrams = list(corpus.values())
+        diagrams += [generate_torus4(n) for n in range(4)]
+        diagrams += random_fillable(60, 16, seed_base=7000)
+        for d in diagrams:
+            narrow, hops = far_commutation_order(d)
+            assert (narrow, hops) == reference_order(d)
+            assert validate(narrow).ok
+            assert sorted(e.kind for e in narrow) == sorted(e.kind for e in d)
+
+    def test_torus4_width_is_constant(self):
+        for n in range(8):
+            d = generate_torus4(n)
+            narrow, _ = far_commutation_order(d)
+            assert max(d.strand_counts()) == 2 * (2 * n + 5)
+            assert max(narrow.strand_counts()) == 10
+
+    def test_no_narrower_order(self):
+        for d in (generate_trefoil(), generate_torus4(0),
+                  generate_negative_braid_closure(2, [1] * 16)):
+            narrow, _ = far_commutation_order(d)
+            assert max(narrow.strand_counts()) == max(d.strand_counts())

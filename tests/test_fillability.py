@@ -2,8 +2,8 @@
 
 import pytest
 
-from clasplab import (FrontDiagram, Move, ScriptError, TransportFailure,
-                      cobordism_parity_check, generate_torus4,
+from clasplab import (EvennessViolation, FrontDiagram, Move, ScriptError,
+                      TransportFailure, cobordism_parity_check, generate_torus4,
                       generate_trefoil, generate_unknot, lc,
                       obstruction_verdict, random_script, rc, run_script,
                       search_filling)
@@ -56,6 +56,12 @@ class TestRandomScript:
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
             random_script(0, 1)
+
+    @pytest.mark.xfail(strict=True, raises=EvennessViolation,
+                       reason="known defect: move 15 (r3 @7) maps the unique "
+                              "ruling {3} with 0 clasps to {3} with 1 clasp")
+    def test_r3_keeps_certificate_even(self):
+        run_script(random_script(25, 1452))
 
 
 class TestObstruction:

@@ -5,12 +5,13 @@ import pytest
 from clasplab import (FrontDiagram, Move, NotApplicable, OutOfDomain,
                       TransportFailure, apply_move, clasp_report,
                       enumerate_applicable_moves, enumerate_rulings,
-                      generate_negative_braid_closure, generate_trefoil,
-                      generate_unknot, lc, normalize, parse_script, rc,
-                      resolve, serialize_script, transport_ruling,
-                      transpose_events, validate, x)
+                      generate_negative_braid_closure, generate_torus4,
+                      generate_trefoil, generate_unknot, lc, normalize,
+                      parse_script, rc, resolve, serialize_script,
+                      transport_ruling, transpose_events, validate, x)
 from clasplab.fillability import random_script
 from clasplab.rulings import ruling_sort_key
+from conftest import random_fillable
 
 EMPTY = frozenset()
 
@@ -351,3 +352,26 @@ class TestNormalizeTransport:
                 assert current_d.events == canon.events
                 from clasplab import is_normal_ruling
                 assert is_normal_ruling(canon, current_r).ok
+
+
+class TestGreedyNormalize:
+    def test_idempotent_where_it_reorders(self):
+        diagrams = [generate_torus4(n) for n in range(6)]
+        diagrams += random_fillable(40, 16, seed_base=0)
+        reordered = 0
+        for d in diagrams:
+            canon, moves = normalize(d)
+            reordered += bool(moves)
+            again, more = normalize(canon)
+            assert again.events == canon.events
+            assert more == []
+        assert reordered >= 30
+
+    def test_moves_rebuild_the_normal_form(self):
+        d = generate_torus4(2)
+        canon, moves = normalize(d)
+        assert len(moves) == 160
+        for m in moves:
+            d, _ = apply_move(d, m)
+        assert d.events == canon.events
+        assert max(canon.strand_counts()) == 10

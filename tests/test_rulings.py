@@ -4,10 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clasplab import (BudgetExceeded, FrontDiagram, SameEye, brute_force_rulings,
-                      enumerate_rulings, generate_trefoil, generate_unknot,
-                      is_normal_ruling, lc, pairing_state_at, rc,
+                      clasp_report, enumerate_rulings,
+                      generate_negative_braid_closure, generate_torus4,
+                      generate_trefoil, generate_unknot, is_normal_ruling, lc,
+                      obstruction_verdict, pairing_state_at, rc,
                       stacked_union, switch_allowed, x)
+from clasplab.diagram import far_commutation_order
 from clasplab.fillability import random_script, run_script
+from clasplab.rulings import _search, ruling_sort_key
+from conftest import random_fillable
 
 
 class TestSwitchAllowed:
@@ -88,3 +93,69 @@ class TestEnumerate:
         d = run_script(random_script(length, seed)).diagram
         if d.n_crossings <= 10:
             assert enumerate_rulings(d) == brute_force_rulings(d)
+
+
+#: Diagrams where mapping a ruling back by crossing identity alone gives a
+#: non-ruling: a lone switch passes to the other crossing of a swap.
+SWITCH_PASSING_SCRIPTS = ((19, 93), (15, 139), (17, 266))
+
+
+@pytest.fixture(scope="module")
+def fillable_300():
+    return random_fillable(300, 16, seed_base=0) + [
+        run_script(random_script(length, seed)).diagram
+        for length, seed in SWITCH_PASSING_SCRIPTS]
+
+
+def is_narrower(d):
+    narrow, _ = far_commutation_order(d)
+    return max(narrow.strand_counts()) < max(d.strand_counts())
+
+
+class TestReorderedEnumeration:
+    """enumerate_rulings searches a narrower reordering of the word when
+    there is one; every ruling must come back in the caller's ordinals."""
+
+    def test_inputs_exercise_the_reordered_path(self, fillable_300):
+        assert sum(map(is_narrower, fillable_300)) > 100
+        assert all(is_narrower(d) for d in fillable_300[-3:])
+
+    def test_matches_brute_force(self, corpus, fillable_300):
+        for d in list(corpus.values()) + fillable_300:
+            if d.n_crossings <= 12:
+                assert enumerate_rulings(d) == brute_force_rulings(d)
+
+    def test_matches_search_on_the_original_word(self, fillable_300):
+        for d in fillable_300:
+            seed_order = sorted(_search(d, None), key=ruling_sort_key)
+            assert enumerate_rulings(d) == seed_order
+
+    def test_lone_switch_passes_to_the_other_crossing(self):
+        d = run_script(random_script(15, 139)).diagram
+        assert enumerate_rulings(d) == [frozenset({9})]
+
+    @pytest.mark.parametrize("k", range(6, 19))
+    def test_braid2_fibonacci_counts(self, k):
+        fib = [1, 1]
+        while len(fib) <= k:
+            fib.append(fib[-1] + fib[-2])
+        d = generate_negative_braid_closure(2, [1] * k)
+        assert len(enumerate_rulings(d)) == fib[k]  # F(k+1), F(1) = F(2) = 1
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_torus4_unique_odd_ruling(self, n):
+        d = generate_torus4(n)
+        rulings = enumerate_rulings(d)
+        assert len(rulings) == 1
+        assert is_normal_ruling(d, rulings[0]).ok
+        assert clasp_report(d, rulings[0]).total == 2 * n + 5
+        verdict = obstruction_verdict(d)
+        assert verdict.obstructed
+        assert verdict.evidence[0].switches == tuple(sorted(rulings[0]))
+
+    def test_budget_counts_steps_on_the_searched_word(self):
+        d = generate_torus4(3)
+        steps = 387  # DFS steps on the narrow word; the original needs 144,678
+        assert len(enumerate_rulings(d, budget=steps)) == 1
+        with pytest.raises(BudgetExceeded):
+            enumerate_rulings(d, budget=steps - 1)
