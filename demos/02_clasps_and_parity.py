@@ -6,7 +6,7 @@ entered and left by the same pair of strands: they cross and cross back.
 The parity of the total clasp count is invariant under every front
 isotopy move, which is what makes it usable as an obstruction.
 """
-from clasplab import (clasp_report, count_clasps_pair, enumerate_rulings,
+from clasplab import (clasp_intervals, clasp_report, enumerate_rulings,
                       generate_trefoil, generate_torus4, resolve)
 
 trefoil = generate_trefoil()
@@ -23,7 +23,7 @@ for rec in res.records:
     role = "switch" if rec.switch else "cross"
     print(f"    crossing {rec.ordinal}: eyes {rec.eye_a}/{rec.eye_b} "
           f"strands {rec.strand_a}/{rec.strand_b} ({role})")
-print("    clasps between eyes 0 and 1:", count_clasps_pair(res, 0, 1))
+print("    clasps between eyes 0 and 1:", len(clasp_intervals(res, 0, 1)))
 
 print()
 print("The 4-strand negative torus family: one ruling, odd clasp totals")

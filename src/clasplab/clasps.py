@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 from .diagram import CROSSING, LEFT_CUSP, FrontDiagram, require_valid
 from .errors import InvalidRuling, UnknownEye
-from .rulings import is_normal_ruling
+from .rulings import PairingState, switch_flags
 
 DISJOINT = "disjoint"
 NESTED = "nested"
@@ -73,21 +73,21 @@ class Resolution:
 
 
 def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
-    """Scan the diagram once, building the eye decomposition."""
+    """Scan the diagram once, checking the ruling and building its eyes."""
     require_valid(diagram)
     ruling = frozenset(ruling)
-    check = is_normal_ruling(diagram, ruling)
-    if not check.ok:
-        raise InvalidRuling(
-            f"event {check.event_index}: {check.reason}")
-
+    flags = switch_flags(diagram, ruling)
+    state = PairingState()
     slots: list = []  # (eye, strand) per live slot
     slices = [()]
     birth: list = []
     death: list = []
     records: list = []
-    ordinal = 0
-    for i, e in enumerate(diagram.events, start=1):
+    for i, (e, switch, ordinal) in enumerate(
+            zip(diagram.events, flags, diagram.walk.ordinals), start=1):
+        fail = state.step(e, switch)
+        if fail is not None:
+            raise InvalidRuling(f"event {i}: {fail}")
         p = e.pos
         if e.kind == LEFT_CUSP:
             eye = len(birth)
@@ -95,13 +95,12 @@ def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
             death.append(0)
             slots[p - 1:p - 1] = [(eye, LOWER), (eye, UPPER)]
         elif e.kind == CROSSING:
-            ordinal += 1
             (ea, sa), (eb, sb) = slots[p - 1], slots[p]
             if ea > eb:
                 (ea, sa), (eb, sb) = (eb, sb), (ea, sa)
             records.append(CrossingRecord(
-                ordinal, i, ea, sa, eb, sb, switch=ordinal in ruling))
-            if ordinal not in ruling:
+                ordinal, i, ea, sa, eb, sb, switch=switch))
+            if not switch:
                 slots[p - 1], slots[p] = slots[p], slots[p - 1]
         else:
             death[slots[p - 1][0]] = i
@@ -179,11 +178,6 @@ def clasp_intervals(res: Resolution, eye_a: int, eye_b: int) -> list:
     return clasps
 
 
-def count_clasps_pair(res: Resolution, eye_a: int, eye_b: int) -> int:
-    """Clasp count of one eye pair (see clasp_intervals)."""
-    return len(clasp_intervals(res, eye_a, eye_b))
-
-
 @dataclass(frozen=True)
 class PairClasps:
     eyes: tuple
@@ -220,14 +214,10 @@ def clasp_report(diagram: FrontDiagram, ruling: Iterable) -> ClaspReport:
     pairs = []
     total = 0
     for a, b in interacting:
-        n = count_clasps_pair(res, a, b)
+        n = len(clasp_intervals(res, a, b))
         pairs.append(PairClasps((a, b), n))
         total += n
     return ClaspReport(tuple(pairs), total, parity_of_total(total))
-
-
-def parity(report: ClaspReport) -> str:
-    return report.parity
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +230,7 @@ def brute_pair_clasps(diagram: FrontDiagram, ruling: Iterable,
     Replays the word with its own scan, classifies the pair's
     configuration on every slice, locates maximal interleaved runs, and
     reads the bounding crossings' strand pairs off the position arrays.
-    Used to cross-check count_clasps_pair.
+    Used to cross-check clasp_intervals.
     """
     require_valid(diagram)
     ruling = frozenset(ruling)

@@ -24,6 +24,8 @@ from .render import ascii_render, svg_render
 from .rulings import enumerate_rulings
 
 _GENERATORS = ("unknot", "trefoil", "torus4", "braid")
+#: Subcommands that run an enumeration or search, and so take --budget.
+_BUDGETED = ("rulings", "clasps", "parity", "obstruct", "cobordism", "search")
 
 
 class _UsageError(Exception):
@@ -279,11 +281,7 @@ def _add_io_flags(p, needs_diagram=True):
         p.add_argument("--word", help="comma-separated braid letters")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", metavar="PATH", help="write output to a file")
-    p.add_argument("--budget", type=int,
-                   help="node budget for enumeration/search "
-                        "(default: $CLASPLAB_BUDGET)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--depth", type=int, default=8, help="search depth bound")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -298,6 +296,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def register(name, fn, needs_diagram=True):
         p = sub.add_parser(name)
         _add_io_flags(p, needs_diagram)
+        if name in _BUDGETED:
+            p.add_argument("--budget", type=int,
+                           help="node budget for enumeration/search "
+                                "(default: $CLASPLAB_BUDGET)")
         handlers[name] = fn
         return p
 
@@ -317,7 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = register("apply-script", _cmd_apply_script, needs_diagram=False)
     p.add_argument("--script", required=True, metavar="PATH",
                    help="move script file, or - for stdin")
-    register("search", _cmd_search)
+    p = register("search", _cmd_search)
+    p.add_argument("--depth", type=int, default=8, help="search depth bound")
     register("generate", _cmd_generate)
     p = register("render", _cmd_render)
     p.add_argument("--ruling", help="JSON array of switch ordinals")

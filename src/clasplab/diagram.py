@@ -16,7 +16,8 @@ the last event.  Crossings are numbered 1..c left to right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidBraidLetter, InvalidDiagram, ParseError
 
@@ -25,6 +26,9 @@ RIGHT_CUSP = "rc"
 CROSSING = "x"
 
 _KINDS = (LEFT_CUSP, RIGHT_CUSP, CROSSING)
+_NAMES = {LEFT_CUSP: "left cusp", RIGHT_CUSP: "right cusp",
+          CROSSING: "crossing"}
+_DELTA = {LEFT_CUSP: 2, RIGHT_CUSP: -2, CROSSING: 0}
 
 
 @dataclass(frozen=True)
@@ -74,29 +78,50 @@ class FrontDiagram:
     def __str__(self):
         return "[" + ", ".join(str(e) for e in self.events) + "]"
 
+    @cached_property
+    def walk(self) -> "DiagramWalk":
+        """The one pass over the word that everything else reads.
+
+        Slot arithmetic continues past a broken invariant, so the strand
+        counts exist for any word; only the first violation is kept.
+        """
+        counts, ordinals = [0], []
+        violation = None
+        s = c = 0
+        for i, e in enumerate(self.events, start=1):
+            p = e.pos
+            if e.kind == LEFT_CUSP:
+                need = p > s + 1 and f"position <= {s + 1}"
+            else:
+                need = p + 1 > s and f"two strands at {p},{p + 1}"
+            if need and violation is None:
+                violation = Violation(i, f"{_NAMES[e.kind]} at {p} needs "
+                                         f"{need} (only {s} strands alive)")
+            is_crossing = e.kind == CROSSING
+            c += is_crossing
+            ordinals.append(c if is_crossing else 0)
+            s += _DELTA[e.kind]
+            counts.append(s)
+        if violation is None and s != 0:
+            violation = Violation(
+                len(self.events), f"diagram is not closed: {s} strands left open")
+        return DiagramWalk(tuple(counts), tuple(ordinals), c, violation)
+
     def strand_counts(self) -> list[int]:
         """Strand count before each event, plus the final count.
 
         The returned list has len(events)+1 entries; entry i is the number
         of live strands on the slice just left of event i.
         """
-        counts = [0]
-        s = 0
-        for e in self.events:
-            if e.kind == LEFT_CUSP:
-                s += 2
-            elif e.kind == RIGHT_CUSP:
-                s -= 2
-            counts.append(s)
-        return counts
+        return list(self.walk.counts)
 
     def crossings(self) -> list[int]:
         """Event indices (0-based) of the crossings, in diagram order."""
-        return [i for i, e in enumerate(self.events) if e.kind == CROSSING]
+        return [i for i, o in enumerate(self.walk.ordinals) if o]
 
     @property
     def n_crossings(self) -> int:
-        return sum(1 for e in self.events if e.kind == CROSSING)
+        return self.walk.n_crossings
 
 
 @dataclass(frozen=True)
@@ -110,6 +135,15 @@ class Violation:
         return f"event {self.event_index}: {self.rule}"
 
 
+class DiagramWalk(NamedTuple):
+    """What one left-to-right pass over an event word finds."""
+
+    counts: tuple  # strand count before each event, plus the final count
+    ordinals: tuple  # per event: crossing ordinal (1-based), 0 at cusps
+    n_crossings: int
+    violation: Optional[Violation]  # the first one, None for a valid word
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -119,38 +153,19 @@ class ValidationReport:
 def validate(diagram: FrontDiagram) -> ValidationReport:
     """Check the event word against the front-diagram invariants.
 
-    Returns a report rather than raising; the scan stops at the first
-    offending event since slot arithmetic is meaningless past it.
+    Returns a report rather than raising; only the first offending event
+    is reported since slot arithmetic is meaningless past it.
     """
-    s = 0
-    for i, e in enumerate(diagram.events, start=1):
-        if e.kind == LEFT_CUSP:
-            if e.pos > s + 1:
-                return ValidationReport(False, (Violation(
-                    i, f"left cusp at {e.pos} needs position <= {s + 1} "
-                       f"(only {s} strands alive)"),))
-            s += 2
-        elif e.kind == RIGHT_CUSP:
-            if e.pos + 1 > s:
-                return ValidationReport(False, (Violation(
-                    i, f"right cusp at {e.pos} needs two strands at "
-                       f"{e.pos},{e.pos + 1} (only {s} strands alive)"),))
-            s -= 2
-        else:
-            if e.pos + 1 > s:
-                return ValidationReport(False, (Violation(
-                    i, f"crossing at {e.pos} needs two strands at "
-                       f"{e.pos},{e.pos + 1} (only {s} strands alive)"),))
-    if s != 0:
-        return ValidationReport(False, (Violation(
-            len(diagram), f"diagram is not closed: {s} strands left open"),))
-    return ValidationReport(True)
+    violation = diagram.walk.violation
+    return ValidationReport(violation is None,
+                            () if violation is None else (violation,))
 
 
 def require_valid(diagram: FrontDiagram) -> None:
-    report = validate(diagram)
-    if not report.ok:
-        raise InvalidDiagram(str(report.violations[0]))
+    """Raise InvalidDiagram unless the word is a valid closed front."""
+    violation = diagram.walk.violation
+    if violation is not None:
+        raise InvalidDiagram(str(violation))
 
 
 @dataclass(frozen=True)
@@ -234,8 +249,6 @@ def n_components(diagram: FrontDiagram) -> int:
 
 # ---------------------------------------------------------------------------
 # far commutation
-
-_DELTA = {LEFT_CUSP: 2, RIGHT_CUSP: -2, CROSSING: 0}
 
 
 def _footprint_after(e: Event) -> tuple:

@@ -27,10 +27,6 @@ class InvalidRuling(ClaspLabError):
     """A switch set is not a normal ruling of the given diagram."""
 
 
-class SameEye(ClaspLabError):
-    """Both strands at a crossing belong to one eye; a switch there is never legal."""
-
-
 class UnknownEye(ClaspLabError):
     """An eye id does not occur in the resolution."""
 
@@ -41,10 +37,6 @@ class NotApplicable(ClaspLabError):
 
 class TransportFailure(ClaspLabError):
     """A transported switch set is not a normal ruling of the rewritten diagram."""
-
-
-class OutOfDomain(ClaspLabError):
-    """The ruling lies outside the domain of a ruling transport."""
 
 
 class ScriptError(ClaspLabError):

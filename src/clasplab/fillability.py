@@ -25,11 +25,6 @@ from .moves import (Move, _match_r1inv, _match_r2inv, apply_move,
                     enumerate_applicable_moves)
 from .rulings import EMPTY_RULING, enumerate_rulings
 
-#: A move script is a plain sequence of moves, starting from the empty
-#: diagram.
-MoveScript = list
-
-
 @dataclass(frozen=True)
 class FillingCertificate:
     script: tuple
@@ -82,6 +77,11 @@ class RulingEvidence:
                 "parity": self.parity}
 
 
+def _evidence(diagram: FrontDiagram, ruling: frozenset) -> RulingEvidence:
+    report = clasp_report(diagram, ruling)
+    return RulingEvidence(tuple(sorted(ruling)), report.total, report.parity)
+
+
 @dataclass(frozen=True)
 class ObstructionVerdict:
     """Outcome of the all-rulings-odd test.
@@ -114,21 +114,14 @@ class ObstructionVerdict:
 def obstruction_verdict(diagram: FrontDiagram,
                         budget: Optional[int] = None) -> ObstructionVerdict:
     """Enumerate rulings and decide whether all of them are odd."""
-    rulings = enumerate_rulings(diagram, budget=budget)
-    evidence = []
-    witness = None
-    for r in rulings:
-        report = clasp_report(diagram, r)
-        evidence.append(RulingEvidence(tuple(sorted(r)), report.total,
-                                       report.parity))
-        if witness is None and report.parity == "even":
-            witness = tuple(sorted(r))
-    if not rulings:
+    evidence = tuple(_evidence(diagram, r)
+                     for r in enumerate_rulings(diagram, budget=budget))
+    witness = next((e.switches for e in evidence if e.parity == "even"),
+                   None)
+    if not evidence:
         return ObstructionVerdict(False, (), None,
                                   "no normal rulings at all")
-    if witness is None:
-        return ObstructionVerdict(True, tuple(evidence))
-    return ObstructionVerdict(False, tuple(evidence), witness)
+    return ObstructionVerdict(witness is None, evidence, witness)
 
 
 @dataclass(frozen=True)
@@ -163,15 +156,13 @@ def cobordism_parity_check(lower: FrontDiagram, upper: FrontDiagram,
                 "not_applicable",
                 reason=f"a diagram has {len(rulings)} normal rulings; "
                        "the test needs exactly 1 on each side")
-        report = clasp_report(diagram, rulings[0])
-        sides.append(RulingEvidence(tuple(sorted(rulings[0])),
-                                    report.total, report.parity))
+        sides.append(_evidence(diagram, rulings[0]))
     status = ("compatible" if sides[0].parity == sides[1].parity
               else "incompatible")
     return CobordismParity(status, sides[0], sides[1])
 
 
-def random_script(length: int, seed: int) -> MoveScript:
+def random_script(length: int, seed: int) -> list:
     """Seeded-deterministic script of applicable moves from the empty front.
 
     Samples a move kind, then a move of that kind, skipping saddles that
@@ -182,7 +173,7 @@ def random_script(length: int, seed: int) -> MoveScript:
     rng = random.Random(seed)
     diagram = FrontDiagram()
     ruling = EMPTY_RULING
-    script: MoveScript = []
+    script: list = []
     while len(script) < length:
         moves = enumerate_applicable_moves(diagram)
         by_kind: dict = {}
@@ -279,7 +270,7 @@ def search_filling(diagram: FrontDiagram, depth_bound: int = 8,
     """
     require_valid(diagram)
     try:
-        verdict = obstruction_verdict(diagram)
+        verdict = obstruction_verdict(diagram, budget=node_budget)
     except BudgetExceeded:
         verdict = None
     if verdict is not None and verdict.obstructed:

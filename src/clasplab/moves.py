@@ -32,9 +32,9 @@ from typing import Iterable, Optional
 from .diagram import (CROSSING, LEFT_CUSP, RIGHT_CUSP, Event, FrontDiagram,
                       far_commutation_order, lc, rc, require_valid,
                       transpose_events, validate, x)
-from .errors import InvalidRuling, NotApplicable, OutOfDomain, ParseError, \
+from .errors import InvalidRuling, NotApplicable, ParseError, \
     TransportFailure
-from .rulings import pairing_state_at, window_matches
+from .rulings import scan, switch_flags, switches_of, window_matches
 
 MOVE_KINDS = ("h0", "h1", "r1", "r1inv", "r2", "r2inv", "r3", "tr")
 _INSERTION_KINDS = ("h0", "h1", "r1")
@@ -105,6 +105,17 @@ def _r2_target(cusp: Event, variant: str) -> list:
     if variant == "up":
         return [x(p + 1), x(p), rc(p + 1)]
     return [x(p - 1), x(p), rc(p - 1)]
+
+
+def _r2_variants(cusp: Event, s: int) -> list:
+    """The r2 variants applicable to ``cusp`` with ``s`` strands left of it."""
+    variants = []
+    if cusp.kind != CROSSING:
+        if s >= cusp.pos + (0 if cusp.kind == LEFT_CUSP else 2):
+            variants.append("up")
+        if cusp.pos >= 2:
+            variants.append("down")
+    return variants
 
 
 def _match_r2inv(events, i0: int) -> Optional[tuple]:
@@ -189,18 +200,9 @@ def _resolve(diagram: FrontDiagram, move: Move) -> _Rewrite:
     if kind == "r2":
         e = events[i0]
         variant = move.variant or "up"
-        s = counts[i0]
-        if e.kind == LEFT_CUSP:
-            if variant == "up" and s >= e.pos:
-                return _Rewrite(i0, 1, tuple(_r2_target(e, "up")))
-            if variant == "down" and e.pos >= 2:
-                return _Rewrite(i0, 1, tuple(_r2_target(e, "down")))
-        elif e.kind == RIGHT_CUSP:
-            if variant == "up" and s >= e.pos + 2:
-                return _Rewrite(i0, 1, tuple(_r2_target(e, "up")))
-            if variant == "down" and e.pos >= 2:
-                return _Rewrite(i0, 1, tuple(_r2_target(e, "down")))
-        raise NotApplicable("r2 needs a cusp with a neighbouring strand")
+        if variant not in _r2_variants(e, counts[i0]):
+            raise NotApplicable("r2 needs a cusp with a neighbouring strand")
+        return _Rewrite(i0, 1, tuple(_r2_target(e, variant)))
     if kind == "r2inv":
         m = _match_r2inv(events, i0)
         if m is None:
@@ -245,7 +247,10 @@ class RulingTransport:
     def __call__(self, ruling: Iterable) -> frozenset:
         ruling = frozenset(ruling)
         rw = self._rewrite
-        entry = pairing_state_at(self.source, ruling, rw.i0)
+        flags = switch_flags(self.source, ruling)
+        entry, fail = scan(self.source.events, flags[:rw.i0])
+        if fail is not None:
+            raise InvalidRuling(f"event {fail[0]}: {fail[1]}")
         if self.move.kind == "h0":
             return ruling
         if self.move.kind == "h1":
@@ -256,13 +261,9 @@ class RulingTransport:
                     "of this ruling's resolution")
             return ruling
 
-        old = self.source.events[rw.i0:rw.i0 + rw.n_old]
-        pre = sum(1 for e in self.source.events[:rw.i0]
-                  if e.kind == CROSSING)
-        cs = sum(1 for e in old if e.kind == CROSSING)
-        ct = sum(1 for e in rw.new_events if e.kind == CROSSING)
-        src_locals = {o - pre for o in ruling if pre < o <= pre + cs}
-        matches = window_matches(entry, old, src_locals, rw.new_events)
+        end = rw.i0 + rw.n_old
+        matches = window_matches(entry, self.source.events[rw.i0:end],
+                                 flags[rw.i0:end], rw.new_events)
         if matches is None:
             raise InvalidRuling(
                 "switch set is not a normal ruling of the source diagram")
@@ -270,18 +271,8 @@ class RulingTransport:
             raise TransportFailure(
                 f"{'no' if not matches else 'ambiguous'} boundary-matching "
                 f"switch choice for {self.move}")
-        kept = {o for o in ruling if o <= pre}
-        kept |= {o + ct - cs for o in ruling if o > pre + cs}
-        kept |= {pre + k for k in matches[0]}
-        return frozenset(kept)
-
-
-def transport_ruling(transport: RulingTransport, ruling: Iterable) -> frozenset:
-    """Image of one ruling under a move's transport."""
-    try:
-        return transport(ruling)
-    except TransportFailure as exc:
-        raise OutOfDomain(str(exc)) from exc
+        return switches_of(self.target, flags[:rw.i0] + matches[0]
+                           + flags[end:])
 
 
 def apply_move(diagram: FrontDiagram, move: Move) -> tuple:
@@ -316,16 +307,8 @@ def enumerate_applicable_moves(diagram: FrontDiagram) -> list:
     for i, e in enumerate(events):
         anchor = i + 1
         s = counts[i]
-        if e.kind == LEFT_CUSP:
-            if s >= e.pos:
-                out.append(Move("r2", anchor, variant="up"))
-            if e.pos >= 2:
-                out.append(Move("r2", anchor, variant="down"))
-        elif e.kind == RIGHT_CUSP:
-            if s >= e.pos + 2:
-                out.append(Move("r2", anchor, variant="up"))
-            if e.pos >= 2:
-                out.append(Move("r2", anchor, variant="down"))
+        for variant in _r2_variants(e, s):
+            out.append(Move("r2", anchor, variant=variant))
         if _match_r1inv(events, i) is not None:
             out.append(Move("r1inv", anchor))
         if _match_r2inv(events, i) is not None:

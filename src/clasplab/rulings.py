@@ -12,8 +12,14 @@ slots into eyes; each event updates the pairing:
 * non-switch crossing at p: slots p, p+1 trade eyes -- pruned if both
   belong to one eye (that eye would self-intersect);
 * switch crossing at p: slots keep their eyes, but the two eyes must sit
-  in one of the three admissible configurations (see switch_allowed);
+  in one of the three admissible configurations (see
+  PairingState.switch_ok);
 * right cusp at p: slots p, p+1 must be the two slots of a single eye.
+
+A switch choice is carried as per-event flags (True at switched crossings,
+False everywhere else), and ``scan`` is the one loop that runs the state
+over a word or a window of one.  Switch sets of crossing ordinals meet the
+flags only in switch_flags and switches_of.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .diagram import (CROSSING, LEFT_CUSP, Event, FrontDiagram,
                       far_commutation_order, require_valid, transpose_events)
-from .errors import BudgetExceeded, InvalidRuling, SameEye, TransportFailure
+from .errors import BudgetExceeded, InvalidRuling, TransportFailure
 
 #: A normal ruling is just its switch set, as crossing ordinals (1-based).
 NormalRuling = frozenset
@@ -119,15 +125,37 @@ class PairingState:
         return None
 
 
-def switch_allowed(state: PairingState, p: int) -> bool:
-    """Whether a switch at slots (p, p+1) is admissible in this state.
+def scan(events, flags, state: Optional[PairingState] = None) -> tuple:
+    """Run the pairing scan over ``events`` with per-event switch flags.
 
-    Raises SameEye when both slots belong to one eye, where a switch is
-    never legal.
+    Starts from ``state``, advanced in place, or from the empty pairing,
+    and stops at the end of the shorter of ``events`` and ``flags``.
+    Returns (state, None) when every event scans, else (state, (i, reason))
+    with i the 1-based index of the first failing event.
     """
-    if state.same_eye(p):
-        raise SameEye(f"slots {p},{p + 1} belong to one eye")
-    return state.switch_ok(p)
+    if state is None:
+        state = PairingState()
+    step = state.step
+    for i, (e, f) in enumerate(zip(events, flags), start=1):
+        fail = step(e, f)
+        if fail is not None:
+            return state, (i, fail)
+    return state, None
+
+
+def switch_flags(diagram: FrontDiagram, switches: Iterable) -> list:
+    """Per-event switch flags of a set of crossing ordinals (1-based)."""
+    switches = frozenset(switches)
+    c = diagram.n_crossings
+    for o in switches:
+        if not 1 <= o <= c:
+            raise InvalidRuling(f"switch ordinal {o} outside 1..{c}")
+    return [o in switches for o in diagram.walk.ordinals]
+
+
+def switches_of(diagram: FrontDiagram, flags) -> frozenset:
+    """The crossing ordinals flagged as switches; inverse of switch_flags."""
+    return frozenset(o for o, f in zip(diagram.walk.ordinals, flags) if f)
 
 
 class RulingCheck(NamedTuple):
@@ -136,30 +164,13 @@ class RulingCheck(NamedTuple):
     event_index: Optional[int] = None  # 1-based, where the scan failed
 
 
-def _check_switches(diagram: FrontDiagram, switches: Iterable) -> frozenset:
-    switches = frozenset(switches)
-    c = diagram.n_crossings
-    for o in switches:
-        if not 1 <= o <= c:
-            raise InvalidRuling(f"switch ordinal {o} outside 1..{c}")
-    return switches
-
-
 def is_normal_ruling(diagram: FrontDiagram, switches: Iterable) -> RulingCheck:
     """Run the scan with the given switch set and report the outcome."""
     require_valid(diagram)
-    switches = _check_switches(diagram, switches)
-    state = PairingState()
-    ordinal = 0
-    for i, e in enumerate(diagram.events, start=1):
-        if e.kind == CROSSING:
-            ordinal += 1
-            fail = state.step(e, ordinal in switches)
-        else:
-            fail = state.step(e)
-        if fail is not None:
-            return RulingCheck(False, fail, i)
-    return RulingCheck(True)
+    _, fail = scan(diagram.events, switch_flags(diagram, switches))
+    if fail is None:
+        return RulingCheck(True)
+    return RulingCheck(False, fail[1], fail[0])
 
 
 def ruling_sort_key(ruling: Iterable) -> tuple:
@@ -176,12 +187,7 @@ def _search(diagram: FrontDiagram, budget: Optional[int]) -> list:
     have been taken.
     """
     events = diagram.events
-    ordinal_at = {}
-    c = 0
-    for i, e in enumerate(events):
-        if e.kind == CROSSING:
-            c += 1
-            ordinal_at[i] = c
+    ordinals = diagram.walk.ordinals
     found: list = []
     nodes = 0
 
@@ -200,7 +206,7 @@ def _search(diagram: FrontDiagram, budget: Optional[int]) -> list:
                 continue
             branch = state.copy()
             if branch.step(e, is_switch=True) is None:
-                switched.append(ordinal_at[i])
+                switched.append(ordinals[i])
                 walk(i + 1, branch, switched)
                 switched.pop()
             if state.step(e, is_switch=False) is not None:
@@ -250,38 +256,29 @@ def _retrace(diagram: FrontDiagram, narrow: FrontDiagram, steps: list,
     the hops of event t only touches word indices >= t, so their entry
     state is the reordered word's prefix state at t.
     """
-    flags = []
-    ordinal = 0
-    for e in narrow.events:
-        if e.kind == CROSSING:
-            ordinal += 1
-        flags.append(e.kind == CROSSING and ordinal in ruling)
-    entries = {t: None for t, _ in steps}
-    state = PairingState()
-    for t, e in enumerate(narrow.events):
-        if t in entries:
-            entries[t] = state.copy()
-        state.step(e, flags[t])
+    flags = switch_flags(narrow, ruling)
+    entries = {}
+    state, done = PairingState(), 0
+    for t, _ in steps:
+        scan(narrow.events[done:t], flags[done:t], state)
+        entries[t], done = state.copy(), t
     for t, windows in reversed(steps):
         state = entries[t]
-        for i, ((first, second), (old_first, old_second)) in \
-                enumerate(windows, start=t):
+        for i, ((first, second), old) in enumerate(windows, start=t):
             f1, f2 = flags[i], flags[i + 1]
-            if first.kind == CROSSING and second.kind == CROSSING \
-                    and f1 != f2:
-                matches = window_matches(state, (first, second),
-                                         {1} if f1 else {2},
-                                         (old_first, old_second))
+            if f1 != f2 and first.kind == CROSSING == second.kind:
+                matches = window_matches(state, (first, second), (f1, f2),
+                                         old)
                 if matches is None or len(matches) != 1:
                     raise TransportFailure(
                         "no unique boundary-matching switch choice while "
                         "mapping a ruling back to the original word")
-                f2, f1 = 1 in matches[0], 2 in matches[0]
+                f2, f1 = matches[0]
+            # flags travel with their events, unless boundary matching
+            # moved a lone switch to the other crossing
             flags[i], flags[i + 1] = f2, f1
-            state.step(old_first, f2)
-    switched = [f for e, f in zip(diagram.events, flags)
-                if e.kind == CROSSING]
-    return frozenset(o for o, f in enumerate(switched, start=1) if f)
+            state.step(old[0], f2)
+    return switches_of(diagram, flags)
 
 
 def enumerate_rulings(diagram: FrontDiagram, budget: Optional[int] = None) -> list:
@@ -325,64 +322,34 @@ def brute_force_rulings(diagram: FrontDiagram) -> list:
     return sorted(out, key=ruling_sort_key)
 
 
-def pairing_state_at(diagram: FrontDiagram, switches: Iterable,
-                     event_index: int) -> PairingState:
-    """Scan the first ``event_index`` events and return the state.
-
-    Raises InvalidRuling if the scan dies before reaching the slice.
-    """
-    switches = _check_switches(diagram, switches)
-    state = PairingState()
-    ordinal = 0
-    for i, e in enumerate(diagram.events[:event_index], start=1):
-        if e.kind == CROSSING:
-            ordinal += 1
-            fail = state.step(e, ordinal in switches)
-        else:
-            fail = state.step(e)
-        if fail is not None:
-            raise InvalidRuling(f"event {i}: {fail}")
-    return state
-
-
-def _scan_window(entry: PairingState, window, switch_locals) -> Optional[list]:
-    st = entry.copy()
-    local = 0
-    for e in window:
-        if e.kind == CROSSING:
-            local += 1
-            fail = st.step(e, local in switch_locals)
-        else:
-            fail = st.step(e)
-        if fail is not None:
-            return None
-    # The mate list pins the pairing down as partition() does, without
-    # building the pair tuples that would crowd CPython's tuple free lists.
-    return st._m
-
-
-def window_matches(entry: PairingState, old, old_switches,
+def window_matches(entry: PairingState, old, old_flags,
                    new) -> Optional[list]:
     """Boundary matching for a rewrite of one window of the word.
 
-    Switch sets are local crossing ordinals (1-based) of their window.
-    Returns None when ``old`` does not scan from ``entry`` under
-    ``old_switches``; otherwise every switch set of ``new`` that scans
-    from ``entry`` to the same exit pairing.  Windows with equal crossing
-    counts only exchange switch sets of equal size: boundary matching
-    alone cannot split e.g. the one-switch and all-switch assignments of
-    a triple point, whose exit pairings coincide.
+    Switch choices are per-event flag lists of their window.  Returns None
+    when ``old`` does not scan from ``entry`` under ``old_flags``;
+    otherwise every flag list of ``new`` that scans from ``entry`` to the
+    same exit pairing.  Windows with equal crossing counts only exchange
+    choices with equal switch counts: boundary matching alone cannot split
+    e.g. the one-switch and all-switch assignments of a triple point,
+    whose exit pairings coincide.
     """
-    exit_pairing = _scan_window(entry, old, old_switches)
-    if exit_pairing is None:
+    exit_state, fail = scan(old, old_flags, entry.copy())
+    if fail is not None:
         return None
-    cs = sum(1 for e in old if e.kind == CROSSING)
-    ct = sum(1 for e in new if e.kind == CROSSING)
+    # The mate list pins the pairing down without building pair tuples,
+    # which would crowd CPython's tuple free lists.
+    exit_mates = exit_state._m
+    slots = [k for k, e in enumerate(new) if e.kind == CROSSING]
+    if len(slots) == len([e for e in old if e.kind == CROSSING]):
+        sizes = [sum(old_flags)]
+    else:
+        sizes = range(len(slots) + 1)
     matches = []
-    for mask in range(1 << ct):
-        locals_ = {k + 1 for k in range(ct) if mask >> k & 1}
-        if cs == ct and len(locals_) != len(old_switches):
-            continue
-        if _scan_window(entry, new, locals_) == exit_pairing:
-            matches.append(locals_)
+    for size in sizes:
+        for switched in combinations(slots, size):
+            flags = [k in switched for k in range(len(new))]
+            st, fail = scan(new, flags, entry.copy())
+            if fail is None and st._m == exit_mates:
+                matches.append(flags)
     return matches

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from clasplab import (apply_move, brute_force_rulings, brute_pair_clasps,
-                      clasp_report, cobordism_parity_check, count_clasps_pair,
+                      clasp_intervals, clasp_report, cobordism_parity_check,
                       enumerate_applicable_moves, enumerate_rulings,
                       generate_torus4, generate_trefoil, generate_unknot,
                       obstruction_verdict, parse, random_script, resolve,
@@ -110,7 +110,7 @@ def test_criterion_5_oracle_equivalence():
         res = resolve(d, ruling)
         for a in range(res.n_eyes):
             for b in range(a + 1, res.n_eyes):
-                assert count_clasps_pair(res, a, b) == \
+                assert len(clasp_intervals(res, a, b)) == \
                     brute_pair_clasps(d, ruling, a, b)
                 clasp_checked += 1
     elapsed = time.monotonic() - start

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clasplab import (InvalidRuling, UnknownEye,
-                      brute_pair_clasps, clasp_report, count_clasps_pair,
+                      brute_pair_clasps, clasp_intervals, clasp_report,
                       disjoint_union, enumerate_rulings, generate_torus4,
-                      generate_trefoil, generate_unknot, parity, resolve)
-from clasplab.clasps import DISJOINT, INTERLEAVED, NESTED, _pair_config
+                      generate_trefoil, generate_unknot, resolve)
+from clasplab.clasps import (DISJOINT, INTERLEAVED, NESTED, _pair_config,
+                             parity_of_total)
 from clasplab.fillability import random_script, run_script
 
 
@@ -42,23 +43,23 @@ class TestCountClasps:
     def test_trefoil_singletons_have_one_clasp(self):
         for switches in ({1}, {3}):
             res = resolve(generate_trefoil(), switches)
-            assert count_clasps_pair(res, 0, 1) == 1
+            assert len(clasp_intervals(res, 0, 1)) == 1
 
     def test_trefoil_full_switching_has_none(self):
         res = resolve(generate_trefoil(), {1, 2, 3})
-        assert count_clasps_pair(res, 0, 1) == 0
+        assert len(clasp_intervals(res, 0, 1)) == 0
 
     def test_disjoint_unknots(self):
         d = disjoint_union(generate_unknot(), generate_unknot())
         res = resolve(d, set())
-        assert count_clasps_pair(res, 0, 1) == 0
+        assert len(clasp_intervals(res, 0, 1)) == 0
 
     def test_unknown_eye(self):
         res = resolve(generate_unknot(), set())
         with pytest.raises(UnknownEye):
-            count_clasps_pair(res, 0, 3)
+            clasp_intervals(res, 0, 3)
         with pytest.raises(UnknownEye):
-            count_clasps_pair(res, 0, 0)
+            clasp_intervals(res, 0, 0)
 
 
 class TestClaspReport:
@@ -68,7 +69,7 @@ class TestClaspReport:
         report = clasp_report(generate_trefoil(), switches)
         assert report.total == total
         assert report.parity == par
-        assert parity(report) == par
+        assert parity_of_total(report.total) == par
 
     def test_torus4_unique_ruling_has_five_clasps(self):
         d = generate_torus4(0)
@@ -105,7 +106,7 @@ class TestPairConfigs:
                 res = resolve(d, r)
                 for a in range(res.n_eyes):
                     for b in range(a + 1, res.n_eyes):
-                        count_clasps_pair(res, a, b)
+                        clasp_intervals(res, a, b)
 
 
 class TestOracle:
@@ -113,7 +114,7 @@ class TestOracle:
         res = resolve(d, ruling)
         for a in range(res.n_eyes):
             for b in range(a + 1, res.n_eyes):
-                assert count_clasps_pair(res, a, b) == \
+                assert len(clasp_intervals(res, a, b)) == \
                     brute_pair_clasps(d, ruling, a, b)
 
     def test_corpus(self, corpus):

@@ -181,6 +181,26 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert json.loads(err)["error"] == "BudgetExceeded"
 
+    @pytest.mark.parametrize("argv", [
+        ("obstruct", "--generate", "unknot", "--depth", "3"),
+        ("rulings", "--generate", "unknot", "--depth", "3"),
+        ("validate", "--generate", "unknot", "--budget", "3"),
+        ("generate", "--generate", "unknot", "--budget", "3"),
+        ("render", "--generate", "unknot", "--budget", "3"),
+    ])
+    def test_flags_only_where_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_search_budget_bounds_precheck(self, capsys):
+        code, out, _ = run(capsys, "search", "--generate", "braid",
+                           "--strands", "2", "--word", ",".join(["1"] * 40),
+                           "--budget", "100")
+        assert code == 0
+        assert json.loads(out)["status"] == "exhausted"
+
     def test_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("CLASPLAB_BUDGET", "3")
         code, _, err = run(capsys, "rulings", "--generate", "trefoil")

@@ -3,7 +3,8 @@
 import pytest
 
 from clasplab import (EvennessViolation, FrontDiagram, Move, ScriptError,
-                      TransportFailure, cobordism_parity_check, generate_torus4,
+                      TransportFailure, cobordism_parity_check,
+                      generate_negative_braid_closure, generate_torus4,
                       generate_trefoil, generate_unknot, lc,
                       obstruction_verdict, random_script, rc, run_script,
                       search_filling)
@@ -146,6 +147,15 @@ class TestSearch:
                 redone = run_script(result.script)
                 assert redone.diagram.events == cert.diagram.events
                 assert redone.report.parity == "even"
+
+    def test_budget_bounds_the_obstruction_precheck(self):
+        # 165,580,141 rulings: the pre-check must give up within the budget
+        d = generate_negative_braid_closure(2, [1] * 40)
+        assert search_filling(d, node_budget=100).status == "exhausted"
+        # torus4(1) is obstructed, but 5 steps cannot show it
+        result = search_filling(generate_torus4(1), node_budget=5)
+        assert result.status == "exhausted"
+        assert result.stats["reason"] == "node budget"
 
     def test_pruned_implies_never_found(self):
         for n in (0, 1):

@@ -3,41 +3,86 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clasplab import (BudgetExceeded, FrontDiagram, SameEye, brute_force_rulings,
-                      clasp_report, enumerate_rulings,
+from clasplab import (BudgetExceeded, FrontDiagram, InvalidRuling,
+                      brute_force_rulings, clasp_report, enumerate_rulings,
                       generate_negative_braid_closure, generate_torus4,
                       generate_trefoil, generate_unknot, is_normal_ruling, lc,
-                      obstruction_verdict, pairing_state_at, rc,
-                      stacked_union, switch_allowed, x)
+                      obstruction_verdict, rc, scan, stacked_union,
+                      switch_flags, switches_of, x)
 from clasplab.diagram import far_commutation_order
 from clasplab.fillability import random_script, run_script
 from clasplab.rulings import _search, ruling_sort_key
 from conftest import random_fillable
 
 
+def state_at(diagram, switches, event_index):
+    """Pairing state after the first ``event_index`` events."""
+    flags = switch_flags(diagram, switches)
+    state, fail = scan(diagram.events[:event_index], flags[:event_index])
+    assert fail is None
+    return state
+
+
 class TestSwitchAllowed:
     def test_disjoint_eyes_allow_switch(self):
         # two stacked eyes, crossing slots (2,3): mates at 1 and 4
-        state = pairing_state_at(generate_trefoil(), frozenset(), 2)
+        state = state_at(generate_trefoil(), frozenset(), 2)
         assert state.partition() == ((1, 2), (3, 4))
-        assert switch_allowed(state, 2)
+        assert state.switch_ok(2)
+        assert state.step(x(2), True) is None
 
     def test_interleaved_eyes_forbid_switch(self):
         # after one unswitched crossing the trefoil eyes interleave
-        state = pairing_state_at(generate_trefoil(), frozenset(), 3)
+        state = state_at(generate_trefoil(), frozenset(), 3)
         assert state.partition() == ((1, 3), (2, 4))
-        assert not switch_allowed(state, 2)
+        assert not state.switch_ok(2)
+        assert state.step(x(2), True) == \
+            "normality violated: eyes interleave at switch"
 
     def test_same_eye_raises(self):
-        state = pairing_state_at(generate_unknot(), frozenset(), 1)
-        with pytest.raises(SameEye):
-            switch_allowed(state, 1)
+        state = state_at(generate_unknot(), frozenset(), 1)
+        assert state.same_eye(1)
+        assert state.step(x(1), True) == \
+            "switch between two strands of one eye"
 
     def test_nested_eyes_allow_switch(self):
         d = FrontDiagram([lc(1), lc(2), x(1), rc(2), rc(1)])
-        state = pairing_state_at(d, frozenset(), 2)
+        state = state_at(d, frozenset(), 2)
         assert state.partition() == ((1, 4), (2, 3))
-        assert switch_allowed(state, 1)
+        assert state.switch_ok(1)
+
+
+class TestScanKernel:
+    def test_flags_round_trip(self, corpus):
+        for d in corpus.values():
+            for r in enumerate_rulings(d):
+                flags = switch_flags(d, r)
+                assert len(flags) == len(d)
+                assert switches_of(d, flags) == r
+
+    def test_flags_reject_out_of_range_ordinals(self):
+        with pytest.raises(InvalidRuling, match="outside 1..3"):
+            switch_flags(generate_trefoil(), {4})
+        with pytest.raises(InvalidRuling):
+            switch_flags(generate_trefoil(), {0})
+
+    def test_failure_index_is_one_based(self):
+        d = generate_trefoil()
+        _, fail = scan(d.events, switch_flags(d, {2}))
+        assert fail == (4, "normality violated: eyes interleave at switch")
+        check = is_normal_ruling(d, {2})
+        assert (check.event_index, check.reason) == fail
+
+    def test_resumes_from_a_given_state(self, corpus):
+        for d in corpus.values():
+            for r in enumerate_rulings(d):
+                flags = switch_flags(d, r)
+                half = len(d) // 2
+                state, fail = scan(d.events[:half], flags[:half])
+                assert fail is None
+                resumed, fail = scan(d.events[half:], flags[half:], state)
+                assert fail is None and resumed is state
+                assert state.n_strands == 0
 
 
 class TestIsNormalRuling:
