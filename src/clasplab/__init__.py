@@ -6,18 +6,18 @@ obstruction to building a link from the empty front by births, saddles
 and isotopy moves.
 """
 
-from .clasps import (ClaspReport, CrossingRecord, PairClasps, Resolution,
-                     brute_pair_clasps, clasp_intervals, clasp_report,
-                     resolve)
+from .clasps import (ClaspReport, ClaspState, CrossingRecord, PairClasps,
+                     Resolution, brute_pair_clasps, clasp_intervals,
+                     clasp_report, resolve, ruling_reports)
 from .diagram import (Event, FrontDiagram, StrandTrace, ValidationReport,
                       Violation, disjoint_union, generate_negative_braid_closure,
                       generate_torus4, generate_trefoil, generate_unknot,
                       lc, n_components, parse, rc, serialize, stacked_union,
                       trace_components, transpose_events, validate, x)
 from .errors import (BudgetExceeded, ClaspLabError, EvennessViolation,
-                     InvalidBraidLetter, InvalidDiagram, InvalidRuling,
-                     NotApplicable, ParseError, ScriptError,
-                     TransportFailure, UnknownEye)
+                     InternalInvariantError, InvalidBraidLetter,
+                     InvalidDiagram, InvalidRuling, NotApplicable,
+                     ParseError, ScriptError, TransportFailure, UnknownEye)
 from .fillability import (CobordismParity, FillingCertificate,
                           ObstructionVerdict, SearchResult,
                           cobordism_parity_check, obstruction_verdict,
@@ -33,9 +33,10 @@ from .rulings import (EMPTY_RULING, NormalRuling, PairingState,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceeded", "ClaspLabError", "ClaspReport", "CobordismParity",
-    "CrossingRecord", "EMPTY_RULING", "EvennessViolation", "Event",
-    "FillingCertificate", "FrontDiagram", "InvalidBraidLetter",
+    "BudgetExceeded", "ClaspLabError", "ClaspReport", "ClaspState",
+    "CobordismParity", "CrossingRecord", "EMPTY_RULING", "EvennessViolation",
+    "Event", "FillingCertificate", "FrontDiagram", "InternalInvariantError",
+    "InvalidBraidLetter",
     "InvalidDiagram", "InvalidRuling", "Move", "NormalRuling",
     "NotApplicable", "ObstructionVerdict", "PairClasps", "PairingState",
     "ParseError", "Resolution", "RulingTransport", "ScriptError",
@@ -47,8 +48,8 @@ __all__ = [
     "generate_negative_braid_closure", "generate_torus4",
     "generate_trefoil", "generate_unknot", "is_normal_ruling", "lc",
     "n_components", "normalize", "obstruction_verdict", "parse",
-    "parse_script", "random_script", "rc", "resolve", "run_script", "scan",
-    "search_filling", "serialize", "serialize_script", "stacked_union",
-    "svg_render", "switch_flags", "switches_of", "trace_components",
-    "transpose_events", "validate", "x",
+    "parse_script", "random_script", "rc", "resolve", "ruling_reports",
+    "run_script", "scan", "search_filling", "serialize", "serialize_script",
+    "stacked_union", "svg_render", "switch_flags", "switches_of",
+    "trace_components", "transpose_events", "validate", "x",
 ]

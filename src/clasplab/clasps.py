@@ -12,6 +12,15 @@ An interleaved interval bounded by crossings of different strand pairs is
 a single strand passing through both strands of the other eye and
 contributes nothing.  The parity of the total clasp count over all pairs
 is the quantity the filling obstruction runs on.
+
+Clasps are counted by ClaspState, the pairing scan extended with an eye
+id per live slot and, per eye pair, a count and the strand pair that
+entered its current interleaved interval.  clasp_report is one linear
+scan with it, and ruling_reports counts during the ruling search itself,
+so listing every ruling's clasps scans no ruling twice.  resolve and
+clasp_intervals build the explicit eyes and intervals (for rendering and
+as the reference the counts are tested against), and brute_pair_clasps
+recounts one pair from materialized slices.
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .diagram import CROSSING, LEFT_CUSP, FrontDiagram, require_valid
-from .errors import InvalidRuling, UnknownEye
-from .rulings import PairingState, switch_flags
+from .errors import InternalInvariantError, InvalidRuling, UnknownEye
+from .rulings import PairingState, _enumerate, ruling_sort_key, scan, \
+    switch_flags
 
 DISJOINT = "disjoint"
 NESTED = "nested"
@@ -144,7 +154,7 @@ def clasp_intervals(res: Resolution, eye_a: int, eye_b: int) -> list:
     order = _initial_order(res, a, b, start)
     config = _pair_config(order)
     if config == INTERLEAVED:
-        raise AssertionError("eyes interleave at a birth slice")
+        raise InternalInvariantError("eyes interleave at a birth slice")
 
     clasps = []
     entering: Optional[tuple] = None  # (strand pair, event) opening the run
@@ -153,19 +163,21 @@ def clasp_intervals(res: Resolution, eye_a: int, eye_b: int) -> list:
             # Normality keeps switches out of interleaved intervals; a
             # counterexample would need a clasp rule this scan lacks.
             if config == INTERLEAVED:
-                raise AssertionError(
+                raise InternalInvariantError(
                     "switch touch-point inside an interleaved interval")
             continue
         i = order.index((r.eye_a, r.strand_a))
         j = order.index((r.eye_b, r.strand_b))
         if abs(i - j) != 1:
-            raise AssertionError("crossing between non-adjacent strands")
+            raise InternalInvariantError(
+                "crossing between non-adjacent strands")
         lst = list(order)
         lst[i], lst[j] = lst[j], lst[i]
         order = tuple(lst)
         new_config = _pair_config(order)
         if config == INTERLEAVED and new_config == INTERLEAVED:
-            raise AssertionError("pair crossing inside an interleaved interval")
+            raise InternalInvariantError(
+                "pair crossing inside an interleaved interval")
         if config != INTERLEAVED and new_config == INTERLEAVED:
             entering = ((r.strand_a, r.strand_b), r.event_index)
         elif config == INTERLEAVED and new_config != INTERLEAVED:
@@ -174,7 +186,7 @@ def clasp_intervals(res: Resolution, eye_a: int, eye_b: int) -> list:
             entering = None
         config = new_config
     if config == INTERLEAVED:
-        raise AssertionError("eyes interleave at a death slice")
+        raise InternalInvariantError("eyes interleave at a death slice")
     return clasps
 
 
@@ -203,21 +215,113 @@ def parity_of_total(total: int) -> str:
     return "odd" if total % 2 else "even"
 
 
+class ClaspState(PairingState):
+    """The pairing scan, counting clasps as it goes.
+
+    Besides the mates it keeps the eye id of each live slot (eyes are
+    numbered by birth, as in resolve), the running clasp total, and for
+    each eye pair that has met at a crossing, (clasp count, entering
+    strands): the strand pair of the crossing that opened the pair's
+    current interleaved interval, or None outside one.  The eyes through
+    slots p, p+1 interleave exactly when ``switch_ok(p)`` fails, so
+    reading it before and after an unswitched crossing tells whether the
+    crossing enters or leaves an interleaved interval; a strand is the
+    upper one of its eye when its mate lies below it.  No records, slices
+    or per-pair strand orders are built.
+    """
+
+    __slots__ = ("_eyes", "_born", "_pairs", "total")
+
+    def __init__(self):
+        super().__init__()
+        self._eyes = [None]  # eye id per slot; index 0 unused, as in _m
+        self._born = 0
+        self._pairs: dict = {}  # (eye_a, eye_b) -> (count, entering)
+        self.total = 0
+
+    def copy(self) -> "ClaspState":
+        c = PairingState.__new__(ClaspState)
+        c._m, c._eyes, c._born = self._m[:], self._eyes[:], self._born
+        c._pairs, c.total = self._pairs.copy(), self.total
+        return c
+
+    def step(self, event, is_switch: bool = False):
+        p = event.pos
+        if event.kind != CROSSING:
+            fail = PairingState.step(self, event)
+            if fail is None:
+                if event.kind == LEFT_CUSP:
+                    self._eyes[p:p] = (self._born, self._born)
+                    self._born += 1
+                else:
+                    del self._eyes[p:p + 2]
+            return fail
+        m, eyes = self._m, self._eyes
+        a, b = eyes[p], eyes[p + 1]
+        if is_switch and a != b and self.switch_ok(p):
+            self._pairs.setdefault((a, b) if a < b else (b, a), (0, None))
+            return None
+        if is_switch or a == b:  # a failure; the pairing step names it
+            return PairingState.step(self, event, is_switch)
+        # strand labels: True (UPPER) where the strand's mate lies below it
+        at_p, at_q = m[p] < p, m[p + 1] < p + 1
+        key, strands = ((a, b), (at_p, at_q)) if a < b else \
+            ((b, a), (at_q, at_p))
+        count, entering = self._pairs.get(key, (0, None))
+        leaves = not self.switch_ok(p)
+        self.cross(p)
+        eyes[p], eyes[p + 1] = b, a
+        if leaves:
+            if strands == entering:
+                count += 1
+                self.total += 1
+            entering = None
+        elif not self.switch_ok(p):
+            entering = strands
+        self._pairs[key] = (count, entering)
+        return None
+
+    def report(self) -> "ClaspReport":
+        """The clasp report of a finished scan."""
+        pairs = tuple(PairClasps(eyes, count)
+                      for eyes, (count, _) in sorted(self._pairs.items()))
+        return ClaspReport(pairs, self.total, parity_of_total(self.total))
+
+
 def clasp_report(diagram: FrontDiagram, ruling: Iterable) -> ClaspReport:
     """Count clasps for every interacting eye pair and total them up.
 
-    Pairs that never cross are omitted from the listing (their count is 0
-    by definition); the total and parity cover all pairs either way.
+    One linear ClaspState scan over the word, which also checks the
+    ruling.  Pairs that never cross are omitted from the listing (their
+    count is 0 by definition); the total and parity cover all pairs
+    either way.
     """
-    res = resolve(diagram, ruling)
-    interacting = sorted({(r.eye_a, r.eye_b) for r in res.records})
-    pairs = []
-    total = 0
-    for a, b in interacting:
-        n = len(clasp_intervals(res, a, b))
-        pairs.append(PairClasps((a, b), n))
-        total += n
-    return ClaspReport(tuple(pairs), total, parity_of_total(total))
+    require_valid(diagram)
+    state, fail = scan(diagram.events, switch_flags(diagram, ruling),
+                       ClaspState())
+    if fail is not None:
+        raise InvalidRuling(f"event {fail[0]}: {fail[1]}")
+    return state.report()
+
+
+def ruling_reports(diagram: FrontDiagram,
+                   budget: Optional[int] = None) -> list:
+    """(ruling, ClaspReport) of every normal ruling, by ruling_sort_key.
+
+    The clasps are counted during the ruling search itself, so no ruling
+    is scanned again; ``budget`` bounds the search exactly as in
+    enumerate_rulings.
+    """
+    reports: dict = {}  # rulings with equal counts share one report
+
+    def keep(state: ClaspState) -> ClaspReport:
+        counts = tuple(sorted(state._pairs.items()))
+        if counts not in reports:
+            reports[counts] = state.report()
+        return reports[counts]
+
+    found = _enumerate(diagram, budget, ClaspState(), keep)
+    return sorted(found, key=lambda item: ruling_sort_key(item[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +390,8 @@ def brute_pair_clasps(diagram: FrontDiagram, ruling: Iterable,
         enter = swapped_pair(start)       # event turning slice start-1 -> start
         leave = swapped_pair(k)           # event turning slice k-1 -> k
         if enter is None or leave is None:
-            raise AssertionError("interleaved run not bounded by pair crossings")
+            raise InternalInvariantError(
+                "interleaved run not bounded by pair crossings")
         if enter == leave:
             clasps += 1
     return clasps

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import diagram as diagram_mod
-from .clasps import clasp_report
+from .clasps import clasp_report, ruling_reports
 from .errors import ClaspLabError
 from .fillability import (cobordism_parity_check, obstruction_verdict,
                           run_script, search_filling)
@@ -148,10 +148,10 @@ def _cmd_rulings(args) -> int:
 
 def _reports(args, diagram):
     if args.ruling is not None:
-        rulings = [_parse_ruling(args.ruling)]
-    else:
-        rulings = enumerate_rulings(diagram, budget=_budget(args))
-    return [(sorted(r), clasp_report(diagram, r)) for r in rulings]
+        ruling = _parse_ruling(args.ruling)
+        return [(sorted(ruling), clasp_report(diagram, ruling))]
+    return [(sorted(r), report)
+            for r, report in ruling_reports(diagram, _budget(args))]
 
 
 def _cmd_clasps(args) -> int:

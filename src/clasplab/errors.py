@@ -57,6 +57,10 @@ class EvennessViolation(ClaspLabError):
     """
 
 
+class InternalInvariantError(ClaspLabError):
+    """An internal invariant failed: a bug in clasplab, not in the input."""
+
+
 class BudgetExceeded(ClaspLabError):
     """An enumeration hit its node budget before finishing."""
 

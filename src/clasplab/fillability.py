@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .clasps import ClaspReport, clasp_report
+from .clasps import ClaspReport, clasp_report, ruling_reports
 from .diagram import LEFT_CUSP, RIGHT_CUSP, FrontDiagram, require_valid, \
     serialize
 from .errors import (BudgetExceeded, EvennessViolation, NotApplicable,
@@ -77,8 +77,7 @@ class RulingEvidence:
                 "parity": self.parity}
 
 
-def _evidence(diagram: FrontDiagram, ruling: frozenset) -> RulingEvidence:
-    report = clasp_report(diagram, ruling)
+def _evidence(ruling: frozenset, report: ClaspReport) -> RulingEvidence:
     return RulingEvidence(tuple(sorted(ruling)), report.total, report.parity)
 
 
@@ -114,8 +113,8 @@ class ObstructionVerdict:
 def obstruction_verdict(diagram: FrontDiagram,
                         budget: Optional[int] = None) -> ObstructionVerdict:
     """Enumerate rulings and decide whether all of them are odd."""
-    evidence = tuple(_evidence(diagram, r)
-                     for r in enumerate_rulings(diagram, budget=budget))
+    evidence = tuple(_evidence(r, report)
+                     for r, report in ruling_reports(diagram, budget))
     witness = next((e.switches for e in evidence if e.parity == "even"),
                    None)
     if not evidence:
@@ -150,13 +149,16 @@ def cobordism_parity_check(lower: FrontDiagram, upper: FrontDiagram,
     """
     sides = []
     for diagram in (lower, upper):
+        # a report is needed only for a unique ruling, so counting
+        # clasps during the search would mostly be wasted
         rulings = enumerate_rulings(diagram, budget=budget)
         if len(rulings) != 1:
             return CobordismParity(
                 "not_applicable",
                 reason=f"a diagram has {len(rulings)} normal rulings; "
                        "the test needs exactly 1 on each side")
-        sides.append(_evidence(diagram, rulings[0]))
+        sides.append(_evidence(rulings[0],
+                               clasp_report(diagram, rulings[0])))
     status = ("compatible" if sides[0].parity == sides[1].parity
               else "incompatible")
     return CobordismParity(status, sides[0], sides[1])

@@ -179,12 +179,17 @@ def ruling_sort_key(ruling: Iterable) -> tuple:
     return (len(t), t)
 
 
-def _search(diagram: FrontDiagram, budget: Optional[int]) -> list:
+def _search(diagram: FrontDiagram, budget: Optional[int],
+            state: Optional[PairingState] = None, keep=None) -> list:
     """Backtracking over the switch choices of the word as given.
 
-    Each crossing branches on switch / non-switch; dead states prune the
-    subtree.  Raises BudgetExceeded once more than ``budget`` event steps
-    have been taken.
+    Scans from ``state`` (default the empty pairing), which may be any
+    PairingState subclass: each crossing branches on a copy (switch) and
+    on the state itself (non-switch), and dead states prune the subtree.
+    Each leaf records its switch set, or (switch set, keep(final state))
+    when ``keep`` is given; keep should return only what the caller
+    needs, so memory does not grow with the number of rulings.  Raises
+    BudgetExceeded once more than ``budget`` event steps have been taken.
     """
     events = diagram.events
     ordinals = diagram.walk.ordinals
@@ -212,9 +217,10 @@ def _search(diagram: FrontDiagram, budget: Optional[int]) -> list:
             if state.step(e, is_switch=False) is not None:
                 return
             i += 1
-        found.append(frozenset(switched))
+        ruling = frozenset(switched)
+        found.append(ruling if keep is None else (ruling, keep(state)))
 
-    walk(0, PairingState(), [])
+    walk(0, state or PairingState(), [])
     # walk reaches itself through its closure cell; break that cycle so
     # a reordered word is freed now, not at the next full collection.
     walk = None
@@ -244,9 +250,8 @@ def _hop_windows(diagram: FrontDiagram, hops: tuple) -> list:
     return steps
 
 
-def _retrace(diagram: FrontDiagram, narrow: FrontDiagram, steps: list,
-             ruling: frozenset) -> frozenset:
-    """Carry a ruling of ``narrow`` back to the crossings of ``diagram``.
+def _retrace(narrow: FrontDiagram, steps: list, ruling: frozenset) -> list:
+    """Carry a ruling of ``narrow`` back to switch flags of the original word.
 
     Undoes the hops of _hop_windows last first.  A hop past a cusp keeps
     every switch on its crossing.  A hop of two crossings is a ``tr``
@@ -278,11 +283,12 @@ def _retrace(diagram: FrontDiagram, narrow: FrontDiagram, steps: list,
             # moved a lone switch to the other crossing
             flags[i], flags[i + 1] = f2, f1
             state.step(old[0], f2)
-    return switches_of(diagram, flags)
+    return flags
 
 
-def enumerate_rulings(diagram: FrontDiagram, budget: Optional[int] = None) -> list:
-    """All normal rulings, by backtracking over the switch choices.
+def _enumerate(diagram: FrontDiagram, budget: Optional[int],
+               state: Optional[PairingState] = None, keep=None) -> list:
+    """Every normal ruling, unsorted, as _search records it.
 
     The backtracking cost grows with the width (the most strands alive on
     one slice), so the word is first reordered by far commutation: among
@@ -291,20 +297,43 @@ def enumerate_rulings(diagram: FrontDiagram, budget: Optional[int] = None) -> li
     far_commutation_order).  The search runs on that word when it is
     strictly narrower, else on ``diagram`` itself, and each ruling found
     on the reordered word is carried back along the ``tr`` moves, so
-    switch sets are always crossing ordinals of ``diagram`` itself, in
-    ruling_sort_key order.  The optional ``budget`` bounds the event
-    steps taken on the word actually searched before BudgetExceeded is
-    raised.
+    switch sets are always crossing ordinals of ``diagram`` itself.  The
+    optional ``budget`` bounds the event steps taken on the word actually
+    searched before BudgetExceeded is raised.
+
+    With ``keep``, each ruling comes as (ruling, keep(s)), s being
+    ``state`` run over ``diagram`` under the ruling: the search leaf
+    itself when ``diagram`` is searched, else one linear scan after the
+    ruling is mapped back.  What a counting state counts on the reordered
+    word is not proven equal to its count on ``diagram`` (a lone switch
+    can pass to the other crossing of a ``tr`` hop), so the reordered
+    search runs on a bare pairing.
     """
     require_valid(diagram)
     narrow, hops = far_commutation_order(diagram)
-    if max(narrow.strand_counts()) < max(diagram.strand_counts()):
-        steps = _hop_windows(diagram, hops)
-        found = [_retrace(diagram, narrow, steps, r)
-                 for r in _search(narrow, budget)]
-    else:
-        found = _search(diagram, budget)
-    return sorted(found, key=ruling_sort_key)
+    if max(narrow.strand_counts()) >= max(diagram.strand_counts()):
+        return _search(diagram, budget, state, keep)
+    steps = _hop_windows(diagram, hops)
+    found = []
+    for ruling in _search(narrow, budget):
+        flags = _retrace(narrow, steps, ruling)
+        ruling = switches_of(diagram, flags)
+        if keep is not None:
+            ruling = ruling, keep(scan(diagram.events, flags, state.copy())[0])
+        found.append(ruling)
+    return found
+
+
+def enumerate_rulings(diagram: FrontDiagram, budget: Optional[int] = None) -> list:
+    """All normal rulings, by backtracking over the switch choices.
+
+    Switch sets are crossing ordinals of ``diagram``, in ruling_sort_key
+    order; the search runs on a narrower reordering of the word when
+    there is one (see _enumerate).  The optional ``budget`` bounds the
+    event steps taken on the word actually searched before BudgetExceeded
+    is raised.
+    """
+    return sorted(_enumerate(diagram, budget), key=ruling_sort_key)
 
 
 def brute_force_rulings(diagram: FrontDiagram) -> list:

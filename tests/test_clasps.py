@@ -1,15 +1,28 @@
 """Resolutions, eye pairs, clasp counting, and the slice-scan oracle."""
 
+import functools
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clasplab import (InvalidRuling, UnknownEye,
-                      brute_pair_clasps, clasp_intervals, clasp_report,
-                      disjoint_union, enumerate_rulings, generate_torus4,
-                      generate_trefoil, generate_unknot, resolve)
-from clasplab.clasps import (DISJOINT, INTERLEAVED, NESTED, _pair_config,
+from clasplab import rulings
+from clasplab import (BudgetExceeded, ClaspLabError, ClaspState,
+                      CrossingRecord, InternalInvariantError, InvalidRuling,
+                      UnknownEye, brute_pair_clasps, clasp_intervals,
+                      clasp_report, disjoint_union, enumerate_rulings,
+                      generate_negative_braid_closure, generate_torus4,
+                      generate_trefoil, generate_unknot, is_normal_ruling,
+                      obstruction_verdict, resolve, ruling_reports, scan,
+                      switch_flags)
+from clasplab.clasps import (DISJOINT, INTERLEAVED, NESTED, LOWER, UPPER,
+                             ClaspReport, PairClasps, _pair_config,
                              parity_of_total)
-from clasplab.fillability import random_script, run_script
+from clasplab.diagram import far_commutation_order
+from clasplab.fillability import (ObstructionVerdict, RulingEvidence,
+                                  random_script, run_script)
+from conftest import random_fillable
 
 
 class TestResolve:
@@ -111,14 +124,25 @@ class TestPairConfigs:
 
 class TestOracle:
     def _check(self, d, ruling):
+        """Record scan, slice oracle and one linear ClaspState scan agree."""
         res = resolve(d, ruling)
+        state, fail = scan(d.events, switch_flags(d, ruling), ClaspState())
+        assert fail is None
+        counted = {p.eyes: p.clasps for p in state.report().pairs}
+        assert set(counted) == {(r.eye_a, r.eye_b) for r in res.records}
         for a in range(res.n_eyes):
             for b in range(a + 1, res.n_eyes):
-                assert len(clasp_intervals(res, a, b)) == \
-                    brute_pair_clasps(d, ruling, a, b)
+                n = len(clasp_intervals(res, a, b))
+                assert n == brute_pair_clasps(d, ruling, a, b)
+                assert counted.get((a, b), 0) == n
 
     def test_corpus(self, corpus):
         for d in corpus.values():
+            for r in enumerate_rulings(d):
+                self._check(d, r)
+
+    def test_fillable_small(self, fillable_small):
+        for d in fillable_small:
             for r in enumerate_rulings(d):
                 self._check(d, r)
 
@@ -127,3 +151,139 @@ class TestOracle:
     def test_random_fillable(self, seed, length):
         cert = run_script(random_script(length, seed))
         self._check(cert.diagram, cert.ruling)
+
+
+class TestInvariantErrors:
+    def test_inconsistent_resolution_raises_named_error(self):
+        res = resolve(generate_trefoil(), {1, 2, 3})
+        # the lower strand of eye 0 and the upper strand of eye 1 are never
+        # adjacent, so no unswitched crossing can exchange them
+        bad = CrossingRecord(2, 4, 0, LOWER, 1, UPPER, switch=False)
+        res = replace(res, records=(bad,))
+        with pytest.raises(InternalInvariantError,
+                           match="crossing between non-adjacent strands"):
+            clasp_intervals(res, 0, 1)
+        assert issubclass(InternalInvariantError, ClaspLabError)
+
+
+def reference_report(diagram, ruling):
+    """clasp_report as it was before clasps were counted in the scan:
+    resolve the ruling, then run clasp_intervals on each interacting pair."""
+    res = resolve(diagram, ruling)
+    pairs = [PairClasps((a, b), len(clasp_intervals(res, a, b)))
+             for a, b in sorted({(r.eye_a, r.eye_b) for r in res.records})]
+    total = sum(p.clasps for p in pairs)
+    return ClaspReport(tuple(pairs), total, parity_of_total(total))
+
+
+def reference_verdict(diagram):
+    """obstruction_verdict by enumerating, then reporting each ruling."""
+    evidence = []
+    for r in enumerate_rulings(diagram):
+        report = reference_report(diagram, r)
+        evidence.append(RulingEvidence(tuple(sorted(r)), report.total,
+                                       report.parity))
+    if not evidence:
+        return ObstructionVerdict(False, (), None, "no normal rulings at all")
+    witness = next((e.switches for e in evidence if e.parity == "even"),
+                   None)
+    return ObstructionVerdict(witness is None, tuple(evidence), witness)
+
+
+def is_narrower(d):
+    narrow, _ = far_commutation_order(d)
+    return max(narrow.strand_counts()) < max(d.strand_counts())
+
+
+_FAMILIES = {
+    "braid2": lambda: [generate_negative_braid_closure(2, [1] * k)
+                       for k in range(1, 19)],
+    "braid4": lambda: [generate_negative_braid_closure(4, [1, 2, 3] * k)
+                       for k in range(1, 4)],
+    "torus4": lambda: [generate_torus4(n) for n in range(5)],
+    "small": lambda: [generate_trefoil(), generate_unknot()],
+    "fillable10": lambda: random_fillable(150, 10),
+    "fillable16": lambda: random_fillable(150, 16),
+    "fillable25": lambda: random_fillable(150, 25),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def verdict_family(name):
+    return tuple(_FAMILIES[name]())
+
+
+class TestCountedInSearch:
+    """ruling_reports counts clasps during the ruling search; the verdict
+    and the reports must equal enumerating, then resolving each ruling."""
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_verdict_matches_reference(self, family):
+        for d in verdict_family(family):
+            assert obstruction_verdict(d) == reference_verdict(d)
+            listed = ruling_reports(d)
+            assert [r for r, _ in listed] == enumerate_rulings(d)
+            for r, report in listed:
+                assert report == reference_report(d, r)
+
+    @pytest.mark.parametrize("d", [generate_torus4(1), generate_trefoil()],
+                             ids=["narrowed", "as_given"])
+    def test_one_reordering_per_verdict(self, d, monkeypatch):
+        calls = []
+
+        def counted(diagram):
+            calls.append(diagram)
+            return far_commutation_order(diagram)
+
+        monkeypatch.setattr(rulings, "far_commutation_order", counted)
+        obstruction_verdict(d)
+        assert calls == [d]
+
+    def test_families_cover_both_search_words(self):
+        diagrams = [d for name in _FAMILIES for d in verdict_family(name)]
+        narrowed = sum(map(is_narrower, diagrams))
+        assert 0 < narrowed < len(diagrams)
+
+    @pytest.mark.parametrize("d", [
+        generate_negative_braid_closure(2, [1] * 12), generate_torus4(2)],
+        ids=["braid2_12", "torus4_2"])
+    def test_budget_is_the_enumeration_budget(self, d):
+        def outcome(fn, budget):
+            try:
+                fn(d, budget=budget)
+            except BudgetExceeded as exc:
+                return exc.nodes
+            return None
+
+        low, enough = 0, 10_000  # enumeration needs more than low steps
+        while low + 1 < enough:
+            mid = (low + enough) // 2
+            if outcome(enumerate_rulings, mid) is None:
+                enough = mid
+            else:
+                low = mid
+        for b in sorted({*range(0, enough + 40, 23), enough - 1, enough}):
+            want = outcome(enumerate_rulings, b)
+            assert (want is None) == (b >= enough)
+            assert outcome(obstruction_verdict, b) == want
+            assert outcome(ruling_reports, b) == want
+
+    def test_invalid_ruling_message_matches_the_check(self, corpus,
+                                                      fillable_small):
+        rng = random.Random(7)
+        failures = 0
+        for d in list(corpus.values()) + fillable_small:
+            c = d.n_crossings
+            for _ in range(20):
+                switches = {o for o in range(1, c + 1) if rng.random() < 0.4}
+                check = is_normal_ruling(d, switches)
+                if check.ok:
+                    assert clasp_report(d, switches) == \
+                        reference_report(d, switches)
+                    continue
+                failures += 1
+                with pytest.raises(InvalidRuling) as info:
+                    clasp_report(d, switches)
+                assert str(info.value) == \
+                    f"event {check.event_index}: {check.reason}"
+        assert failures > 100

@@ -6,6 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from clasplab import InternalInvariantError, cli
 from clasplab.cli import main
 from clasplab.diagram import generate_trefoil, serialize
 
@@ -143,6 +144,19 @@ class TestErrorsAndDeterminism:
         code, _, err = run(capsys, "rulings", "--input", str(f))
         assert code == 1
         assert json.loads(err)["error"] == "InvalidDiagram"
+
+    def test_internal_invariant_error_exit_1(self, capsys, monkeypatch):
+        def broken(diagram, ruling):
+            raise InternalInvariantError("crossing between non-adjacent "
+                                         "strands")
+
+        monkeypatch.setattr(cli, "clasp_report", broken)
+        code, out, err = run(capsys, "clasps", "--generate", "trefoil",
+                             "--ruling", "[1]")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "InternalInvariantError",
+            "message": "crossing between non-adjacent strands"}
 
     def test_parse_error_structured(self, capsys, tmp_path):
         f = tmp_path / "d.front"
