@@ -37,10 +37,13 @@ def _dumps(obj) -> str:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from None
 
 
 def _generated(args) -> diagram_mod.FrontDiagram:
@@ -52,11 +55,17 @@ def _generated(args) -> diagram_mod.FrontDiagram:
     if name == "torus4":
         if args.n is None:
             raise _UsageError("--generate torus4 needs --n")
+        if args.n < 0:
+            raise _UsageError(f"--n must be >= 0, got {args.n}")
         return diagram_mod.generate_torus4(args.n)
     if name == "braid":
         if args.strands is None or args.word is None:
             raise _UsageError("--generate braid needs --strands and --word")
-        word = [int(t) for t in args.word.split(",") if t.strip()]
+        try:
+            word = [int(t) for t in args.word.split(",") if t.strip()]
+        except ValueError:
+            raise _UsageError("--word must be comma-separated integers, "
+                              f"got {args.word!r}") from None
         return diagram_mod.generate_negative_braid_closure(args.strands, word)
     raise _UsageError(f"unknown generator {name!r}")
 
@@ -90,23 +99,29 @@ def _parse_ruling(text: str):
 
 def _emit(args, payload: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(payload)
 
 
 def _budget(args):
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("CLASPLAB_BUDGET")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(
-            f"CLASPLAB_BUDGET must be an integer, got {env!r}") from None
+    budget, source = args.budget, "--budget"
+    if budget is None:
+        env = os.environ.get("CLASPLAB_BUDGET")
+        if not env:
+            return None
+        try:
+            budget, source = int(env), "CLASPLAB_BUDGET"
+        except ValueError:
+            raise _UsageError(
+                f"CLASPLAB_BUDGET must be an integer, got {env!r}") from None
+    if budget < 0:
+        raise _UsageError(f"{source} must be >= 0, got {budget}")
+    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +253,7 @@ def _cmd_search(args) -> int:
     diagram, _ = _load_diagram(args)
     budget = _budget(args)
     result = search_filling(diagram, depth_bound=args.depth,
-                            node_budget=budget if budget else 20000)
+                            node_budget=20000 if budget is None else budget)
     if args.format == "text":
         body = f"{result.status}\n"
         if result.script is not None:

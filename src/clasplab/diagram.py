@@ -115,10 +115,6 @@ class FrontDiagram:
         """
         return list(self.walk.counts)
 
-    def crossings(self) -> list[int]:
-        """Event indices (0-based) of the crossings, in diagram order."""
-        return [i for i, o in enumerate(self.walk.ordinals) if o]
-
     @property
     def n_crossings(self) -> int:
         return self.walk.n_crossings
@@ -297,13 +293,16 @@ def far_commutation_order(diagram: FrontDiagram) -> tuple:
     by word order.  Closing eyes early and opening them late keeps few
     strands alive.  Running the order on its own output changes nothing.
 
-    Returns (reordered diagram, hops), where hops[t] is the number of
-    remaining events that the t-th emitted event commuted past; each hop
-    is one ``tr`` move.
+    Returns (reordered diagram, windows).  windows[t] lists, in word
+    order, the (after, before) event pairs of each swap the t-th emitted
+    event made, at word indices t+j, t+j+1; each swap is one ``tr`` move.
+    The before pair is kept because a swap is not always undone by
+    swapping back: [lc p, rc p+2] swaps to [rc p, lc p], which alone does
+    not say on which side of the dying eye the new one was born.
     """
-    rest = [(e.kind, e.pos) for e in diagram.events]
+    rest = list(diagram.events)
     out = []
-    hops = []
+    windows = []
     width = 0
     while rest:
         # Doubled coordinates on the slice left of rest[k]: slot p is 2p,
@@ -312,7 +311,8 @@ def far_commutation_order(diagram: FrontDiagram) -> tuple:
         # so that nothing needing d commutes to the front.
         front = list(range(2 * width + 2))
         best = None
-        for k, (kind, p) in enumerate(rest):
+        for k, e in enumerate(rest):
+            kind, p = e.kind, e.pos
             if kind == LEFT_CUSP:
                 gap = front[2 * p - 1]
                 key = None if gap is None else (2, gap + 1, k)
@@ -329,20 +329,25 @@ def far_commutation_order(diagram: FrontDiagram) -> tuple:
             if key is not None and (best is None or key < best):
                 best = key
         k = best[2]
-        kind, p = rest.pop(k)
+        moving = rest.pop(k)
+        kind, p = moving.kind, moving.pos
         # Commute it to the front as transpose_events does: of each two
         # swapped events, the upper one shifts by the lower one's delta.
+        swaps = []
         for j in range(k - 1, -1, -1):
-            other, q = rest[j]
+            other, q = rest[j].kind, rest[j].pos
+            before = (rest[j], moving)
             lo = 2 * p - 1 if kind == LEFT_CUSP else 2 * p
             if lo > (2 * q - 1 if other == RIGHT_CUSP else 2 * q + 2):
                 p -= _DELTA[other]
+                moving = Event(kind, p)
             else:
-                rest[j] = (other, q + _DELTA[kind])
-        out.append(Event(kind, p))
-        hops.append(k)
+                rest[j] = Event(other, q + _DELTA[kind])
+            swaps.append(((moving, rest[j]), before))
+        out.append(moving)
+        windows.append(tuple(reversed(swaps)))
         width += _DELTA[kind]
-    return FrontDiagram(out), tuple(hops)
+    return FrontDiagram(out), tuple(windows)
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,8 @@ def random_script(length: int, seed: int) -> list:
     """Seeded-deterministic script of applicable moves from the empty front.
 
     Samples a move kind, then a move of that kind, skipping saddles that
-    are incompatible with the ruling carried so far.
+    are incompatible with the ruling carried so far.  A TransportFailure
+    of any other move is a bug of the calculus and propagates.
     """
     if length < 1:
         raise ValueError("scripts have length >= 1")
@@ -192,6 +193,8 @@ def random_script(length: int, seed: int) -> list:
                 try:
                     ruling = transport(ruling)
                 except TransportFailure:
+                    if kind != "h1":
+                        raise  # only a saddle can meet an incompatible ruling
                     continue
                 diagram = new_diagram
                 script.append(m)

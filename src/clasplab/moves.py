@@ -14,14 +14,16 @@ The calculus consists of
 * ``tr`` -- transposition of two adjacent events with disjoint vertical
   support (renumbering slots as needed).
 
-Every isotopy rewrite carries a transport of normal rulings: switch
+Every rewrite carries a transport of normal rulings by one rule: switch
 choices outside the rewritten window are kept, and the window is assigned
 the unique local switch choice that scans validly and reproduces the same
 exit pairing as the original.  That boundary-matching rule is asserted
-unambiguous at run time; the resulting transport is a bijection on ruling
-sets, which the test suite checks move by move.  Handles keep the switch
-set; a saddle is only compatible with rulings whose resolution pairs the
-two reconnected strands into one eye, and fails loudly otherwise.
+unambiguous at run time; for isotopy moves the resulting transport is a
+bijection on ruling sets, which the test suite checks move by move.
+Handles insert no crossing, so they keep the switch set: a birth always
+scans back to its entry pairing, and a saddle does exactly when the two
+reconnected strands form one eye of the ruling's resolution.  Otherwise
+the saddle has no match and fails loudly.
 """
 
 from __future__ import annotations
@@ -111,10 +113,10 @@ def _r2_variants(cusp: Event, s: int) -> list:
     """The r2 variants applicable to ``cusp`` with ``s`` strands left of it."""
     variants = []
     if cusp.kind != CROSSING:
-        if s >= cusp.pos + (0 if cusp.kind == LEFT_CUSP else 2):
-            variants.append("up")
         if cusp.pos >= 2:
             variants.append("down")
+        if s >= cusp.pos + (0 if cusp.kind == LEFT_CUSP else 2):
+            variants.append("up")
     return variants
 
 
@@ -230,19 +232,16 @@ def _resolve(diagram: FrontDiagram, move: Move) -> _Rewrite:
 class RulingTransport:
     """Per-ruling switch-set map induced by one move.
 
-    Isotopy moves give a bijection between the full ruling sets of source
-    and target.  Handles keep the switch set; a saddle raises
-    TransportFailure on rulings it is incompatible with.
+    Every move keeps the switches outside its window and takes the unique
+    window choice that reaches the same exit pairing.  Isotopy moves give
+    a bijection between the full ruling sets of source and target; a
+    saddle raises TransportFailure on rulings it is incompatible with.
     """
 
     move: Move
     source: FrontDiagram
     target: FrontDiagram
     _rewrite: _Rewrite = field(repr=False)
-
-    @property
-    def is_isotopy(self) -> bool:
-        return self.move.kind not in ("h0", "h1")
 
     def __call__(self, ruling: Iterable) -> frozenset:
         ruling = frozenset(ruling)
@@ -251,16 +250,6 @@ class RulingTransport:
         entry, fail = scan(self.source.events, flags[:rw.i0])
         if fail is not None:
             raise InvalidRuling(f"event {fail[0]}: {fail[1]}")
-        if self.move.kind == "h0":
-            return ruling
-        if self.move.kind == "h1":
-            p = self.move.pos
-            if entry.mate(p) != p + 1:
-                raise TransportFailure(
-                    f"saddle at {p},{p + 1} joins two different eyes "
-                    "of this ruling's resolution")
-            return ruling
-
         end = rw.i0 + rw.n_old
         matches = window_matches(entry, self.source.events[rw.i0:end],
                                  flags[rw.i0:end], rw.new_events)
@@ -268,6 +257,11 @@ class RulingTransport:
             raise InvalidRuling(
                 "switch set is not a normal ruling of the source diagram")
         if len(matches) != 1:
+            if self.move.kind == "h1":
+                p = self.move.pos
+                raise TransportFailure(
+                    f"saddle at {p},{p + 1} joins two different eyes "
+                    "of this ruling's resolution")
             raise TransportFailure(
                 f"{'no' if not matches else 'ambiguous'} boundary-matching "
                 f"switch choice for {self.move}")
@@ -290,36 +284,26 @@ def apply_move(diagram: FrontDiagram, move: Move) -> tuple:
 
 
 def enumerate_applicable_moves(diagram: FrontDiagram) -> list:
-    """Every applicable move at every anchor, in a fixed deterministic order."""
+    """Every applicable move at every anchor, kind by kind in MOVE_KINDS
+    order, then by anchor, slot and variant."""
     require_valid(diagram)
     events = diagram.events
-    counts = diagram.strand_counts()
-    out = []
-    for gap in range(1, len(events) + 2):
-        s = counts[gap - 1]
-        for p in range(1, s + 2):
-            out.append(Move("h0", gap, p))
-        for p in range(1, s):
-            out.append(Move("h1", gap, p))
-        for p in range(1, s + 1):
-            out.append(Move("r1", gap, p, "up"))
-            out.append(Move("r1", gap, p, "down"))
-    for i, e in enumerate(events):
-        anchor = i + 1
-        s = counts[i]
-        for variant in _r2_variants(e, s):
-            out.append(Move("r2", anchor, variant=variant))
-        if _match_r1inv(events, i) is not None:
-            out.append(Move("r1inv", anchor))
-        if _match_r2inv(events, i) is not None:
-            out.append(Move("r2inv", anchor))
-        if _match_r3(events, i) is not None:
-            out.append(Move("r3", anchor))
-        if i + 1 < len(events) \
-                and transpose_events(events[i], events[i + 1]) is not None:
-            out.append(Move("tr", anchor))
-    order = {k: n for n, k in enumerate(MOVE_KINDS)}
-    out.sort(key=lambda m: (order[m.kind], m.anchor or 0, m.pos, m.variant))
+    counts = diagram.walk.counts
+    gaps = range(1, len(events) + 2)
+    out = [Move("h0", g, p) for g in gaps for p in range(1, counts[g - 1] + 2)]
+    out += [Move("h1", g, p) for g in gaps for p in range(1, counts[g - 1])]
+    out += [Move("r1", g, p, v) for g in gaps
+            for p in range(1, counts[g - 1] + 1) for v in ("down", "up")]
+    out += [Move("r1inv", i + 1) for i in range(len(events))
+            if _match_r1inv(events, i) is not None]
+    out += [Move("r2", i + 1, variant=v) for i, e in enumerate(events)
+            for v in _r2_variants(e, counts[i])]
+    out += [Move("r2inv", i + 1) for i in range(len(events))
+            if _match_r2inv(events, i) is not None]
+    out += [Move("r3", i + 1) for i in range(len(events))
+            if _match_r3(events, i) is not None]
+    out += [Move("tr", i + 1) for i in range(len(events) - 1)
+            if transpose_events(events[i], events[i + 1]) is not None]
     return out
 
 
@@ -336,9 +320,9 @@ def normalize(diagram: FrontDiagram) -> tuple:
     transported along.
     """
     require_valid(diagram)
-    canon, hops = far_commutation_order(diagram)
-    return canon, [Move("tr", t + j) for t, k in enumerate(hops)
-                   for j in range(k, 0, -1)]
+    canon, windows = far_commutation_order(diagram)
+    return canon, [Move("tr", t + j) for t, swaps in enumerate(windows)
+                   for j in range(len(swaps), 0, -1)]
 
 
 # ---------------------------------------------------------------------------

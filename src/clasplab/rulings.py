@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
 from .diagram import (CROSSING, LEFT_CUSP, Event, FrontDiagram,
-                      far_commutation_order, require_valid, transpose_events)
+                      far_commutation_order, require_valid)
 from .errors import BudgetExceeded, InvalidRuling, TransportFailure
 
 #: A normal ruling is just its switch set, as crossing ordinals (1-based).
@@ -40,9 +40,9 @@ EMPTY_RULING: NormalRuling = frozenset()
 class PairingState:
     """Mutable pairing of live slots into eyes during a scan.
 
-    ``mate(p)`` is the slot currently occupied by the other strand of the
-    eye through slot p.  The pairing alone decides every ruling condition;
-    eye identities are not needed here.
+    ``_m[p]`` is the slot currently occupied by the other strand of the
+    eye through slot p, its mate.  The pairing alone decides every ruling
+    condition; eye identities are not needed here.
     """
 
     __slots__ = ("_m",)
@@ -56,9 +56,6 @@ class PairingState:
     @property
     def n_strands(self) -> int:
         return len(self._m) - 1
-
-    def mate(self, p: int) -> int:
-        return self._m[p]
 
     def partition(self) -> tuple:
         """Canonical snapshot of the pairing, for state comparison."""
@@ -85,7 +82,7 @@ class PairingState:
     def switch_ok(self, p: int) -> bool:
         """Normality at a switch between the eyes through slots p, p+1.
 
-        With a = mate(p) and b = mate(p+1), exactly three of the six mate
+        With a and b the mates of p and p+1, exactly three of the six mate
         configurations are admissible: the two eyes vertically disjoint, or
         nested with both mates above, or nested with both mates below.
         Interleaved eyes never switch.
@@ -227,49 +224,28 @@ def _search(diagram: FrontDiagram, budget: Optional[int],
     return found
 
 
-def _hop_windows(diagram: FrontDiagram, hops: tuple) -> list:
-    """Replay far_commutation_order's hops on the original word.
-
-    Returns (t, windows) for each emitted event t that hopped, where
-    windows[j] pairs the reordered-side and original-side events at word
-    indices t+j, t+j+1.  The original side is recorded rather than
-    recomputed because a swap is not always undone by swapping back: the
-    swap of [lc p, rc p+2] is [rc p, lc p], which alone does not say on
-    which side of the dying eye the new one was born.
-    """
-    word = list(diagram.events)
-    steps = []
-    for t, k in enumerate(hops):
-        windows = []
-        for i in range(t + k - 1, t - 1, -1):
-            before = (word[i], word[i + 1])
-            word[i], word[i + 1] = transpose_events(*before)
-            windows.append(((word[i], word[i + 1]), before))
-        if windows:
-            steps.append((t, windows[::-1]))
-    return steps
-
-
-def _retrace(narrow: FrontDiagram, steps: list, ruling: frozenset) -> list:
+def _retrace(narrow: FrontDiagram, windows: tuple, ruling: frozenset) -> list:
     """Carry a ruling of ``narrow`` back to switch flags of the original word.
 
-    Undoes the hops of _hop_windows last first.  A hop past a cusp keeps
-    every switch on its crossing.  A hop of two crossings is a ``tr``
-    move and takes the boundary-matching switch choice, which does not
-    always follow crossing identity: when the two crossings involve the
-    same two eyes, a lone switch can pass to the other crossing.  Undoing
-    the hops of event t only touches word indices >= t, so their entry
-    state is the reordered word's prefix state at t.
+    Undoes the swaps far_commutation_order recorded in ``windows``, last
+    emitted event first.  A swap past a cusp keeps every switch on its
+    crossing.  A swap of two crossings is a ``tr`` move and takes the
+    boundary-matching switch choice, which does not always follow crossing
+    identity: when the two crossings involve the same two eyes, a lone
+    switch can pass to the other crossing.  Undoing the swaps of event t
+    only touches word indices >= t, so their entry state is the reordered
+    word's prefix state at t.
     """
     flags = switch_flags(narrow, ruling)
+    hopped = [t for t, swaps in enumerate(windows) if swaps]
     entries = {}
     state, done = PairingState(), 0
-    for t, _ in steps:
+    for t in hopped:
         scan(narrow.events[done:t], flags[done:t], state)
         entries[t], done = state.copy(), t
-    for t, windows in reversed(steps):
+    for t in reversed(hopped):
         state = entries[t]
-        for i, ((first, second), old) in enumerate(windows, start=t):
+        for i, ((first, second), old) in enumerate(windows[t], start=t):
             f1, f2 = flags[i], flags[i + 1]
             if f1 != f2 and first.kind == CROSSING == second.kind:
                 matches = window_matches(state, (first, second), (f1, f2),
@@ -310,13 +286,12 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
     search runs on a bare pairing.
     """
     require_valid(diagram)
-    narrow, hops = far_commutation_order(diagram)
+    narrow, windows = far_commutation_order(diagram)
     if max(narrow.strand_counts()) >= max(diagram.strand_counts()):
         return _search(diagram, budget, state, keep)
-    steps = _hop_windows(diagram, hops)
     found = []
     for ruling in _search(narrow, budget):
-        flags = _retrace(narrow, steps, ruling)
+        flags = _retrace(narrow, windows, ruling)
         ruling = switches_of(diagram, flags)
         if keep is not None:
             ruling = ruling, keep(scan(diagram.events, flags, state.copy())[0])

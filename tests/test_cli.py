@@ -232,6 +232,56 @@ class TestErrorsAndDeterminism:
         assert err == "usage error: CLASPLAB_BUDGET must be an integer, " \
                       "got 'abc'\n"
 
+    def test_search_budget_zero_is_zero(self, capsys):
+        code, out, _ = run(capsys, "search", "--generate", "trefoil",
+                           "--budget", "0")
+        assert code == 0
+        assert json.loads(out) == {
+            "script": None, "status": "exhausted",
+            "stats": {"depth": 1, "nodes": 1, "reason": "node budget"}}
+
+    @pytest.mark.parametrize("command", ["rulings", "search"])
+    def test_negative_budget_is_usage_error(self, capsys, monkeypatch,
+                                            command):
+        code, out, err = run(capsys, command, "--generate", "trefoil",
+                             "--budget", "-1")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --budget must be >= 0, got -1\n"
+        monkeypatch.setenv("CLASPLAB_BUDGET", "-5")
+        code, out, err = run(capsys, command, "--generate", "trefoil")
+        assert (code, out) == (2, "")
+        assert err == "usage error: CLASPLAB_BUDGET must be >= 0, got -5\n"
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("rulings", "--input", "{missing}"), "cannot read"),
+        (("rulings", "--input", "{tmp}"), "cannot read"),
+        (("apply-script", "--script", "{missing}"), "cannot read"),
+        (("cobordism", "--generate", "unknot", "--upper", "{missing}"),
+         "cannot read"),
+        (("rulings", "--input", "{latin1}"), "cannot read"),
+        (("rulings", "--generate", "unknot", "--out", "{missing}/out.json"),
+         "cannot write"),
+        (("rulings", "--generate", "unknot", "--out", "{tmp}"),
+         "cannot write"),
+        (("obstruct", "--generate", "torus4", "--n", "-1"),
+         "--n must be >= 0, got -1"),
+        (("rulings", "--generate", "braid", "--strands", "2", "--word", "a"),
+         "--word must be comma-separated integers, got 'a'"),
+    ], ids=["missing-input", "directory-input", "missing-script",
+            "missing-upper", "non-utf8-input", "out-in-missing-dir",
+            "out-is-directory", "negative-n", "non-integer-word"])
+    def test_bad_paths_and_generator_args_are_usage_errors(
+            self, capsys, tmp_path, argv, expected):
+        latin1 = tmp_path / "latin1.front"
+        latin1.write_bytes("# caf\u00e9\nlc 1\nrc 1\n".encode("latin-1"))
+        paths = {"missing": str(tmp_path / "missing"), "tmp": str(tmp_path),
+                 "latin1": str(latin1)}
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ")
+        assert expected in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["parity", "clasps"])
     @pytest.mark.parametrize("ruling", ["[true]", "[1,false]"])
     def test_boolean_ruling_rejected(self, capsys, command, ruling):

@@ -162,9 +162,13 @@ class TestTextFormat:
 
 def reference_order(diagram):
     """The greedy far-commutation order, found the slow way: every
-    remaining event tries its whole transposition chain to the front."""
+    remaining event tries its whole transposition chain to the front.
+
+    Returns (diagram, hops, windows): hops[t] counts the swaps of the t-th
+    emitted event, and windows[t] lists them in word order as the
+    (after, before) event pairs transpose_events gives."""
     rank = {"rc": 0, "x": 1, "lc": 2}
-    rest, out, hops = list(diagram.events), [], []
+    rest, out, hops, windows = list(diagram.events), [], [], []
     while rest:
         best = None
         for k in range(len(rest)):
@@ -180,11 +184,15 @@ def reference_order(diagram):
                     best = key
         k = best[2]
         e = rest.pop(k)
+        swaps = []
         for j in range(k - 1, -1, -1):
-            e, rest[j] = transpose_events(rest[j], e)
+            before = (rest[j], e)
+            e, rest[j] = transpose_events(*before)
+            swaps.append(((e, rest[j]), before))
         out.append(e)
         hops.append(k)
-    return FrontDiagram(out), tuple(hops)
+        windows.append(tuple(swaps[::-1]))
+    return FrontDiagram(out), tuple(hops), tuple(windows)
 
 
 class TestFarCommutationOrder:
@@ -193,8 +201,10 @@ class TestFarCommutationOrder:
         diagrams += [generate_torus4(n) for n in range(4)]
         diagrams += random_fillable(60, 16, seed_base=7000)
         for d in diagrams:
-            narrow, hops = far_commutation_order(d)
-            assert (narrow, hops) == reference_order(d)
+            narrow, windows = far_commutation_order(d)
+            ref_narrow, ref_hops, ref_windows = reference_order(d)
+            assert (narrow, windows) == (ref_narrow, ref_windows)
+            assert tuple(len(w) for w in windows) == ref_hops
             assert validate(narrow).ok
             assert sorted(e.kind for e in narrow) == sorted(e.kind for e in d)
 

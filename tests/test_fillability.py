@@ -8,6 +8,7 @@ from clasplab import (EvennessViolation, FrontDiagram, Move, ScriptError,
                       generate_trefoil, generate_unknot, lc,
                       obstruction_verdict, random_script, rc, run_script,
                       search_filling)
+from clasplab.moves import RulingTransport
 
 
 class TestRunScript:
@@ -57,6 +58,18 @@ class TestRandomScript:
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
             random_script(0, 1)
+
+    def test_isotopy_transport_failure_propagates(self, monkeypatch):
+        real = RulingTransport.__call__
+
+        def broken(self, ruling):
+            if self.move.kind == "r1":
+                raise TransportFailure("broken r1 transport")
+            return real(self, ruling)
+
+        monkeypatch.setattr(RulingTransport, "__call__", broken)
+        with pytest.raises(TransportFailure, match="broken r1"):
+            random_script(25, 9)
 
     @pytest.mark.xfail(strict=True, raises=EvennessViolation,
                        reason="known defect: move 15 (r3 @7) maps the unique "

@@ -30,6 +30,8 @@ _INPUTS = (
 )
 
 _OPEN_FRONT = "lc 1\nlc 3\nx 2\nrc 3\n"
+_HANDLE_SCRIPT = "h0 1 @1\nh0 3 @2\nh1 1 @2\nr1 2 @4 up\nr1 1 @2 down\n"
+_BAD_SADDLE_SCRIPT = "h0 1 @1\nh0 3 @2\nh1 2 @3\n"
 
 
 def corpus_invocations():
@@ -72,6 +74,12 @@ def corpus_invocations():
         rows.append((["validate", "--input", "-", "--format", fmt],
                      _OPEN_FRONT))
     rows.append((["rulings", "--input", "-"], _OPEN_FRONT))
+    # ruling transport through apply-script: births, a compatible saddle
+    # and a tongue, then a saddle joining two different eyes
+    for fmt in ("json", "text"):
+        rows.append((["apply-script", "--script", "-", "--format", fmt],
+                     _HANDLE_SCRIPT))
+    rows.append((["apply-script", "--script", "-"], _BAD_SADDLE_SCRIPT))
     return rows
 
 

@@ -10,7 +10,9 @@ from clasplab import (FrontDiagram, Move, NotApplicable,
                       parse_script, rc, resolve, serialize_script,
                       transpose_events, validate, x)
 from clasplab.fillability import random_script
-from clasplab.rulings import ruling_sort_key
+from clasplab.moves import (MOVE_KINDS, _match_r1inv, _match_r2inv,
+                            _match_r3, _r2_variants)
+from clasplab.rulings import ruling_sort_key, scan, switch_flags
 from conftest import random_fillable
 
 EMPTY = frozenset()
@@ -221,6 +223,74 @@ class TestEnumerateApplicable:
             apply_move(generate_unknot(), Move("r3", 1))
         with pytest.raises(NotApplicable):
             apply_move(generate_unknot(), Move("h1", 1, 1))
+
+
+def reference_menu(diagram):
+    """The move menu as it used to be built: gap by gap, then anchor by
+    anchor, then sorted by kind, anchor, slot and variant."""
+    events = diagram.events
+    counts = diagram.strand_counts()
+    out = []
+    for gap in range(1, len(events) + 2):
+        s = counts[gap - 1]
+        out += [Move("h0", gap, p) for p in range(1, s + 2)]
+        out += [Move("h1", gap, p) for p in range(1, s)]
+        for p in range(1, s + 1):
+            out += [Move("r1", gap, p, "up"), Move("r1", gap, p, "down")]
+    for i, e in enumerate(events):
+        anchor = i + 1
+        out += [Move("r2", anchor, variant=v)
+                for v in _r2_variants(e, counts[i])]
+        if _match_r1inv(events, i) is not None:
+            out.append(Move("r1inv", anchor))
+        if _match_r2inv(events, i) is not None:
+            out.append(Move("r2inv", anchor))
+        if _match_r3(events, i) is not None:
+            out.append(Move("r3", anchor))
+        if i + 1 < len(events) \
+                and transpose_events(events[i], events[i + 1]) is not None:
+            out.append(Move("tr", anchor))
+    order = {k: n for n, k in enumerate(MOVE_KINDS)}
+    out.sort(key=lambda m: (order[m.kind], m.anchor or 0, m.pos, m.variant))
+    return out
+
+
+@pytest.fixture(scope="module")
+def menu_diagrams(corpus, fillable_small):
+    return (list(corpus.values()) + fillable_small
+            + random_fillable(300, 12, seed_base=9000))
+
+
+class TestMenuAndHandlesAgainstReference:
+    def test_menu_equals_sorted_reference(self, menu_diagrams):
+        for d in menu_diagrams:
+            assert enumerate_applicable_moves(d) == reference_menu(d)
+
+    def test_handles_follow_the_entry_pairing(self, menu_diagrams):
+        """h0 keeps every ruling; h1 keeps a ruling exactly when the
+        pairing at its gap has slots p, p+1 as one eye, else it raises
+        the saddle message."""
+        saddles_failed = 0
+        for d in menu_diagrams:
+            rulings = enumerate_rulings(d)[:3]
+            for m in enumerate_applicable_moves(d):
+                if m.kind not in ("h0", "h1"):
+                    continue
+                _, transport = apply_move(d, m)
+                for r in rulings:
+                    flags = switch_flags(d, r)[:m.anchor - 1]
+                    entry, _ = scan(d.events, flags)
+                    if m.kind == "h0" \
+                            or (m.pos, m.pos + 1) in entry.partition():
+                        assert transport(r) == r
+                        continue
+                    with pytest.raises(TransportFailure) as exc:
+                        transport(r)
+                    assert str(exc.value) == (
+                        f"saddle at {m.pos},{m.pos + 1} joins two different "
+                        "eyes of this ruling's resolution")
+                    saddles_failed += 1
+        assert saddles_failed  # incompatible saddles must actually occur
 
 
 class TestInvariance:
