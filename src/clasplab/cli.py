@@ -36,10 +36,15 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _braced(switches) -> str:
+    return "{" + ",".join(map(str, switches)) + "}"
+
+
 def _read_source(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # bytes, so that the locale cannot change how stdin decodes
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeError) as exc:
@@ -153,7 +158,7 @@ def _cmd_rulings(args) -> int:
     rulings = enumerate_rulings(diagram, budget=_budget(args))
     listed = [sorted(r) for r in rulings]
     if args.format == "text":
-        body = "".join("{" + ",".join(map(str, r)) + "}\n" for r in listed)
+        body = "".join(_braced(r) + "\n" for r in listed)
         body = body or "(no normal rulings)\n"
     else:
         body = _dumps(listed)
@@ -161,36 +166,29 @@ def _cmd_rulings(args) -> int:
     return 0
 
 
-def _reports(args, diagram):
+#: Per-subcommand (row of one ruling's report, text line of one row).
+_REPORT_FORMATS = {
+    "clasps": (lambda sw, report: {"switches": sw, **report.to_json()},
+               lambda r: f"switches {_braced(r['switches'])}: "
+                         f"{r['total']} clasps, {r['parity']}\n"),
+    "parity": (lambda sw, report: {"switches": sw, "clasps": report.total,
+                                   "parity": report.parity},
+               lambda r: f"{_braced(r['switches'])}: {r['parity']}\n"),
+}
+
+
+def _cmd_reports(args) -> int:
+    """``clasps`` and ``parity``: one row per ruling, or for --ruling."""
+    diagram, _ = _load_diagram(args)
     if args.ruling is not None:
         ruling = _parse_ruling(args.ruling)
-        return [(sorted(ruling), clasp_report(diagram, ruling))]
-    return [(sorted(r), report)
-            for r, report in ruling_reports(diagram, _budget(args))]
-
-
-def _cmd_clasps(args) -> int:
-    diagram, _ = _load_diagram(args)
-    rows = [{"switches": sw, **report.to_json()}
-            for sw, report in _reports(args, diagram)]
-    if args.format == "text":
-        body = "".join(
-            f"switches {{{','.join(map(str, r['switches']))}}}: "
-            f"{r['total']} clasps, {r['parity']}\n" for r in rows)
+        reports = [(ruling, clasp_report(diagram, ruling))]
     else:
-        body = _dumps(rows if args.ruling is None else rows[0])
-    _emit(args, body)
-    return 0
-
-
-def _cmd_parity(args) -> int:
-    diagram, _ = _load_diagram(args)
-    rows = [{"switches": sw, "clasps": report.total, "parity": report.parity}
-            for sw, report in _reports(args, diagram)]
+        reports = ruling_reports(diagram, _budget(args))
+    row, line = _REPORT_FORMATS[args.command]
+    rows = [row(sorted(r), report) for r, report in reports]
     if args.format == "text":
-        body = "".join(
-            f"{{{','.join(map(str, r['switches']))}}}: {r['parity']}\n"
-            for r in rows)
+        body = "".join(map(line, rows))
     else:
         body = _dumps(rows if args.ruling is None else rows[0])
     _emit(args, body)
@@ -203,7 +201,7 @@ def _cmd_obstruct(args) -> int:
     if args.format == "text":
         lines = [f"verdict: {verdict.verdict}\n"]
         for e in verdict.evidence:
-            lines.append(f"  ruling {{{','.join(map(str, e.switches))}}}: "
+            lines.append(f"  ruling {_braced(e.switches)}: "
                          f"{e.clasps} clasps, {e.parity}\n")
         if verdict.note:
             lines.append(f"note: {verdict.note}\n")
@@ -240,7 +238,7 @@ def _cmd_apply_script(args) -> int:
     certificate = run_script(parse_script(text))
     if args.format == "text":
         body = (f"final diagram: {certificate.diagram}\n"
-                f"ruling: {{{','.join(map(str, sorted(certificate.ruling)))}}}\n"
+                f"ruling: {_braced(sorted(certificate.ruling))}\n"
                 f"clasps: {certificate.report.total} "
                 f"({certificate.report.parity})\n")
     else:
@@ -320,10 +318,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     register("validate", _cmd_validate)
     register("rulings", _cmd_rulings)
-    p = register("clasps", _cmd_clasps)
-    p.add_argument("--ruling", help="JSON array of switch ordinals")
-    p = register("parity", _cmd_parity)
-    p.add_argument("--ruling", help="JSON array of switch ordinals")
+    for name in _REPORT_FORMATS:
+        p = register(name, _cmd_reports)
+        p.add_argument("--ruling", help="JSON array of switch ordinals")
     register("obstruct", _cmd_obstruct)
     p = register("cobordism", _cmd_cobordism)
     p.add_argument("--upper", metavar="PATH",

@@ -21,8 +21,8 @@ from .diagram import LEFT_CUSP, RIGHT_CUSP, FrontDiagram, require_valid, \
     serialize
 from .errors import (BudgetExceeded, EvennessViolation, NotApplicable,
                      ScriptError, TransportFailure)
-from .moves import (Move, _match_r1inv, _match_r2inv, apply_move,
-                    enumerate_applicable_moves)
+from .moves import (Move, _match_r1inv, _match_r2inv, applicable_kinds,
+                    apply_move, moves_of_kind)
 from .rulings import EMPTY_RULING, enumerate_rulings
 
 @dataclass(frozen=True)
@@ -170,6 +170,22 @@ def random_script(length: int, seed: int) -> list:
     Samples a move kind, then a move of that kind, skipping saddles that
     are incompatible with the ruling carried so far.  A TransportFailure
     of any other move is a bug of the calculus and propagates.
+
+    Generator protocol: the moves come from one ``random.Random(seed)``
+    that only these calls consume, in this order, so a script is fixed by
+    its seed, and a shorter length gives a prefix of it.  For each step:
+
+    1. ``rng.choice(kinds)``, where ``kinds`` lists the kinds that have an
+       applicable move, in MOVE_KINDS order (which is sorted order);
+    2. ``rng.shuffle(candidates)``, where ``candidates`` is every
+       applicable move of the chosen kind, in menu order (by anchor, slot
+       and variant);
+    3. the shuffled moves are tried in turn and the first one whose
+       transport succeeds is appended.  If every one fails (only saddles
+       can), the kind is removed from ``kinds`` and the step goes back
+       to 1.
+
+    Only the chosen kind's moves are built.
     """
     if length < 1:
         raise ValueError("scripts have length >= 1")
@@ -178,15 +194,11 @@ def random_script(length: int, seed: int) -> list:
     ruling = EMPTY_RULING
     script: list = []
     while len(script) < length:
-        moves = enumerate_applicable_moves(diagram)
-        by_kind: dict = {}
-        for m in moves:
-            by_kind.setdefault(m.kind, []).append(m)
-        kinds = sorted(by_kind)
+        kinds = applicable_kinds(diagram)
         accepted = False
         while kinds and not accepted:
             kind = rng.choice(kinds)
-            candidates = by_kind[kind]
+            candidates = moves_of_kind(diagram, kind)
             rng.shuffle(candidates)
             for m in candidates:
                 new_diagram, transport = apply_move(diagram, m)
@@ -271,7 +283,8 @@ def search_filling(diagram: FrontDiagram, depth_bound: int = 8,
     Returns "pruned" without searching when the obstruction verdict says
     no script can exist, "found" with a verified script on success, and
     "exhausted" otherwise.  Exhaustion is not evidence of
-    non-fillability; only pruning carries a claim.
+    non-fillability; only pruning carries a claim.  ``node_budget`` bounds
+    the obstruction pre-check and the number of nodes expanded (none at 0).
     """
     require_valid(diagram)
     try:
@@ -283,6 +296,10 @@ def search_filling(diagram: FrontDiagram, depth_bound: int = 8,
                             {"nodes": 0, "depth": 0, "reason": "all rulings odd"})
     if not diagram.events:
         return SearchResult("found", (), {"nodes": 0, "depth": 0})
+
+    if node_budget < 1:
+        return SearchResult("exhausted", None,
+                            {"nodes": 0, "depth": 0, "reason": "node budget"})
 
     start = serialize(diagram)
     seen = {start: None}  # key -> (parent_key, forward move)

@@ -283,28 +283,50 @@ def apply_move(diagram: FrontDiagram, move: Move) -> tuple:
     return target, RulingTransport(move, diagram, target, rw)
 
 
+#: One lazy menu per kind: (events, strand counts) -> that kind's
+#: applicable moves by anchor, slot and variant.
+_MENUS = {
+    "h0": lambda ev, cs: (Move("h0", g, p) for g, s in enumerate(cs, 1)
+                          for p in range(1, s + 2)),
+    "h1": lambda ev, cs: (Move("h1", g, p) for g, s in enumerate(cs, 1)
+                          for p in range(1, s)),
+    "r1": lambda ev, cs: (Move("r1", g, p, v) for g, s in enumerate(cs, 1)
+                          for p in range(1, s + 1) for v in ("down", "up")),
+    "r1inv": lambda ev, cs: (Move("r1inv", i + 1) for i in range(len(ev))
+                             if _match_r1inv(ev, i) is not None),
+    "r2": lambda ev, cs: (Move("r2", i + 1, variant=v)
+                          for i, e in enumerate(ev)
+                          for v in _r2_variants(e, cs[i])),
+    "r2inv": lambda ev, cs: (Move("r2inv", i + 1) for i in range(len(ev))
+                             if _match_r2inv(ev, i) is not None),
+    "r3": lambda ev, cs: (Move("r3", i + 1) for i in range(len(ev))
+                          if _match_r3(ev, i) is not None),
+    "tr": lambda ev, cs: (Move("tr", i + 1) for i in range(len(ev) - 1)
+                          if transpose_events(ev[i], ev[i + 1]) is not None),
+}
+
+
+def applicable_kinds(diagram: FrontDiagram) -> list:
+    """The kinds with at least one applicable move, in MOVE_KINDS order.
+
+    Each kind's menu is run only up to its first move.
+    """
+    require_valid(diagram)
+    events, counts = diagram.events, diagram.walk.counts
+    return [k for k in MOVE_KINDS
+            if next(_MENUS[k](events, counts), None) is not None]
+
+
+def moves_of_kind(diagram: FrontDiagram, kind: str) -> list:
+    """Every applicable move of one kind, by anchor, slot and variant."""
+    require_valid(diagram)
+    return list(_MENUS[kind](diagram.events, diagram.walk.counts))
+
+
 def enumerate_applicable_moves(diagram: FrontDiagram) -> list:
     """Every applicable move at every anchor, kind by kind in MOVE_KINDS
     order, then by anchor, slot and variant."""
-    require_valid(diagram)
-    events = diagram.events
-    counts = diagram.walk.counts
-    gaps = range(1, len(events) + 2)
-    out = [Move("h0", g, p) for g in gaps for p in range(1, counts[g - 1] + 2)]
-    out += [Move("h1", g, p) for g in gaps for p in range(1, counts[g - 1])]
-    out += [Move("r1", g, p, v) for g in gaps
-            for p in range(1, counts[g - 1] + 1) for v in ("down", "up")]
-    out += [Move("r1inv", i + 1) for i in range(len(events))
-            if _match_r1inv(events, i) is not None]
-    out += [Move("r2", i + 1, variant=v) for i, e in enumerate(events)
-            for v in _r2_variants(e, counts[i])]
-    out += [Move("r2inv", i + 1) for i in range(len(events))
-            if _match_r2inv(events, i) is not None]
-    out += [Move("r3", i + 1) for i in range(len(events))
-            if _match_r3(events, i) is not None]
-    out += [Move("tr", i + 1) for i in range(len(events) - 1)
-            if transpose_events(events[i], events[i + 1]) is not None]
-    return out
+    return [m for kind in MOVE_KINDS for m in moves_of_kind(diagram, kind)]
 
 
 def normalize(diagram: FrontDiagram) -> tuple:

@@ -1,6 +1,9 @@
 """CLI surface: delegation, exit codes, schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +14,7 @@ from clasplab.cli import main
 from clasplab.diagram import generate_trefoil, serialize
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+SRC = SCHEMAS.parent / "src"
 
 
 def load_schema(name):
@@ -233,12 +237,15 @@ class TestErrorsAndDeterminism:
                       "got 'abc'\n"
 
     def test_search_budget_zero_is_zero(self, capsys):
-        code, out, _ = run(capsys, "search", "--generate", "trefoil",
-                           "--budget", "0")
-        assert code == 0
-        assert json.loads(out) == {
-            "script": None, "status": "exhausted",
-            "stats": {"depth": 1, "nodes": 1, "reason": "node budget"}}
+        # no node is expanded, so not even the unknot's one-move script
+        # is found
+        for name in ("trefoil", "unknot"):
+            code, out, _ = run(capsys, "search", "--generate", name,
+                               "--budget", "0")
+            assert code == 0
+            assert json.loads(out) == {
+                "script": None, "status": "exhausted",
+                "stats": {"depth": 0, "nodes": 0, "reason": "node budget"}}
 
     @pytest.mark.parametrize("command", ["rulings", "search"])
     def test_negative_budget_is_usage_error(self, capsys, monkeypatch,
@@ -281,6 +288,23 @@ class TestErrorsAndDeterminism:
         assert err.startswith("usage error: ")
         assert expected in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("rulings", "--input", "-"),
+        ("apply-script", "--script", "-"),
+        ("cobordism", "--generate", "unknot", "--upper", "-"),
+    ], ids=["input", "script", "upper"])
+    def test_non_utf8_stdin_is_usage_error_in_c_locale(self, argv):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+        env.update(LC_ALL="C", PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-m", "clasplab.cli", *argv],
+                              input=b"\xff", env=env, capture_output=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == (
+            b"usage error: cannot read -: 'utf-8' codec can't decode byte "
+            b"0xff in position 0: invalid start byte\n")
 
     @pytest.mark.parametrize("command", ["parity", "clasps"])
     @pytest.mark.parametrize("ruling", ["[true]", "[1,false]"])

@@ -88,7 +88,9 @@ def invoke(argv, stdin=None):
     from clasplab.cli import main
     out, err = io.StringIO(), io.StringIO()
     saved_stdin = sys.stdin
-    sys.stdin = io.StringIO(stdin or "")
+    # a byte-backed stdin, as a process has: the CLI reads stdin.buffer
+    sys.stdin = io.TextIOWrapper(io.BytesIO((stdin or "").encode("utf-8")),
+                                 encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:

@@ -2,6 +2,8 @@
 
 import pytest
 
+import random
+
 from clasplab import (FrontDiagram, Move, NotApplicable,
                       TransportFailure, apply_move, clasp_report,
                       enumerate_applicable_moves, enumerate_rulings,
@@ -11,7 +13,8 @@ from clasplab import (FrontDiagram, Move, NotApplicable,
                       transpose_events, validate, x)
 from clasplab.fillability import random_script
 from clasplab.moves import (MOVE_KINDS, _match_r1inv, _match_r2inv,
-                            _match_r3, _r2_variants)
+                            _match_r3, _r2_variants, applicable_kinds,
+                            moves_of_kind)
 from clasplab.rulings import ruling_sort_key, scan, switch_flags
 from conftest import random_fillable
 
@@ -291,6 +294,66 @@ class TestMenuAndHandlesAgainstReference:
                         "eyes of this ruling's resolution")
                     saddles_failed += 1
         assert saddles_failed  # incompatible saddles must actually occur
+
+
+def reference_random_script(length, seed):
+    """random_script as it used to be: build every applicable move, group
+    the moves by kind, then sample."""
+    rng = random.Random(seed)
+    diagram = FrontDiagram()
+    ruling = EMPTY
+    script = []
+    while len(script) < length:
+        by_kind = {}
+        for m in enumerate_applicable_moves(diagram):
+            by_kind.setdefault(m.kind, []).append(m)
+        kinds = sorted(by_kind)
+        accepted = False
+        while kinds and not accepted:
+            kind = rng.choice(kinds)
+            candidates = by_kind[kind]
+            rng.shuffle(candidates)
+            for m in candidates:
+                new_diagram, transport = apply_move(diagram, m)
+                try:
+                    ruling = transport(ruling)
+                except TransportFailure:
+                    if kind != "h1":
+                        raise
+                    continue
+                diagram = new_diagram
+                script.append(m)
+                accepted = True
+                break
+            else:
+                kinds.remove(kind)
+        if not accepted:
+            break
+    return script
+
+
+class TestLazyMenu:
+    def test_present_kinds_are_the_menus_kinds(self, menu_diagrams):
+        # random_script samples from this list, so its order is part of
+        # the generator protocol
+        assert list(MOVE_KINDS) == sorted(MOVE_KINDS)
+        for d in menu_diagrams:
+            kinds = {m.kind for m in enumerate_applicable_moves(d)}
+            assert applicable_kinds(d) == [k for k in MOVE_KINDS
+                                           if k in kinds]
+
+    def test_each_kind_is_the_filtered_menu(self, menu_diagrams):
+        for d in menu_diagrams:
+            menu = enumerate_applicable_moves(d)
+            for kind in MOVE_KINDS:
+                assert moves_of_kind(d, kind) == [m for m in menu
+                                                  if m.kind == kind]
+
+    def test_scripts_match_the_build_everything_sampler(self):
+        for seed in range(500):
+            length = 1 + seed % 25
+            assert random_script(length, seed) == \
+                reference_random_script(length, seed), seed
 
 
 class TestInvariance:
