@@ -6,8 +6,8 @@ entered and left by the same pair of strands: they cross and cross back.
 The parity of the total clasp count is invariant under every front
 isotopy move, which is what makes it usable as an obstruction.
 """
-from clasplab import (clasp_intervals, clasp_report, enumerate_rulings,
-                      generate_trefoil, generate_torus4, resolve)
+from clasplab import (clasp_report, enumerate_rulings, generate_trefoil,
+                      generate_torus4, resolve)
 
 trefoil = generate_trefoil()
 print("Trefoil rulings and their clasp counts:")
@@ -23,7 +23,9 @@ for rec in res.records:
     role = "switch" if rec.switch else "cross"
     print(f"    crossing {rec.ordinal}: eyes {rec.eye_a}/{rec.eye_b} "
           f"strands {rec.strand_a}/{rec.strand_b} ({role})")
-print("    clasps between eyes 0 and 1:", len(clasp_intervals(res, 0, 1)))
+for eye_a, eye_b, enter, leave in res.clasps:
+    print(f"    clasp between eyes {eye_a} and {eye_b}: interleaved from "
+          f"event {enter} to event {leave}")
 
 print()
 print("The 4-strand negative torus family: one ruling, odd clasp totals")

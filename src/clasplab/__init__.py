@@ -7,8 +7,8 @@ and isotopy moves.
 """
 
 from .clasps import (ClaspReport, ClaspState, CrossingRecord, PairClasps,
-                     Resolution, brute_pair_clasps, clasp_intervals,
-                     clasp_report, resolve, ruling_reports)
+                     Resolution, brute_pair_clasps, clasp_report, resolve,
+                     ruling_reports)
 from .diagram import (Event, FrontDiagram, StrandTrace, ValidationReport,
                       Violation, disjoint_union, generate_negative_braid_closure,
                       generate_torus4, generate_trefoil, generate_unknot,
@@ -42,8 +42,8 @@ __all__ = [
     "ParseError", "Resolution", "RulingTransport", "ScriptError",
     "SearchResult", "StrandTrace", "TransportFailure", "UnknownEye",
     "ValidationReport", "Violation", "apply_move", "ascii_render",
-    "brute_force_rulings", "brute_pair_clasps", "clasp_intervals",
-    "clasp_report", "cobordism_parity_check", "disjoint_union",
+    "brute_force_rulings", "brute_pair_clasps", "clasp_report",
+    "cobordism_parity_check", "disjoint_union",
     "enumerate_applicable_moves", "enumerate_rulings",
     "generate_negative_braid_closure", "generate_torus4",
     "generate_trefoil", "generate_unknot", "is_normal_ruling", "lc",

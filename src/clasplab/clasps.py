@@ -17,10 +17,11 @@ Clasps are counted by ClaspState, the pairing scan extended with an eye
 id per live slot and, per eye pair, a count and the strand pair that
 entered its current interleaved interval.  clasp_report is one linear
 scan with it, and ruling_reports counts during the ruling search itself,
-so listing every ruling's clasps scans no ruling twice.  resolve and
-clasp_intervals build the explicit eyes and intervals (for rendering and
-as the reference the counts are tested against), and brute_pair_clasps
-recounts one pair from materialized slices.
+so listing every ruling's clasps scans no ruling twice.  resolve runs
+the same scan and keeps what it passes: the eyes, the slices, the
+crossing records and each clasp's interval (for rendering).
+brute_pair_clasps, an independent oracle, recounts one pair from
+materialized slices.
 """
 
 from __future__ import annotations
@@ -72,52 +73,60 @@ class Resolution:
     death: tuple  # per eye: 1-based event index of its right cusp
     slices: tuple  # per slice: ((eye, strand), ...) bottom to top
     records: tuple  # all CrossingRecords, in diagram order
-
-    def records_for(self, eye_a: int, eye_b: int) -> list:
-        a, b = min(eye_a, eye_b), max(eye_a, eye_b)
-        return [r for r in self.records if r.eye_a == a and r.eye_b == b]
-
-    def coexist(self, eye_a: int, eye_b: int) -> bool:
-        return (max(self.birth[eye_a], self.birth[eye_b])
-                < min(self.death[eye_a], self.death[eye_b]))
+    clasps: tuple  # (eye_a, eye_b, enter, leave) per clasp, by leave
 
 
 def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
-    """Scan the diagram once, checking the ruling and building its eyes."""
+    """Run one ClaspState scan, checking the ruling and building its eyes.
+
+    Eye ids and strand labels are the state's: a strand is UPPER where
+    its mate lies below it.  Each crossing is recorded just before it
+    steps.  After an unswitched crossing, its pair's entering strands are
+    set when it opened an interleaved interval, and the clasp total has
+    grown when it closed a clasp.
+    """
     require_valid(diagram)
     ruling = frozenset(ruling)
     flags = switch_flags(diagram, ruling)
-    state = PairingState()
-    slots: list = []  # (eye, strand) per live slot
+    state = ClaspState()
+    # the scan updates these in place
+    m, eyes, pairs = state._m, state._eyes, state._pairs
     slices = [()]
     birth: list = []
     death: list = []
     records: list = []
+    clasps: list = []
+    opened: dict = {}  # eye pair -> event index entering its interval
     for i, (e, switch, ordinal) in enumerate(
             zip(diagram.events, flags, diagram.walk.ordinals), start=1):
+        p = e.pos
+        if e.kind == CROSSING:
+            (ea, sa), (eb, sb) = sorted(((eyes[p], int(m[p] < p)),
+                                         (eyes[p + 1], int(m[p + 1] < p + 1))))
+        elif e.kind != LEFT_CUSP:
+            dying = eyes[p]
+        total = state.total
         fail = state.step(e, switch)
         if fail is not None:
             raise InvalidRuling(f"event {i}: {fail}")
-        p = e.pos
         if e.kind == LEFT_CUSP:
-            eye = len(birth)
             birth.append(i)
             death.append(0)
-            slots[p - 1:p - 1] = [(eye, LOWER), (eye, UPPER)]
         elif e.kind == CROSSING:
-            (ea, sa), (eb, sb) = slots[p - 1], slots[p]
-            if ea > eb:
-                (ea, sa), (eb, sb) = (eb, sb), (ea, sa)
             records.append(CrossingRecord(
                 ordinal, i, ea, sa, eb, sb, switch=switch))
             if not switch:
-                slots[p - 1], slots[p] = slots[p], slots[p - 1]
+                if pairs[ea, eb][1] is not None:
+                    opened[ea, eb] = i
+                elif state.total > total:
+                    clasps.append((ea, eb, opened[ea, eb], i))
         else:
-            death[slots[p - 1][0]] = i
-            del slots[p - 1:p + 1]
-        slices.append(tuple(slots))
+            death[dying] = i
+        slices.append(tuple((eyes[q], int(m[q] < q))
+                            for q in range(1, len(m))))
     return Resolution(diagram, ruling, len(birth), tuple(birth),
-                      tuple(death), tuple(slices), tuple(records))
+                      tuple(death), tuple(slices), tuple(records),
+                      tuple(clasps))
 
 
 def _pair_config(order: tuple) -> str:
@@ -128,66 +137,6 @@ def _pair_config(order: tuple) -> str:
     if eyes[0] == eyes[3]:
         return NESTED
     return INTERLEAVED
-
-
-def _initial_order(res: Resolution, eye_a: int, eye_b: int, slice_index: int) -> tuple:
-    return tuple(s for s in res.slices[slice_index] if s[0] in (eye_a, eye_b))
-
-
-def clasp_intervals(res: Resolution, eye_a: int, eye_b: int) -> list:
-    """Clasps of one eye pair via the incremental record scan.
-
-    Only crossings between the two eyes can change their configuration;
-    crossings with third eyes permute slots without reordering these four
-    strands, so the scan walks the pair's records alone.  Returns the
-    (enter, leave) event indices of each clasp's interleaved interval.
-    """
-    for eye in (eye_a, eye_b):
-        if not 0 <= eye < res.n_eyes:
-            raise UnknownEye(f"eye {eye} not in resolution")
-    if eye_a == eye_b:
-        raise UnknownEye("clasps are counted between distinct eyes")
-    if not res.coexist(eye_a, eye_b):
-        return []
-    a, b = min(eye_a, eye_b), max(eye_a, eye_b)
-    start = max(res.birth[a], res.birth[b])
-    order = _initial_order(res, a, b, start)
-    config = _pair_config(order)
-    if config == INTERLEAVED:
-        raise InternalInvariantError("eyes interleave at a birth slice")
-
-    clasps = []
-    entering: Optional[tuple] = None  # (strand pair, event) opening the run
-    for r in res.records_for(a, b):
-        if r.switch:
-            # Normality keeps switches out of interleaved intervals; a
-            # counterexample would need a clasp rule this scan lacks.
-            if config == INTERLEAVED:
-                raise InternalInvariantError(
-                    "switch touch-point inside an interleaved interval")
-            continue
-        i = order.index((r.eye_a, r.strand_a))
-        j = order.index((r.eye_b, r.strand_b))
-        if abs(i - j) != 1:
-            raise InternalInvariantError(
-                "crossing between non-adjacent strands")
-        lst = list(order)
-        lst[i], lst[j] = lst[j], lst[i]
-        order = tuple(lst)
-        new_config = _pair_config(order)
-        if config == INTERLEAVED and new_config == INTERLEAVED:
-            raise InternalInvariantError(
-                "pair crossing inside an interleaved interval")
-        if config != INTERLEAVED and new_config == INTERLEAVED:
-            entering = ((r.strand_a, r.strand_b), r.event_index)
-        elif config == INTERLEAVED and new_config != INTERLEAVED:
-            if entering[0] == (r.strand_a, r.strand_b):
-                clasps.append((entering[1], r.event_index))
-            entering = None
-        config = new_config
-    if config == INTERLEAVED:
-        raise InternalInvariantError("eyes interleave at a death slice")
-    return clasps
 
 
 @dataclass(frozen=True)
@@ -219,10 +168,10 @@ class ClaspState(PairingState):
     """The pairing scan, counting clasps as it goes.
 
     Besides the mates it keeps the eye id of each live slot (eyes are
-    numbered by birth, as in resolve), the running clasp total, and for
-    each eye pair that has met at a crossing, (clasp count, entering
-    strands): the strand pair of the crossing that opened the pair's
-    current interleaved interval, or None outside one.  The eyes through
+    numbered by birth), the running clasp total, and for each eye pair
+    that has met at a crossing, (clasp count, entering strands): the
+    strand pair of the crossing that opened the pair's current
+    interleaved interval, or None outside one.  The eyes through
     slots p, p+1 interleave exactly when ``switch_ok(p)`` fails, so
     reading it before and after an unswitched crossing tells whether the
     crossing enters or leaves an interleaved interval; a strand is the
@@ -334,7 +283,7 @@ def brute_pair_clasps(diagram: FrontDiagram, ruling: Iterable,
     Replays the word with its own scan, classifies the pair's
     configuration on every slice, locates maximal interleaved runs, and
     reads the bounding crossings' strand pairs off the position arrays.
-    Used to cross-check clasp_intervals.
+    Used to cross-check the counts of ClaspState.
     """
     require_valid(diagram)
     ruling = frozenset(ruling)

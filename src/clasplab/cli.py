@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Every subcommand reads a diagram from a file, stdin, or a named generator,
-and writes JSON by default (text mode is a human courtesy).  Identical
-invocations with identical seeds produce byte-identical output.  Exit
+and writes JSON by default (text mode is a human courtesy).  Nothing is
+random, so identical invocations produce byte-identical output.  Exit
 codes: 0 success, 1 domain error (structured JSON on stderr), 2 usage
 error.
 """
@@ -294,7 +294,6 @@ def _add_io_flags(p, needs_diagram=True):
         p.add_argument("--word", help="comma-separated braid letters")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", metavar="PATH", help="write output to a file")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:

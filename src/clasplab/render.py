@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .clasps import clasp_intervals, resolve
+from .clasps import resolve
 from .diagram import CROSSING, LEFT_CUSP, FrontDiagram, require_valid, \
     trace_components
 
@@ -133,18 +133,16 @@ def svg_render(diagram: FrontDiagram, ruling: Optional[Iterable] = None) -> str:
                 marks.append(f'<line x1="{px:.1f}" y1="{hi:.1f}" '
                              f'x2="{px:.1f}" y2="{lo:.1f}" stroke="#444" '
                              f'stroke-width="1" stroke-dasharray="2 2"/>')
-        pairs = sorted({(r.eye_a, r.eye_b) for r in res.records})
-        for a, b in pairs:
-            for enter, leave in clasp_intervals(res, a, b):
-                j = (enter + leave - 1) // 2
-                heights = [h for h, key in enumerate(res.slices[j], start=1)
-                           if key[0] in (a, b)]
-                px = _X0 + _DX * j
-                y_lo = _xy(j, min(heights), height)[1]
-                y_hi = _xy(j, max(heights), height)[1]
-                marks.append(f'<line x1="{px:.1f}" y1="{y_hi:.1f}" '
-                             f'x2="{px:.1f}" y2="{y_lo:.1f}" stroke="#c00" '
-                             f'stroke-width="1.5" stroke-dasharray="5 3"/>')
+        for a, b, enter, leave in sorted(res.clasps):
+            j = (enter + leave - 1) // 2
+            heights = [h for h, key in enumerate(res.slices[j], start=1)
+                       if key[0] in (a, b)]
+            px = _X0 + _DX * j
+            y_lo = _xy(j, min(heights), height)[1]
+            y_hi = _xy(j, max(heights), height)[1]
+            marks.append(f'<line x1="{px:.1f}" y1="{y_hi:.1f}" '
+                         f'x2="{px:.1f}" y2="{y_lo:.1f}" stroke="#c00" '
+                         f'stroke-width="1.5" stroke-dasharray="5 3"/>')
 
     for key in sorted(paths):
         pts = [_xy(j, h, height) for j, h in paths[key]]

@@ -1,8 +1,12 @@
+from typing import Optional
+
 import pytest
 
-from clasplab import (FrontDiagram, generate_negative_braid_closure,
-                      generate_torus4, generate_trefoil, generate_unknot,
-                      random_script, run_script)
+from clasplab import (FrontDiagram, InternalInvariantError, UnknownEye,
+                      generate_negative_braid_closure, generate_torus4,
+                      generate_trefoil, generate_unknot, random_script,
+                      run_script)
+from clasplab.clasps import INTERLEAVED, _pair_config
 
 
 def small_corpus():
@@ -36,3 +40,62 @@ def corpus():
 @pytest.fixture(scope="session")
 def fillable_small():
     return random_fillable(30, 8, seed_base=500)
+
+
+def clasp_intervals(res, eye_a: int, eye_b: int) -> list:
+    """Clasps of one eye pair via the incremental record scan.
+
+    The test-only reference for the clasps resolve and ClaspState find.
+    Only crossings between the two eyes can change their configuration;
+    crossings with third eyes permute slots without reordering these four
+    strands, so the scan walks the pair's records alone.  Returns the
+    (enter, leave) event indices of each clasp's interleaved interval.
+    """
+    for eye in (eye_a, eye_b):
+        if not 0 <= eye < res.n_eyes:
+            raise UnknownEye(f"eye {eye} not in resolution")
+    if eye_a == eye_b:
+        raise UnknownEye("clasps are counted between distinct eyes")
+    a, b = min(eye_a, eye_b), max(eye_a, eye_b)
+    start = max(res.birth[a], res.birth[b])
+    if start >= min(res.death[a], res.death[b]):
+        return []  # the eyes never coexist
+    order = tuple(s for s in res.slices[start] if s[0] in (a, b))
+    config = _pair_config(order)
+    if config == INTERLEAVED:
+        raise InternalInvariantError("eyes interleave at a birth slice")
+
+    clasps = []
+    entering: Optional[tuple] = None  # (strand pair, event) opening the run
+    for r in res.records:
+        if (r.eye_a, r.eye_b) != (a, b):
+            continue
+        if r.switch:
+            # Normality keeps switches out of interleaved intervals; a
+            # counterexample would need a clasp rule this scan lacks.
+            if config == INTERLEAVED:
+                raise InternalInvariantError(
+                    "switch touch-point inside an interleaved interval")
+            continue
+        i = order.index((r.eye_a, r.strand_a))
+        j = order.index((r.eye_b, r.strand_b))
+        if abs(i - j) != 1:
+            raise InternalInvariantError(
+                "crossing between non-adjacent strands")
+        lst = list(order)
+        lst[i], lst[j] = lst[j], lst[i]
+        order = tuple(lst)
+        new_config = _pair_config(order)
+        if config == INTERLEAVED and new_config == INTERLEAVED:
+            raise InternalInvariantError(
+                "pair crossing inside an interleaved interval")
+        if config != INTERLEAVED and new_config == INTERLEAVED:
+            entering = ((r.strand_a, r.strand_b), r.event_index)
+        elif config == INTERLEAVED and new_config != INTERLEAVED:
+            if entering[0] == (r.strand_a, r.strand_b):
+                clasps.append((entering[1], r.event_index))
+            entering = None
+        config = new_config
+    if config == INTERLEAVED:
+        raise InternalInvariantError("eyes interleave at a death slice")
+    return clasps

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from clasplab import rulings
 from clasplab import (BudgetExceeded, ClaspLabError, ClaspState,
                       CrossingRecord, InternalInvariantError, InvalidRuling,
-                      UnknownEye, brute_pair_clasps, clasp_intervals,
-                      clasp_report, disjoint_union, enumerate_rulings,
+                      UnknownEye, brute_pair_clasps, clasp_report,
+                      disjoint_union, enumerate_rulings,
                       generate_negative_braid_closure, generate_torus4,
                       generate_trefoil, generate_unknot, is_normal_ruling,
                       obstruction_verdict, resolve, ruling_reports, scan,
@@ -22,7 +22,7 @@ from clasplab.clasps import (DISJOINT, INTERLEAVED, NESTED, LOWER, UPPER,
 from clasplab.diagram import far_commutation_order
 from clasplab.fillability import (ObstructionVerdict, RulingEvidence,
                                   random_script, run_script)
-from conftest import random_fillable
+from conftest import clasp_intervals, random_fillable
 
 
 class TestResolve:
@@ -124,7 +124,8 @@ class TestPairConfigs:
 
 class TestOracle:
     def _check(self, d, ruling):
-        """Record scan, slice oracle and one linear ClaspState scan agree."""
+        """Record scan, slice oracle, one linear ClaspState scan and the
+        clasps resolve lists agree."""
         res = resolve(d, ruling)
         state, fail = scan(d.events, switch_flags(d, ruling), ClaspState())
         assert fail is None
@@ -135,6 +136,7 @@ class TestOracle:
                 n = len(clasp_intervals(res, a, b))
                 assert n == brute_pair_clasps(d, ruling, a, b)
                 assert counted.get((a, b), 0) == n
+                assert sum(c[:2] == (a, b) for c in res.clasps) == n
 
     def test_corpus(self, corpus):
         for d in corpus.values():

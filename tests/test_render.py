@@ -1,7 +1,8 @@
 """Rendering is pure presentation: deterministic, side-effect free."""
 
-from clasplab import (ascii_render, enumerate_rulings, generate_torus4,
-                      generate_trefoil, generate_unknot, svg_render)
+from clasplab import (ascii_render, clasp_report, enumerate_rulings,
+                      generate_torus4, generate_trefoil, generate_unknot,
+                      svg_render)
 
 
 def test_ascii_unknot():
@@ -26,11 +27,15 @@ def test_svg_well_formed():
     assert s.count("<polyline") == 4  # two eyes, two strands each
 
 
-def test_svg_marks_clasps_and_switches():
+def test_svg_marks_clasps_and_switches(corpus, fillable_small):
     d = generate_torus4(0)
     (ruling,) = enumerate_rulings(d)
     s = svg_render(d, ruling)
     assert s.count('stroke="#c00"') == 5  # one dashed mark per clasp
+    for d in list(corpus.values()) + fillable_small:
+        for r in enumerate_rulings(d):
+            assert svg_render(d, r).count('stroke="#c00"') == \
+                clasp_report(d, r).total
 
 
 def test_render_does_not_mutate(corpus):
