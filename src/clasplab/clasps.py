@@ -14,12 +14,13 @@ contributes nothing.  The parity of the total clasp count over all pairs
 is the quantity the filling obstruction runs on.
 
 Clasps are counted by ClaspState, the pairing scan extended with an eye
-id per live slot and, per eye pair, a count and the strand pair that
-entered its current interleaved interval.  clasp_report is one linear
-scan with it, and ruling_reports counts during the ruling search itself,
-so listing every ruling's clasps scans no ruling twice.  resolve runs
-the same scan and keeps what it passes: the eyes, the slices, the
-crossing records and each clasp's interval (for rendering).
+id per live slot, a count per eye pair, and the strand pair that entered
+each interleaved pair's current interval.  clasp_report is one linear
+scan with it, and ruling_reports counts during the transfer scan that
+lists the rulings (each crossing's tally is its eye pair and the clasps
+it closed), so listing every ruling's clasps scans no ruling twice.
+resolve runs the same scan and keeps what it passes: the eyes, the
+slices, the crossing records and each clasp's interval (for rendering).
 brute_pair_clasps, an independent oracle, recounts one pair from
 materialized slices.
 """
@@ -66,8 +67,6 @@ class CrossingRecord:
 class Resolution:
     """The eye decomposition of a diagram under one normal ruling."""
 
-    diagram: FrontDiagram
-    ruling: frozenset
     n_eyes: int
     birth: tuple  # per eye: 1-based event index of its left cusp
     death: tuple  # per eye: 1-based event index of its right cusp
@@ -81,16 +80,15 @@ def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
 
     Eye ids and strand labels are the state's: a strand is UPPER where
     its mate lies below it.  Each crossing is recorded just before it
-    steps.  After an unswitched crossing, its pair's entering strands are
-    set when it opened an interleaved interval, and the clasp total has
-    grown when it closed a clasp.
+    steps.  After an unswitched crossing, its pair is open when it opened
+    an interleaved interval, and its tally counts 1 when it closed a
+    clasp.
     """
     require_valid(diagram)
-    ruling = frozenset(ruling)
     flags = switch_flags(diagram, ruling)
     state = ClaspState()
     # the scan updates these in place
-    m, eyes, pairs = state._m, state._eyes, state._pairs
+    m, eyes, opens = state._m, state._eyes, state._open
     slices = [()]
     birth: list = []
     death: list = []
@@ -105,7 +103,6 @@ def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
                                          (eyes[p + 1], int(m[p + 1] < p + 1))))
         elif e.kind != LEFT_CUSP:
             dying = eyes[p]
-        total = state.total
         fail = state.step(e, switch)
         if fail is not None:
             raise InvalidRuling(f"event {i}: {fail}")
@@ -116,17 +113,16 @@ def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
             records.append(CrossingRecord(
                 ordinal, i, ea, sa, eb, sb, switch=switch))
             if not switch:
-                if pairs[ea, eb][1] is not None:
+                if (ea, eb) in opens:
                     opened[ea, eb] = i
-                elif state.total > total:
+                elif state.tally[1]:
                     clasps.append((ea, eb, opened[ea, eb], i))
         else:
             death[dying] = i
         slices.append(tuple((eyes[q], int(m[q] < q))
                             for q in range(1, len(m))))
-    return Resolution(diagram, ruling, len(birth), tuple(birth),
-                      tuple(death), tuple(slices), tuple(records),
-                      tuple(clasps))
+    return Resolution(len(birth), tuple(birth), tuple(death), tuple(slices),
+                      tuple(records), tuple(clasps))
 
 
 def _pair_config(order: tuple) -> str:
@@ -168,37 +164,47 @@ class ClaspState(PairingState):
     """The pairing scan, counting clasps as it goes.
 
     Besides the mates it keeps the eye id of each live slot (eyes are
-    numbered by birth), the running clasp total, and for each eye pair
-    that has met at a crossing, (clasp count, entering strands): the
-    strand pair of the crossing that opened the pair's current
-    interleaved interval, or None outside one.  The eyes through
-    slots p, p+1 interleave exactly when ``switch_ok(p)`` fails, so
-    reading it before and after an unswitched crossing tells whether the
-    crossing enters or leaves an interleaved interval; a strand is the
-    upper one of its eye when its mate lies below it.  No records, slices
-    or per-pair strand orders are built.
+    numbered by birth), the clasp count of each eye pair that has met at
+    a crossing, and for each pair inside an interleaved interval the
+    strand pair of the crossing that opened it (its entering strands).
+    The eyes through slots p, p+1 interleave exactly when
+    ``switch_ok(p)`` fails, so reading it before and after an unswitched
+    crossing tells whether the crossing enters or leaves an interleaved
+    interval; a strand is the upper one of its eye when its mate lies
+    below it.  Each crossing's tally is (eye pair, clasps it closed).  No
+    records, slices or per-pair strand orders are built.
     """
 
-    __slots__ = ("_eyes", "_born", "_pairs", "total")
+    __slots__ = ("_eyes", "_born", "_open", "_counts", "tally")
 
     def __init__(self):
         super().__init__()
         self._eyes = [None]  # eye id per slot; index 0 unused, as in _m
         self._born = 0
-        self._pairs: dict = {}  # (eye_a, eye_b) -> (count, entering)
-        self.total = 0
+        self._open: dict = {}  # interleaved (eye_a, eye_b) -> entering
+        self._counts: dict = {}  # (eye_a, eye_b) -> clasp count
+        self.tally = None
 
     def copy(self) -> "ClaspState":
         c = PairingState.__new__(ClaspState)
         c._m, c._eyes, c._born = self._m[:], self._eyes[:], self._born
-        c._pairs, c.total = self._pairs.copy(), self.total
+        c._open, c._counts = self._open.copy(), self._counts.copy()
+        c.tally = self.tally
         return c
+
+    def key(self) -> tuple:
+        # The eye ids pin the mates down; the counts only add up.
+        return tuple(self._eyes), frozenset(self._open.items())
+
+    def tallies(self) -> tuple:
+        return tuple(sorted(self._counts.items()))
 
     def step(self, event, is_switch: bool = False):
         p = event.pos
         if event.kind != CROSSING:
             fail = PairingState.step(self, event)
             if fail is None:
+                self.tally = None
                 if event.kind == LEFT_CUSP:
                     self._eyes[p:p] = (self._born, self._born)
                     self._born += 1
@@ -208,33 +214,35 @@ class ClaspState(PairingState):
         m, eyes = self._m, self._eyes
         a, b = eyes[p], eyes[p + 1]
         if is_switch and a != b and self.switch_ok(p):
-            self._pairs.setdefault((a, b) if a < b else (b, a), (0, None))
+            pair = (a, b) if a < b else (b, a)
+            self._counts.setdefault(pair, 0)
+            self.tally = (pair, 0)
             return None
         if is_switch or a == b:  # a failure; the pairing step names it
             return PairingState.step(self, event, is_switch)
         # strand labels: True (UPPER) where the strand's mate lies below it
         at_p, at_q = m[p] < p, m[p + 1] < p + 1
-        key, strands = ((a, b), (at_p, at_q)) if a < b else \
+        pair, strands = ((a, b), (at_p, at_q)) if a < b else \
             ((b, a), (at_q, at_p))
-        count, entering = self._pairs.get(key, (0, None))
         leaves = not self.switch_ok(p)
         self.cross(p)
         eyes[p], eyes[p + 1] = b, a
+        clasp = 0
         if leaves:
-            if strands == entering:
-                count += 1
-                self.total += 1
-            entering = None
+            clasp = 1 if self._open.pop(pair, None) == strands else 0
         elif not self.switch_ok(p):
-            entering = strands
-        self._pairs[key] = (count, entering)
+            self._open[pair] = strands
+        self._counts[pair] = self._counts.get(pair, 0) + clasp
+        self.tally = (pair, clasp)
         return None
 
-    def report(self) -> "ClaspReport":
-        """The clasp report of a finished scan."""
-        pairs = tuple(PairClasps(eyes, count)
-                      for eyes, (count, _) in sorted(self._pairs.items()))
-        return ClaspReport(pairs, self.total, parity_of_total(self.total))
+
+def report_of(tallies: tuple) -> ClaspReport:
+    """The clasp report of sorted (eye pair, clasp count) tallies."""
+    total = sum(count for _, count in tallies)
+    return ClaspReport(tuple(PairClasps(eyes, count)
+                             for eyes, count in tallies),
+                       total, parity_of_total(total))
 
 
 def clasp_report(diagram: FrontDiagram, ruling: Iterable) -> ClaspReport:
@@ -250,26 +258,23 @@ def clasp_report(diagram: FrontDiagram, ruling: Iterable) -> ClaspReport:
                        ClaspState())
     if fail is not None:
         raise InvalidRuling(f"event {fail[0]}: {fail[1]}")
-    return state.report()
+    return report_of(state.tallies())
 
 
 def ruling_reports(diagram: FrontDiagram,
                    budget: Optional[int] = None) -> list:
     """(ruling, ClaspReport) of every normal ruling, by ruling_sort_key.
 
-    The clasps are counted during the ruling search itself, so no ruling
-    is scanned again; ``budget`` bounds the search exactly as in
-    enumerate_rulings.
+    The clasps are counted during the transfer scan itself, as tallies
+    folded along each listed ruling, so no ruling is scanned again;
+    ``budget`` bounds the scan exactly as in enumerate_rulings.
     """
     reports: dict = {}  # rulings with equal counts share one report
-
-    def keep(state: ClaspState) -> ClaspReport:
-        counts = tuple(sorted(state._pairs.items()))
-        if counts not in reports:
-            reports[counts] = state.report()
-        return reports[counts]
-
-    found = _enumerate(diagram, budget, ClaspState(), keep)
+    found = []
+    for ruling, tallies in _enumerate(diagram, budget, ClaspState()):
+        if tallies not in reports:
+            reports[tallies] = report_of(tallies)
+        found.append((ruling, reports[tallies]))
     return sorted(found, key=lambda item: ruling_sort_key(item[0]))
 
 

@@ -20,6 +20,13 @@ A switch choice is carried as per-event flags (True at switched crossings,
 False everywhere else), and ``scan`` is the one loop that runs the state
 over a word or a window of one.  Switch sets of crossing ordinals meet the
 flags only in switch_flags and switches_of.
+
+Rulings are listed by a transfer scan (_transfer): states whose ``key()``
+agree scan every suffix alike, so each event keeps one state per key, the
+edges reaching the end of the word are kept, and a walk over them lists
+one ruling per path.  A state subclass that counts something reports each
+step's ``tally``; the walk folds them per ruling, and the scan itself
+knows nothing of what they count.
 """
 
 from __future__ import annotations
@@ -47,11 +54,24 @@ class PairingState:
 
     __slots__ = ("_m",)
 
+    #: What the last step added to the run's tallies, as (label, amount),
+    #: or None; the bare pairing tallies nothing.
+    tally = None
+
     def __init__(self, mates: Optional[list] = None):
         self._m = [0] if mates is None else mates
 
     def copy(self) -> "PairingState":
         return PairingState(list(self._m))
+
+    def key(self) -> tuple:
+        """Everything later steps depend on: states with equal keys scan
+        every suffix alike and add the same tallies."""
+        return tuple(self._m)
+
+    def tallies(self) -> tuple:
+        """Every tally the run so far added, summed per label, sorted."""
+        return ()
 
     @property
     def n_strands(self) -> int:
@@ -176,51 +196,121 @@ def ruling_sort_key(ruling: Iterable) -> tuple:
     return (len(t), t)
 
 
-def _search(diagram: FrontDiagram, budget: Optional[int],
-            state: Optional[PairingState] = None, keep=None) -> list:
-    """Backtracking over the switch choices of the word as given.
+def _transfer(diagram: FrontDiagram, budget: Optional[int],
+              state: Optional[PairingState] = None) -> list:
+    """Every way to scan the word as given: (switch set, tallies) each.
 
-    Scans from ``state`` (default the empty pairing), which may be any
-    PairingState subclass: each crossing branches on a copy (switch) and
-    on the state itself (non-switch), and dead states prune the subtree.
-    Each leaf records its switch set, or (switch set, keep(final state))
-    when ``keep`` is given; keep should return only what the caller
-    needs, so memory does not grow with the number of rulings.  Raises
-    BudgetExceeded once more than ``budget`` event steps have been taken.
+    A transfer-matrix scan in three phases.  Forward, event by event, it
+    keeps one representative state per ``key()`` (states with equal keys
+    scan every suffix alike) with its number of prefix paths; each edge
+    records whether it switches and the ``tally`` its step added.
+    Backward, it keeps only the edges that reach the end of the word.
+    Then it walks the live graph, with a stack rather than one frame per
+    event, and folds each path's tallies into sorted (label, sum) pairs,
+    as the state's own ``tallies()`` would have.  ``state`` (default the
+    empty pairing) may be any PairingState subclass.
+
+    Raises BudgetExceeded, before listing anything, once more than
+    ``budget`` event steps would be taken by a backtracking search: the
+    sum of the path counts over every (event, key).
     """
-    events = diagram.events
     ordinals = diagram.walk.ordinals
-    found: list = []
-    nodes = 0
+    reps, paths = [(state or PairingState()).copy()], [1]
+    # Per event, two slots per node: the switch step, then the plain one.
+    # nxt[slot] is the node it reaches in the next layer (-1 for none) and
+    # tal[slot] its tally.  Flat lists keep the objects the garbage
+    # collector tracks to a few per event, not a few per edge.
+    layers = []
+    steps = 0
+    for e, ordinal in zip(diagram.events, ordinals):
+        steps += sum(paths)
+        if budget is not None and steps > budget:
+            raise BudgetExceeded(
+                f"enumeration exceeded {budget} steps", nodes=budget + 1)
+        index: dict = {}  # key -> node of the next layer
+        next_reps: list = []
+        next_paths: list = []
+        nxt: list = []
+        tal: list = []
+        crossing = e.kind == CROSSING
+        for s, n in zip(reps, paths):
+            branch = s.copy() if crossing else None
+            for t, switch in ((branch, True), (s, False)):
+                k = -1
+                if t is not None and t.step(e, switch) is None:
+                    key = t.key()
+                    k = index.get(key)
+                    if k is None:
+                        k = index[key] = len(next_reps)
+                        next_reps.append(t)
+                        next_paths.append(n)
+                    else:
+                        next_paths[k] += n
+                nxt.append(k)
+                tal.append(None if k < 0 else t.tally)
+        layers.append((nxt, tal))
+        reps, paths = next_reps, next_paths
 
-    def walk(i: int, state: PairingState, switched: list) -> None:
-        nonlocal nodes
-        while i < len(events):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(
-                    f"enumeration exceeded {budget} steps", nodes=nodes)
-            e = events[i]
-            if e.kind != CROSSING:
-                if state.step(e) is not None:
-                    return
-                i += 1
-                continue
-            branch = state.copy()
-            if branch.step(e, is_switch=True) is None:
-                switched.append(ordinals[i])
-                walk(i + 1, branch, switched)
-                switched.pop()
-            if state.step(e, is_switch=False) is not None:
-                return
-            i += 1
-        ruling = frozenset(switched)
-        found.append(ruling if keep is None else (ruling, keep(state)))
+    # Backward: drop the steps that cannot reach the end of the word and
+    # number the tallies of the rest, 0 standing for none.
+    tally_ids: dict = {None: 0}
+    live = [True] * len(reps)
+    for nxt, tal in reversed(layers):
+        for slot, k in enumerate(nxt):
+            if k >= 0 and not live[k]:
+                nxt[slot] = k = -1
+            tal[slot] = 0 if k < 0 else \
+                tally_ids.setdefault(tal[slot], len(tally_ids))
+        live = [nxt[j] >= 0 or nxt[j + 1] >= 0
+                for j in range(0, len(nxt), 2)]
+    if not live[0]:
+        return []
+    tallies = list(tally_ids)
 
-    walk(0, state or PairingState(), [])
-    # walk reaches itself through its closure cell; break that cycle so
-    # a reordered word is freed now, not at the next full collection.
-    walk = None
+    # Each path carries a fold id: folds[f] is a sorted (label, sum)
+    # tuple, and fold_steps[f][t] the fold id after tally t, once known.
+    folds, fold_ids = [()], {(): 0}
+    fold_steps = [[0] + [None] * (len(tallies) - 1)]
+
+    def add(f: int, t: int) -> int:
+        sums = dict(folds[f])
+        label, amount = tallies[t]
+        sums[label] = sums.get(label, 0) + amount
+        fold = tuple(sorted(sums.items()))
+        if fold not in fold_ids:
+            fold_ids[fold] = len(folds)
+            fold_steps.append([len(folds)] + [None] * (len(tallies) - 1))
+            folds.append(fold)
+        fold_steps[f][t] = fold_ids[fold]
+        return fold_ids[fold]
+
+    # Walk every path; the stack holds the paths to come back for, as
+    # (event index, node, path length there, fold).
+    found = []
+    switched: list = []
+    end = len(layers)
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        i, k, depth, f = stack.pop()
+        del switched[depth:]
+        while i < end:
+            nxt, tal = layers[i]
+            j = 2 * k
+            a, b = nxt[j], nxt[j + 1]
+            if b >= 0:
+                t = tal[j + 1]
+                g = fold_steps[f][t]
+                if g is None:
+                    g = add(f, t)
+                if a < 0:
+                    i, k, f = i + 1, b, g
+                    continue
+                stack.append((i + 1, b, len(switched), g))
+            switched.append(ordinals[i])
+            t = tal[j]
+            g = fold_steps[f][t]
+            i, k, f = i + 1, a, add(f, t) if g is None else g
+        found.append((frozenset(switched), folds[f]))
     return found
 
 
@@ -235,6 +325,15 @@ def _retrace(narrow: FrontDiagram, windows: tuple, ruling: frozenset) -> list:
     switch can pass to the other crossing.  Undoing the swaps of event t
     only touches word indices >= t, so their entry state is the reordered
     word's prefix state at t.
+
+    Boundary matching runs only when the two crossings, at p and q, share
+    an eye: when the mate of p or p+1 is q or q+1 on entry.  Otherwise
+    the lone switch stays on its crossing.  The eyes through p, p+1 and
+    those through q, q+1 are then four distinct eyes, so crossing p moves
+    no mate of q or q+1 and cannot change switch_ok(q), nor crossing q
+    switch_ok(p): the flags that travel with their events scan.  The
+    other one-switch choice crosses the other eye pair instead, which
+    leaves different exit mates, so it does not match.
     """
     flags = switch_flags(narrow, ruling)
     hopped = [t for t, swaps in enumerate(windows) if swaps]
@@ -245,9 +344,12 @@ def _retrace(narrow: FrontDiagram, windows: tuple, ruling: frozenset) -> list:
         entries[t], done = state.copy(), t
     for t in reversed(hopped):
         state = entries[t]
+        m = state._m
         for i, ((first, second), old) in enumerate(windows[t], start=t):
             f1, f2 = flags[i], flags[i + 1]
-            if f1 != f2 and first.kind == CROSSING == second.kind:
+            if f1 != f2 and first.kind == CROSSING == second.kind and (
+                    second.pos <= m[first.pos] <= second.pos + 1 or
+                    second.pos <= m[first.pos + 1] <= second.pos + 1):
                 matches = window_matches(state, (first, second), (f1, f2),
                                          old)
                 if matches is None or len(matches) != 1:
@@ -263,52 +365,53 @@ def _retrace(narrow: FrontDiagram, windows: tuple, ruling: frozenset) -> list:
 
 
 def _enumerate(diagram: FrontDiagram, budget: Optional[int],
-               state: Optional[PairingState] = None, keep=None) -> list:
-    """Every normal ruling, unsorted, as _search records it.
+               state: Optional[PairingState] = None) -> list:
+    """Every normal ruling, unsorted, as (switch set, tallies).
 
-    The backtracking cost grows with the width (the most strands alive on
-    one slice), so the word is first reordered by far commutation: among
-    the events that can commute to the front of what is left, right cusps
-    go first, then crossings, then left cusps, lower slots first (see
-    far_commutation_order).  The search runs on that word when it is
-    strictly narrower, else on ``diagram`` itself, and each ruling found
-    on the reordered word is carried back along the ``tr`` moves, so
-    switch sets are always crossing ordinals of ``diagram`` itself.  The
-    optional ``budget`` bounds the event steps taken on the word actually
-    searched before BudgetExceeded is raised.
+    The number of scan states grows with the width (the most strands
+    alive on one slice), so the word is first reordered by far
+    commutation: among the events that can commute to the front of what
+    is left, right cusps go first, then crossings, then left cusps, lower
+    slots first (see far_commutation_order).  The transfer scan
+    (_transfer) runs on that word when it is strictly narrower, else on
+    ``diagram`` itself, and each ruling found on the reordered word is
+    carried back along the ``tr`` moves, so switch sets are always
+    crossing ordinals of ``diagram`` itself.  The optional ``budget``
+    bounds the backtracking steps on the word actually scanned; it is
+    checked before any ruling is listed.
 
-    With ``keep``, each ruling comes as (ruling, keep(s)), s being
-    ``state`` run over ``diagram`` under the ruling: the search leaf
-    itself when ``diagram`` is searched, else one linear scan after the
+    The tallies are those ``state`` (default a bare pairing) adds when
+    run over ``diagram`` under the ruling: folded along the listing when
+    ``diagram`` is scanned, else read off one linear scan after the
     ruling is mapped back.  What a counting state counts on the reordered
     word is not proven equal to its count on ``diagram`` (a lone switch
     can pass to the other crossing of a ``tr`` hop), so the reordered
-    search runs on a bare pairing.
+    scan runs on a bare pairing.
     """
     require_valid(diagram)
     narrow, windows = far_commutation_order(diagram)
     if max(narrow.strand_counts()) >= max(diagram.strand_counts()):
-        return _search(diagram, budget, state, keep)
+        return _transfer(diagram, budget, state)
     found = []
-    for ruling in _search(narrow, budget):
+    for ruling, _ in _transfer(narrow, budget):
         flags = _retrace(narrow, windows, ruling)
-        ruling = switches_of(diagram, flags)
-        if keep is not None:
-            ruling = ruling, keep(scan(diagram.events, flags, state.copy())[0])
-        found.append(ruling)
+        tallies = () if state is None else \
+            scan(diagram.events, flags, state.copy())[0].tallies()
+        found.append((switches_of(diagram, flags), tallies))
     return found
 
 
 def enumerate_rulings(diagram: FrontDiagram, budget: Optional[int] = None) -> list:
-    """All normal rulings, by backtracking over the switch choices.
+    """All normal rulings, from a transfer scan over the switch choices.
 
     Switch sets are crossing ordinals of ``diagram``, in ruling_sort_key
-    order; the search runs on a narrower reordering of the word when
-    there is one (see _enumerate).  The optional ``budget`` bounds the
-    event steps taken on the word actually searched before BudgetExceeded
-    is raised.
+    order; the scan runs on a narrower reordering of the word when there
+    is one (see _enumerate).  The optional ``budget`` bounds the steps a
+    backtracking search would take on the word actually scanned;
+    BudgetExceeded is raised before any ruling is listed.
     """
-    return sorted(_enumerate(diagram, budget), key=ruling_sort_key)
+    return sorted((r for r, _ in _enumerate(diagram, budget)),
+                  key=ruling_sort_key)
 
 
 def brute_force_rulings(diagram: FrontDiagram) -> list:

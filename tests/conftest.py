@@ -7,6 +7,9 @@ from clasplab import (FrontDiagram, InternalInvariantError, UnknownEye,
                       generate_trefoil, generate_unknot, random_script,
                       run_script)
 from clasplab.clasps import INTERLEAVED, _pair_config
+from clasplab.diagram import CROSSING
+from clasplab.errors import BudgetExceeded
+from clasplab.rulings import PairingState
 
 
 def small_corpus():
@@ -30,6 +33,50 @@ def random_fillable(count, length, seed_base=0):
         cert = run_script(random_script(length, seed_base + k))
         out.append(cert.diagram)
     return out
+
+
+def backtrack_rulings(diagram, budget=None, state=None, steps=None) -> list:
+    """Backtracking over the switch choices of the word as given.
+
+    The test-only reference for rulings._transfer, with the same
+    arguments and results: (switch set, state.tallies()) per ruling.  Each
+    crossing branches on a copy (switch) and on the state itself
+    (non-switch), and dead states prune the subtree.  Raises
+    BudgetExceeded once more than ``budget`` event steps have been taken;
+    a list passed as ``steps`` receives the number taken.
+    """
+    events = diagram.events
+    ordinals = diagram.walk.ordinals
+    found: list = []
+    nodes = 0
+
+    def walk(i: int, state: PairingState, switched: list) -> None:
+        nonlocal nodes
+        while i < len(events):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded(
+                    f"enumeration exceeded {budget} steps", nodes=nodes)
+            e = events[i]
+            if e.kind != CROSSING:
+                if state.step(e) is not None:
+                    return
+                i += 1
+                continue
+            branch = state.copy()
+            if branch.step(e, is_switch=True) is None:
+                switched.append(ordinals[i])
+                walk(i + 1, branch, switched)
+                switched.pop()
+            if state.step(e, is_switch=False) is not None:
+                return
+            i += 1
+        found.append((frozenset(switched), state.tallies()))
+
+    walk(0, (state or PairingState()).copy(), [])
+    if steps is not None:
+        steps.append(nodes)
+    return found
 
 
 @pytest.fixture(scope="session")

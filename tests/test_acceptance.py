@@ -12,7 +12,7 @@ from clasplab import (apply_move, brute_force_rulings, brute_pair_clasps,
                       enumerate_applicable_moves, enumerate_rulings,
                       generate_torus4, generate_trefoil, generate_unknot,
                       obstruction_verdict, parse, random_script, resolve,
-                      run_script, search_filling, serialize)
+                      ruling_reports, run_script, search_filling, serialize)
 from clasplab.cli import main
 from clasplab.rulings import ruling_sort_key
 
@@ -103,10 +103,15 @@ def test_criterion_5_oracle_equivalence():
         if d.n_crossings <= 12:
             assert enumerate_rulings(d) == brute_force_rulings(d)
             enum_checked += 1
-    clasp_checked = 0
+    # Random certificates have no clasps, so every ruling of the corpus
+    # rides along, and at least one clasp must be compared.
+    cases = [(d, r) for d in small_corpus().values()
+             for r, _ in ruling_reports(d)]
     for k in range(500):
         certificate = run_script(random_script(1 + k % 20, 9000 + k))
-        d, ruling = certificate.diagram, certificate.ruling
+        cases.append((certificate.diagram, certificate.ruling))
+    clasp_checked = clasps_compared = 0
+    for d, ruling in cases:
         res = resolve(d, ruling)
         for a in range(res.n_eyes):
             for b in range(a + 1, res.n_eyes):
@@ -114,10 +119,13 @@ def test_criterion_5_oracle_equivalence():
                 assert n == brute_pair_clasps(d, ruling, a, b)
                 assert sum(c[:2] == (a, b) for c in res.clasps) == n
                 clasp_checked += 1
+                clasps_compared += n
+    assert clasps_compared > 0
     elapsed = time.monotonic() - start
     report("5 (oracle equivalence)",
            f"{enum_checked} enumerations vs 2^c filter, {clasp_checked} "
-           f"pair scans vs slice oracle, zero mismatches; {elapsed:.1f}s")
+           f"pair scans ({clasps_compared} clasps) vs slice oracle, zero "
+           f"mismatches; {elapsed:.1f}s")
 
 
 def test_criterion_6_verdicts():

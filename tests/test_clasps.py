@@ -129,7 +129,7 @@ class TestOracle:
         res = resolve(d, ruling)
         state, fail = scan(d.events, switch_flags(d, ruling), ClaspState())
         assert fail is None
-        counted = {p.eyes: p.clasps for p in state.report().pairs}
+        counted = dict(state.tallies())
         assert set(counted) == {(r.eye_a, r.eye_b) for r in res.records}
         for a in range(res.n_eyes):
             for b in range(a + 1, res.n_eyes):

@@ -3,16 +3,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clasplab import (BudgetExceeded, FrontDiagram, InvalidRuling,
-                      brute_force_rulings, clasp_report, enumerate_rulings,
-                      generate_negative_braid_closure, generate_torus4,
-                      generate_trefoil, generate_unknot, is_normal_ruling, lc,
-                      obstruction_verdict, rc, scan, stacked_union,
-                      switch_flags, switches_of, x)
-from clasplab.diagram import far_commutation_order
+from clasplab import (BudgetExceeded, ClaspState, FrontDiagram, InvalidRuling,
+                      TransportFailure, brute_force_rulings, clasp_report,
+                      enumerate_rulings, generate_negative_braid_closure,
+                      generate_torus4, generate_trefoil, generate_unknot,
+                      is_normal_ruling, lc, obstruction_verdict, rc,
+                      ruling_reports, scan, stacked_union, switch_flags,
+                      switches_of, x)
+from clasplab import rulings
+from clasplab.diagram import CROSSING, far_commutation_order
 from clasplab.fillability import random_script, run_script
-from clasplab.rulings import _search, ruling_sort_key
-from conftest import random_fillable
+from clasplab.rulings import (PairingState, _retrace, _transfer,
+                              ruling_sort_key, window_matches)
+from conftest import backtrack_rulings, random_fillable, small_corpus
 
 
 def state_at(diagram, switches, event_index):
@@ -172,7 +175,8 @@ class TestReorderedEnumeration:
 
     def test_matches_search_on_the_original_word(self, fillable_300):
         for d in fillable_300:
-            seed_order = sorted(_search(d, None), key=ruling_sort_key)
+            seed_order = sorted((r for r, _ in backtrack_rulings(d)),
+                                key=ruling_sort_key)
             assert enumerate_rulings(d) == seed_order
 
     def test_lone_switch_passes_to_the_other_crossing(self):
@@ -204,3 +208,129 @@ class TestReorderedEnumeration:
         assert len(enumerate_rulings(d, budget=steps)) == 1
         with pytest.raises(BudgetExceeded):
             enumerate_rulings(d, budget=steps - 1)
+
+
+def budget_outcome(fn, d, budget):
+    try:
+        fn(d, budget=budget)
+    except BudgetExceeded as exc:
+        return exc.nodes
+    return None
+
+
+_KERNEL_FAMILIES = {
+    "corpus": lambda: list(small_corpus().values()),
+    "braid2": lambda: [generate_negative_braid_closure(2, [1] * k)
+                       for k in range(1, 19)],
+    "braid4": lambda: [generate_negative_braid_closure(4, [1, 2, 3] * k)
+                       for k in range(1, 5)],
+    "torus4": lambda: [generate_torus4(n) for n in range(7)],
+}
+
+
+class TestTransferScan:
+    """The transfer scan lists what backtracking over the switch choices
+    lists (conftest.backtrack_rulings), with the same clasp reports and
+    the same budget outcome at the backtracking step count and one below."""
+
+    def _check(self, d, monkeypatch):
+        steps = []
+
+        def backtrack(word, budget, state=None):
+            return backtrack_rulings(word, budget, state, steps)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(rulings, "_transfer", backtrack)
+            rows = ruling_reports(d)
+            threshold = steps[0]
+            budgets = [threshold] + ([threshold - 1] if threshold else [])
+            want = {b: budget_outcome(ruling_reports, d, b) for b in budgets}
+        assert want[threshold] is None
+        assert want.get(threshold - 1, threshold) == threshold
+        got = ruling_reports(d)
+        assert got == rows
+        # rulings with equal counts share one report
+        assert len({id(r) for _, r in got}) == len({r for _, r in got})
+        assert enumerate_rulings(d) == [r for r, _ in rows]
+        for b, outcome in want.items():
+            assert budget_outcome(ruling_reports, d, b) == outcome
+            assert budget_outcome(enumerate_rulings, d, b) == outcome
+
+    @pytest.mark.parametrize("family", sorted(_KERNEL_FAMILIES))
+    def test_equals_backtracking(self, family, monkeypatch):
+        for d in _KERNEL_FAMILIES[family]():
+            self._check(d, monkeypatch)
+
+    def test_equals_backtracking_on_fillables(self, fillable_300,
+                                              monkeypatch):
+        for d in fillable_300:
+            self._check(d, monkeypatch)
+
+    def test_equals_backtracking_on_the_word_as_given(self, fillable_300):
+        for d in fillable_300[:100]:
+            for state in (PairingState(), ClaspState()):
+                want = backtrack_rulings(d, None, state)
+                got = _transfer(d, None, state)
+                assert sorted(got, key=lambda row: ruling_sort_key(row[0])) \
+                    == sorted(want, key=lambda row: ruling_sort_key(row[0]))
+
+    def test_long_word_lists_without_deep_recursion(self):
+        # 1,500 disjoint unknots: 3,000 events, one ruling
+        d = FrontDiagram(generate_unknot().events * 1500)
+        assert _transfer(d, None) == [(frozenset(), ())]
+        assert _transfer(d, None, ClaspState()) == [(frozenset(), ())]
+
+    def test_budget_raised_before_listing(self):
+        d = generate_negative_braid_closure(2, [1] * 40)
+        with pytest.raises(BudgetExceeded) as info:
+            _transfer(d, 20_000)
+        assert info.value.nodes == 20_001
+
+
+def retrace_matching_every_swap(narrow, windows, ruling, matched):
+    """_retrace without its shared-eye test: boundary matching runs at
+    every two-crossing swap whose flags differ, each one appended to
+    ``matched``."""
+    flags = switch_flags(narrow, ruling)
+    hopped = [t for t, swaps in enumerate(windows) if swaps]
+    entries = {}
+    state, done = PairingState(), 0
+    for t in hopped:
+        scan(narrow.events[done:t], flags[done:t], state)
+        entries[t], done = state.copy(), t
+    for t in reversed(hopped):
+        state = entries[t]
+        for i, ((first, second), old) in enumerate(windows[t], start=t):
+            f1, f2 = flags[i], flags[i + 1]
+            if f1 != f2 and first.kind == CROSSING == second.kind:
+                matches = window_matches(state, (first, second), (f1, f2),
+                                         old)
+                matched.append(i)
+                if matches is None or len(matches) != 1:
+                    raise TransportFailure("no unique match")
+                f2, f1 = matches[0]
+            flags[i], flags[i + 1] = f2, f1
+            state.step(old[0], f2)
+    return flags
+
+
+class TestRetrace:
+    def test_equals_matching_every_swap(self, fillable_300, monkeypatch):
+        calls, matched = [], []
+
+        def counted(*args):
+            calls.append(args)
+            return window_matches(*args)
+
+        monkeypatch.setattr(rulings, "window_matches", counted)
+        checked = 0
+        for d in fillable_300 + [generate_torus4(n) for n in range(8)]:
+            narrow, windows = far_commutation_order(d)
+            for ruling, _ in _transfer(narrow, None):
+                assert _retrace(narrow, windows, ruling) == \
+                    retrace_matching_every_swap(narrow, windows, ruling,
+                                                matched)
+                checked += 1
+        assert checked > 300
+        # the shared-eye test skips some matches, not all
+        assert 0 < len(calls) < len(matched)
