@@ -18,7 +18,8 @@ id per live slot, a count per eye pair, and the strand pair that entered
 each interleaved pair's current interval.  clasp_report is one linear
 scan with it, and ruling_reports counts during the transfer scan that
 lists the rulings (each crossing's tally is its eye pair and the clasps
-it closed), so listing every ruling's clasps scans no ruling twice.
+it closed), so listing every ruling's clasps scans no ruling twice; the
+verdict reads the sorted switch tuples behind it (_sorted_reports).
 resolve runs the same scan and keeps what it passes: the eyes, the
 slices, the crossing records and each clasp's interval (for rendering).
 brute_pair_clasps, an independent oracle, recounts one pair from
@@ -32,8 +33,7 @@ from typing import Iterable, Optional
 
 from .diagram import CROSSING, LEFT_CUSP, FrontDiagram, require_valid
 from .errors import InternalInvariantError, InvalidRuling, UnknownEye
-from .rulings import PairingState, _enumerate, ruling_sort_key, scan, \
-    switch_flags
+from .rulings import PairingState, _enumerate, scan, switch_flags
 
 DISJOINT = "disjoint"
 NESTED = "nested"
@@ -90,10 +90,7 @@ def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
     # the scan updates these in place
     m, eyes, opens = state._m, state._eyes, state._open
     slices = [()]
-    birth: list = []
-    death: list = []
-    records: list = []
-    clasps: list = []
+    birth, death, records, clasps = [], [], [], []
     opened: dict = {}  # eye pair -> event index entering its interval
     for i, (e, switch, ordinal) in enumerate(
             zip(diagram.events, flags, diagram.walk.ordinals), start=1):
@@ -261,21 +258,27 @@ def clasp_report(diagram: FrontDiagram, ruling: Iterable) -> ClaspReport:
     return report_of(state.tallies())
 
 
+def _sorted_reports(diagram: FrontDiagram, budget: Optional[int]) -> list:
+    """(switch tuple, ClaspReport) of every normal ruling, by
+    ruling_sort_key, counted during the transfer scan itself as tallies
+    folded along each listed ruling; equal counts share one report."""
+    reports: dict = {}
+    found = []
+    for switches, tallies in _enumerate(diagram, budget, ClaspState()):
+        report = reports.get(tallies)
+        if report is None:
+            report = reports[tallies] = report_of(tallies)
+        found.append((switches, report))
+    return found
+
+
 def ruling_reports(diagram: FrontDiagram,
                    budget: Optional[int] = None) -> list:
-    """(ruling, ClaspReport) of every normal ruling, by ruling_sort_key.
-
-    The clasps are counted during the transfer scan itself, as tallies
-    folded along each listed ruling, so no ruling is scanned again;
-    ``budget`` bounds the scan exactly as in enumerate_rulings.
-    """
-    reports: dict = {}  # rulings with equal counts share one report
-    found = []
-    for ruling, tallies in _enumerate(diagram, budget, ClaspState()):
-        if tallies not in reports:
-            reports[tallies] = report_of(tallies)
-        found.append((ruling, reports[tallies]))
-    return sorted(found, key=lambda item: ruling_sort_key(item[0]))
+    """(ruling, ClaspReport) of every normal ruling, by ruling_sort_key,
+    with no ruling scanned twice (see _sorted_reports); ``budget`` bounds
+    the scan exactly as in enumerate_rulings."""
+    return [(frozenset(switches), report)
+            for switches, report in _sorted_reports(diagram, budget)]
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +297,7 @@ def brute_pair_clasps(diagram: FrontDiagram, ruling: Iterable,
     ruling = frozenset(ruling)
     slots: list = []
     slices = [()]
-    next_eye = 0
-    ordinal = 0
+    next_eye = ordinal = 0
     for e in diagram.events:
         p = e.pos
         if e.kind == LEFT_CUSP:

@@ -248,6 +248,8 @@ def _cmd_apply_script(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.depth < 0:
+        raise _UsageError(f"--depth must be >= 0, got {args.depth}")
     diagram, _ = _load_diagram(args)
     budget = _budget(args)
     result = search_filling(diagram, depth_bound=args.depth,

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .clasps import ClaspReport, clasp_report, ruling_reports
+from .clasps import ClaspReport, _sorted_reports, clasp_report
 from .diagram import LEFT_CUSP, RIGHT_CUSP, FrontDiagram, require_valid, \
     serialize
 from .errors import (BudgetExceeded, EvennessViolation, NotApplicable,
@@ -77,10 +77,6 @@ class RulingEvidence:
                 "parity": self.parity}
 
 
-def _evidence(ruling: frozenset, report: ClaspReport) -> RulingEvidence:
-    return RulingEvidence(tuple(sorted(ruling)), report.total, report.parity)
-
-
 @dataclass(frozen=True)
 class ObstructionVerdict:
     """Outcome of the all-rulings-odd test.
@@ -113,13 +109,12 @@ class ObstructionVerdict:
 def obstruction_verdict(diagram: FrontDiagram,
                         budget: Optional[int] = None) -> ObstructionVerdict:
     """Enumerate rulings and decide whether all of them are odd."""
-    evidence = tuple(_evidence(r, report)
-                     for r, report in ruling_reports(diagram, budget))
+    evidence = tuple(RulingEvidence(switches, report.total, report.parity)
+                     for switches, report in _sorted_reports(diagram, budget))
     witness = next((e.switches for e in evidence if e.parity == "even"),
                    None)
     if not evidence:
-        return ObstructionVerdict(False, (), None,
-                                  "no normal rulings at all")
+        return ObstructionVerdict(False, (), None, "no normal rulings at all")
     return ObstructionVerdict(witness is None, evidence, witness)
 
 
@@ -157,8 +152,9 @@ def cobordism_parity_check(lower: FrontDiagram, upper: FrontDiagram,
                 "not_applicable",
                 reason=f"a diagram has {len(rulings)} normal rulings; "
                        "the test needs exactly 1 on each side")
-        sides.append(_evidence(rulings[0],
-                               clasp_report(diagram, rulings[0])))
+        report = clasp_report(diagram, rulings[0])
+        sides.append(RulingEvidence(tuple(sorted(rulings[0])), report.total,
+                                    report.parity))
     status = ("compatible" if sides[0].parity == sides[1].parity
               else "incompatible")
     return CobordismParity(status, sides[0], sides[1])
@@ -316,12 +312,10 @@ def search_filling(diagram: FrontDiagram, depth_bound: int = 8,
                 nodes += 1
                 seen[key] = (d_key, move)
                 if not parent.events:
-                    script = []
-                    cursor = key
+                    script, cursor = [], key
                     while seen[cursor] is not None:
-                        prev, mv = seen[cursor]
+                        cursor, mv = seen[cursor]
                         script.append(mv)
-                        cursor = prev
                     certificate = run_script(script)
                     if certificate.diagram.events != diagram.events:
                         raise ScriptError(

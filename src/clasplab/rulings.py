@@ -19,19 +19,20 @@ slots into eyes; each event updates the pairing:
 A switch choice is carried as per-event flags (True at switched crossings,
 False everywhere else), and ``scan`` is the one loop that runs the state
 over a word or a window of one.  Switch sets of crossing ordinals meet the
-flags only in switch_flags and switches_of.
+flags only in switch_flags, switches_of and _enumerate.
 
 Rulings are listed by a transfer scan (_transfer): states whose ``key()``
 agree scan every suffix alike, so each event keeps one state per key, the
 edges reaching the end of the word are kept, and a walk over them lists
 one ruling per path.  A state subclass that counts something reports each
 step's ``tally``; the walk folds them per ruling, and the scan itself
-knows nothing of what they count.
+knows nothing of what they count.  A listed ruling is the increasing
+tuple of its switch ordinals until a public listing makes it a frozenset.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, NamedTuple, Optional
 
 from .diagram import (CROSSING, LEFT_CUSP, Event, FrontDiagram,
@@ -198,7 +199,8 @@ def ruling_sort_key(ruling: Iterable) -> tuple:
 
 def _transfer(diagram: FrontDiagram, budget: Optional[int],
               state: Optional[PairingState] = None) -> list:
-    """Every way to scan the word as given: (switch set, tallies) each.
+    """Every way to scan the word as given, in walk order: (switches,
+    tallies) each, ``switches`` the increasing tuple of switch ordinals.
 
     A transfer-matrix scan in three phases.  Forward, event by event, it
     keeps one representative state per ``key()`` (states with equal keys
@@ -228,10 +230,7 @@ def _transfer(diagram: FrontDiagram, budget: Optional[int],
             raise BudgetExceeded(
                 f"enumeration exceeded {budget} steps", nodes=budget + 1)
         index: dict = {}  # key -> node of the next layer
-        next_reps: list = []
-        next_paths: list = []
-        nxt: list = []
-        tal: list = []
+        next_reps, next_paths, nxt, tal = [], [], [], []
         crossing = e.kind == CROSSING
         for s, n in zip(reps, paths):
             branch = s.copy() if crossing else None
@@ -310,11 +309,11 @@ def _transfer(diagram: FrontDiagram, budget: Optional[int],
             t = tal[j]
             g = fold_steps[f][t]
             i, k, f = i + 1, a, add(f, t) if g is None else g
-        found.append((frozenset(switched), folds[f]))
+        found.append((tuple(switched), folds[f]))
     return found
 
 
-def _retrace(narrow: FrontDiagram, windows: tuple, ruling: frozenset) -> list:
+def _retrace(narrow: FrontDiagram, windows: tuple, ruling: tuple) -> list:
     """Carry a ruling of ``narrow`` back to switch flags of the original word.
 
     Undoes the swaps far_commutation_order recorded in ``windows``, last
@@ -366,7 +365,8 @@ def _retrace(narrow: FrontDiagram, windows: tuple, ruling: frozenset) -> list:
 
 def _enumerate(diagram: FrontDiagram, budget: Optional[int],
                state: Optional[PairingState] = None) -> list:
-    """Every normal ruling, unsorted, as (switch set, tallies).
+    """Every normal ruling as (switch tuple, tallies), sorted once by
+    (length, tuple): ruling_sort_key order without a key per row.
 
     The number of scan states grows with the width (the most strands
     alive on one slice), so the word is first reordered by far
@@ -375,10 +375,10 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
     slots first (see far_commutation_order).  The transfer scan
     (_transfer) runs on that word when it is strictly narrower, else on
     ``diagram`` itself, and each ruling found on the reordered word is
-    carried back along the ``tr`` moves, so switch sets are always
-    crossing ordinals of ``diagram`` itself.  The optional ``budget``
-    bounds the backtracking steps on the word actually scanned; it is
-    checked before any ruling is listed.
+    carried back along the ``tr`` moves, so switches are always crossing
+    ordinals of ``diagram`` itself.  The optional ``budget`` bounds the
+    backtracking steps on the word actually scanned; it is checked
+    before any ruling is listed.
 
     The tallies are those ``state`` (default a bare pairing) adds when
     run over ``diagram`` under the ruling: folded along the listing when
@@ -391,13 +391,16 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
     require_valid(diagram)
     narrow, windows = far_commutation_order(diagram)
     if max(narrow.strand_counts()) >= max(diagram.strand_counts()):
-        return _transfer(diagram, budget, state)
-    found = []
-    for ruling, _ in _transfer(narrow, budget):
-        flags = _retrace(narrow, windows, ruling)
-        tallies = () if state is None else \
-            scan(diagram.events, flags, state.copy())[0].tallies()
-        found.append((switches_of(diagram, flags), tallies))
+        found = _transfer(diagram, budget, state)
+    else:
+        ordinals = diagram.walk.ordinals
+        found = []
+        for ruling, _ in _transfer(narrow, budget):
+            flags = _retrace(narrow, windows, ruling)
+            tallies = () if state is None else \
+                scan(diagram.events, flags, state.copy())[0].tallies()
+            found.append((tuple(compress(ordinals, flags)), tallies))
+    found.sort(key=lambda row: (len(row[0]), row[0]))
     return found
 
 
@@ -410,23 +413,21 @@ def enumerate_rulings(diagram: FrontDiagram, budget: Optional[int] = None) -> li
     backtracking search would take on the word actually scanned;
     BudgetExceeded is raised before any ruling is listed.
     """
-    return sorted((r for r, _ in _enumerate(diagram, budget)),
-                  key=ruling_sort_key)
+    return [frozenset(r) for r, _ in _enumerate(diagram, budget)]
 
 
 def brute_force_rulings(diagram: FrontDiagram) -> list:
     """Filter all 2^c switch subsets through is_normal_ruling.
 
     Independent check for enumerate_rulings; only sensible for small c.
+    Subsets are tried by size, each size in lexicographic order, which is
+    ruling_sort_key order.
     """
     require_valid(diagram)
     c = diagram.n_crossings
-    out = []
-    for r in range(c + 1):
-        for combo in combinations(range(1, c + 1), r):
-            if is_normal_ruling(diagram, combo).ok:
-                out.append(frozenset(combo))
-    return sorted(out, key=ruling_sort_key)
+    return [frozenset(combo) for r in range(c + 1)
+            for combo in combinations(range(1, c + 1), r)
+            if is_normal_ruling(diagram, combo).ok]
 
 
 def window_matches(entry: PairingState, old, old_flags,

@@ -39,7 +39,8 @@ def backtrack_rulings(diagram, budget=None, state=None, steps=None) -> list:
     """Backtracking over the switch choices of the word as given.
 
     The test-only reference for rulings._transfer, with the same
-    arguments and results: (switch set, state.tallies()) per ruling.  Each
+    arguments and results: (switches, state.tallies()) per ruling, where
+    ``switches`` is the increasing tuple of switched crossing ordinals.  Each
     crossing branches on a copy (switch) and on the state itself
     (non-switch), and dead states prune the subtree.  Raises
     BudgetExceeded once more than ``budget`` event steps have been taken;
@@ -71,7 +72,7 @@ def backtrack_rulings(diagram, budget=None, state=None, steps=None) -> list:
             if state.step(e, is_switch=False) is not None:
                 return
             i += 1
-        found.append((frozenset(switched), state.tallies()))
+        found.append((tuple(switched), state.tallies()))
 
     walk(0, (state or PairingState()).copy(), [])
     if steps is not None:
@@ -87,6 +88,18 @@ def corpus():
 @pytest.fixture(scope="session")
 def fillable_small():
     return random_fillable(30, 8, seed_base=500)
+
+
+#: Diagrams where mapping a ruling back by crossing identity alone gives a
+#: non-ruling: a lone switch passes to the other crossing of a swap.
+SWITCH_PASSING_SCRIPTS = ((19, 93), (15, 139), (17, 266))
+
+
+@pytest.fixture(scope="session")
+def fillable_300():
+    return random_fillable(300, 16, seed_base=0) + [
+        run_script(random_script(length, seed)).diagram
+        for length, seed in SWITCH_PASSING_SCRIPTS]
 
 
 def clasp_intervals(res, eye_a: int, eye_b: int) -> list:

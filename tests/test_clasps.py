@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from clasplab import rulings
 from clasplab import (BudgetExceeded, ClaspLabError, ClaspState,
                       CrossingRecord, InternalInvariantError, InvalidRuling,
-                      UnknownEye, brute_pair_clasps, clasp_report,
-                      disjoint_union, enumerate_rulings,
+                      UnknownEye, brute_force_rulings, brute_pair_clasps,
+                      clasp_report, disjoint_union, enumerate_rulings,
                       generate_negative_braid_closure, generate_torus4,
                       generate_trefoil, generate_unknot, is_normal_ruling,
                       obstruction_verdict, resolve, ruling_reports, scan,
@@ -22,7 +22,8 @@ from clasplab.clasps import (DISJOINT, INTERLEAVED, NESTED, LOWER, UPPER,
 from clasplab.diagram import far_commutation_order
 from clasplab.fillability import (ObstructionVerdict, RulingEvidence,
                                   random_script, run_script)
-from conftest import clasp_intervals, random_fillable
+from clasplab.rulings import ruling_sort_key
+from conftest import backtrack_rulings, clasp_intervals, random_fillable
 
 
 class TestResolve:
@@ -178,10 +179,21 @@ def reference_report(diagram, ruling):
     return ClaspReport(tuple(pairs), total, parity_of_total(total))
 
 
+def reference_rulings(diagram):
+    """Every normal ruling, by ruling_sort_key, without enumerate_rulings:
+    the 2^c filter up to 12 crossings, else backtracking over the switch
+    choices of the word as given."""
+    if diagram.n_crossings <= 12:
+        return brute_force_rulings(diagram)
+    return sorted((frozenset(r) for r, _ in backtrack_rulings(diagram)),
+                  key=ruling_sort_key)
+
+
 def reference_verdict(diagram):
-    """obstruction_verdict by enumerating, then reporting each ruling."""
+    """obstruction_verdict from the reference rulings, each reported by
+    resolving it."""
     evidence = []
-    for r in enumerate_rulings(diagram):
+    for r in reference_rulings(diagram):
         report = reference_report(diagram, r)
         evidence.append(RulingEvidence(tuple(sorted(r)), report.total,
                                        report.parity))
@@ -227,6 +239,21 @@ class TestCountedInSearch:
             assert [r for r, _ in listed] == enumerate_rulings(d)
             for r, report in listed:
                 assert report == reference_report(d, r)
+
+    def test_listings_share_one_order(self, fillable_300):
+        diagrams = [d for name in ("braid2", "braid4", "torus4")
+                    for d in verdict_family(name)] + fillable_300
+        for d in diagrams:
+            rulings = enumerate_rulings(d)
+            listed = ruling_reports(d)
+            verdict = obstruction_verdict(d)
+            assert rulings == sorted(rulings, key=ruling_sort_key)
+            assert [r for r, _ in listed] == rulings
+            assert [e.switches for e in verdict.evidence] == \
+                [tuple(sorted(r)) for r, _ in listed]
+            even = [e.switches for e in verdict.evidence
+                    if e.parity == "even"]
+            assert verdict.witness == (even[0] if even else None)
 
     @pytest.mark.parametrize("d", [generate_torus4(1), generate_trefoil()],
                              ids=["narrowed", "as_given"])

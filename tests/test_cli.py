@@ -273,11 +273,14 @@ class TestErrorsAndDeterminism:
          "cannot write"),
         (("obstruct", "--generate", "torus4", "--n", "-1"),
          "--n must be >= 0, got -1"),
+        (("search", "--generate", "unknot", "--depth", "-1"),
+         "--depth must be >= 0, got -1"),
         (("rulings", "--generate", "braid", "--strands", "2", "--word", "a"),
          "--word must be comma-separated integers, got 'a'"),
     ], ids=["missing-input", "directory-input", "missing-script",
             "missing-upper", "non-utf8-input", "out-in-missing-dir",
-            "out-is-directory", "negative-n", "non-integer-word"])
+            "out-is-directory", "negative-n", "negative-depth",
+            "non-integer-word"])
     def test_bad_paths_and_generator_args_are_usage_errors(
             self, capsys, tmp_path, argv, expected):
         latin1 = tmp_path / "latin1.front"
