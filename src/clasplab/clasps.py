@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .diagram import CROSSING, LEFT_CUSP, FrontDiagram, require_valid
+from .diagram import CROSSING, LEFT_CUSP, FrontDiagram
 from .errors import InternalInvariantError, InvalidRuling, UnknownEye
 from .rulings import PairingState, _enumerate, scan, switch_flags
 
@@ -84,7 +84,6 @@ def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
     an interleaved interval, and its tally counts 1 when it closed a
     clasp.
     """
-    require_valid(diagram)
     flags = switch_flags(diagram, ruling)
     state = ClaspState()
     # the scan updates these in place
@@ -250,7 +249,6 @@ def clasp_report(diagram: FrontDiagram, ruling: Iterable) -> ClaspReport:
     count is 0 by definition); the total and parity cover all pairs
     either way.
     """
-    require_valid(diagram)
     state, fail = scan(diagram.events, switch_flags(diagram, ruling),
                        ClaspState())
     if fail is not None:
@@ -293,7 +291,6 @@ def brute_pair_clasps(diagram: FrontDiagram, ruling: Iterable,
     reads the bounding crossings' strand pairs off the position arrays.
     Used to cross-check the counts of ClaspState.
     """
-    require_valid(diagram)
     ruling = frozenset(ruling)
     slots: list = []
     slices = [()]

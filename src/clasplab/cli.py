@@ -17,13 +17,16 @@ import sys
 from . import diagram as diagram_mod
 from .clasps import clasp_report, ruling_reports
 from .errors import ClaspLabError
-from .fillability import (cobordism_parity_check, obstruction_verdict,
+from .fillability import (SEARCH_DEPTH, SEARCH_NODE_BUDGET,
+                          cobordism_parity_check, obstruction_verdict,
                           run_script, search_filling)
 from .moves import parse_script
 from .render import ascii_render, svg_render
 from .rulings import enumerate_rulings
 
 _GENERATORS = ("unknot", "trefoil", "torus4", "braid")
+#: braid needs --strands and --word, which the upper diagram has no twin of.
+_UPPER_GENERATORS = ("unknot", "trefoil", "torus4")
 #: Subcommands that run an enumeration or search, and so take --budget.
 _BUDGETED = ("rulings", "clasps", "parity", "obstruct", "cobordism", "search")
 
@@ -51,18 +54,24 @@ def _read_source(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _generated(args) -> diagram_mod.FrontDiagram:
-    name = args.generate
+def _generated(args, upper: bool = False) -> diagram_mod.FrontDiagram:
+    """The diagram that --generate (or --generate-upper) names."""
+    if upper:
+        name, n = args.generate_upper, args.upper_n
+        name_flag, n_flag = "--generate-upper", "--upper-n"
+    else:
+        name, n = args.generate, args.n
+        name_flag, n_flag = "--generate", "--n"
     if name == "unknot":
         return diagram_mod.generate_unknot()
     if name == "trefoil":
         return diagram_mod.generate_trefoil()
     if name == "torus4":
-        if args.n is None:
-            raise _UsageError("--generate torus4 needs --n")
-        if args.n < 0:
-            raise _UsageError(f"--n must be >= 0, got {args.n}")
-        return diagram_mod.generate_torus4(args.n)
+        if n is None:
+            raise _UsageError(f"{name_flag} torus4 needs {n_flag}")
+        if n < 0:
+            raise _UsageError(f"{n_flag} must be >= 0, got {n}")
+        return diagram_mod.generate_torus4(n)
     if name == "braid":
         if args.strands is None or args.word is None:
             raise _UsageError("--generate braid needs --strands and --word")
@@ -75,19 +84,20 @@ def _generated(args) -> diagram_mod.FrontDiagram:
     raise _UsageError(f"unknown generator {name!r}")
 
 
-def _load_diagram(args, strict: bool = True):
-    """Diagram plus per-event source lines (None for generated input)."""
+def _input_text(args):
+    """The text of --input, or None when --generate names the input."""
     if args.generate is not None and args.input is not None:
         raise _UsageError("--input and --generate are mutually exclusive")
     if args.generate is not None:
-        return _generated(args), None
+        return None
     if args.input is None:
         raise _UsageError("need --input PATH|- or --generate NAME")
-    text = _read_source(args.input)
-    diagram, lines = diagram_mod.parse_with_lines(text)
-    if strict:
-        diagram_mod.require_valid(diagram)
-    return diagram, lines
+    return _read_source(args.input)
+
+
+def _load_diagram(args) -> diagram_mod.FrontDiagram:
+    text = _input_text(args)
+    return _generated(args) if text is None else diagram_mod.parse(text)
 
 
 def _parse_ruling(text: str):
@@ -133,20 +143,18 @@ def _budget(args):
 # subcommands
 
 def _cmd_validate(args) -> int:
-    diagram, lines = _load_diagram(args, strict=False)
-    report = diagram_mod.validate(diagram)
-    violations = []
-    for v in report.violations:
-        line = None
-        if lines and 1 <= v.event_index <= len(lines):
-            line = lines[v.event_index - 1]
-        violations.append({"event": v.event_index, "line": line,
-                           "rule": v.rule})
+    # A generated diagram is valid by construction, so every violation
+    # lies in a parsed word, at an event that has a source line.
+    text = _input_text(args)
+    word, lines = (_generated(args).events, ()) if text is None \
+        else diagram_mod.parse_with_lines(text)
+    report = diagram_mod.validate(word)
+    violations = [{"event": v.event_index, "line": lines[v.event_index - 1],
+                   "rule": v.rule} for v in report.violations]
     if args.format == "text":
         body = "ok\n" if report.ok else "".join(
-            f"violation at event {v['event']}"
-            + (f" (line {v['line']})" if v["line"] else "")
-            + f": {v['rule']}\n" for v in violations)
+            f"violation at event {v['event']} (line {v['line']}): "
+            f"{v['rule']}\n" for v in violations)
     else:
         body = _dumps({"ok": report.ok, "violations": violations})
     _emit(args, body)
@@ -154,7 +162,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_rulings(args) -> int:
-    diagram, _ = _load_diagram(args)
+    diagram = _load_diagram(args)
     rulings = enumerate_rulings(diagram, budget=_budget(args))
     listed = [sorted(r) for r in rulings]
     if args.format == "text":
@@ -179,7 +187,7 @@ _REPORT_FORMATS = {
 
 def _cmd_reports(args) -> int:
     """``clasps`` and ``parity``: one row per ruling, or for --ruling."""
-    diagram, _ = _load_diagram(args)
+    diagram = _load_diagram(args)
     if args.ruling is not None:
         ruling = _parse_ruling(args.ruling)
         reports = [(ruling, clasp_report(diagram, ruling))]
@@ -196,7 +204,7 @@ def _cmd_reports(args) -> int:
 
 
 def _cmd_obstruct(args) -> int:
-    diagram, _ = _load_diagram(args)
+    diagram = _load_diagram(args)
     verdict = obstruction_verdict(diagram, budget=_budget(args))
     if args.format == "text":
         lines = [f"verdict: {verdict.verdict}\n"]
@@ -213,13 +221,11 @@ def _cmd_obstruct(args) -> int:
 
 
 def _cmd_cobordism(args) -> int:
-    lower, _ = _load_diagram(args)
+    lower = _load_diagram(args)
     if args.upper is not None:
-        upper = diagram_mod.parse(_read_source(args.upper), strict=True)
+        upper = diagram_mod.parse(_read_source(args.upper))
     elif args.generate_upper is not None:
-        ns = argparse.Namespace(generate=args.generate_upper,
-                                n=args.upper_n, strands=None, word=None)
-        upper = _generated(ns)
+        upper = _generated(args, upper=True)
     else:
         raise _UsageError("need --upper PATH or --generate-upper NAME")
     result = cobordism_parity_check(lower, upper, budget=_budget(args))
@@ -250,10 +256,12 @@ def _cmd_apply_script(args) -> int:
 def _cmd_search(args) -> int:
     if args.depth < 0:
         raise _UsageError(f"--depth must be >= 0, got {args.depth}")
-    diagram, _ = _load_diagram(args)
+    diagram = _load_diagram(args)
     budget = _budget(args)
+    if budget is None:
+        budget = SEARCH_NODE_BUDGET
     result = search_filling(diagram, depth_bound=args.depth,
-                            node_budget=20000 if budget is None else budget)
+                            node_budget=budget)
     if args.format == "text":
         body = f"{result.status}\n"
         if result.script is not None:
@@ -271,7 +279,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    diagram, _ = _load_diagram(args)
+    diagram = _load_diagram(args)
     ruling = _parse_ruling(args.ruling) if args.ruling is not None else None
     if args.style == "ascii":
         if ruling is not None:
@@ -326,14 +334,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = register("cobordism", _cmd_cobordism)
     p.add_argument("--upper", metavar="PATH",
                    help="upper diagram file for the parity test")
-    p.add_argument("--generate-upper", choices=_GENERATORS,
+    p.add_argument("--generate-upper", choices=_UPPER_GENERATORS,
                    help="synthesize the upper diagram")
     p.add_argument("--upper-n", type=int, help="torus4 parameter for --generate-upper")
     p = register("apply-script", _cmd_apply_script, needs_diagram=False)
     p.add_argument("--script", required=True, metavar="PATH",
                    help="move script file, or - for stdin")
     p = register("search", _cmd_search)
-    p.add_argument("--depth", type=int, default=8, help="search depth bound")
+    p.add_argument("--depth", type=int, default=SEARCH_DEPTH,
+                   help="search depth bound")
     register("generate", _cmd_generate)
     p = register("render", _cmd_render)
     p.add_argument("--ruling", help="JSON array of switch ordinals")

@@ -10,13 +10,14 @@ A generic front is read left to right as a word of events, each carrying a
 * ``x p``  -- crossing: exchanges the strands at slots p and p+1.
 
 A diagram is closed: the strand count starts at 0 and returns to 0 after
-the last event.  Crossings are numbered 1..c left to right.
+the last event.  Crossings are numbered 1..c left to right.  Building a
+FrontDiagram checks all of this once, so code that takes one never checks
+it again; ``validate`` reports on any raw event word.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidBraidLetter, InvalidDiagram, ParseError
@@ -61,13 +62,69 @@ def x(p: int) -> Event:
 
 
 @dataclass(frozen=True)
+class Violation:
+    """A broken invariant, located at a 1-based event index."""
+
+    event_index: int
+    rule: str
+
+    def __str__(self):
+        return f"event {self.event_index}: {self.rule}"
+
+
+class DiagramWalk(NamedTuple):
+    """What one left-to-right pass over a valid event word finds."""
+
+    counts: tuple  # strand count before each event, plus the final count
+    ordinals: tuple  # per event: crossing ordinal (1-based), 0 at cusps
+    n_crossings: int
+
+
+def _walk(events: tuple) -> tuple:
+    """The one pass over an event word that everything else reads:
+    (DiagramWalk, None) for a valid closed word, else (None, the first
+    Violation), since slot arithmetic is meaningless past it."""
+    counts, ordinals = [0], []
+    s = c = 0
+    for i, e in enumerate(events, start=1):
+        p = e.pos
+        if e.kind == LEFT_CUSP:
+            need = p > s + 1 and f"position <= {s + 1}"
+        else:
+            need = p + 1 > s and f"two strands at {p},{p + 1}"
+        if need:
+            return None, Violation(i, f"{_NAMES[e.kind]} at {p} needs "
+                                      f"{need} (only {s} strands alive)")
+        is_crossing = e.kind == CROSSING
+        c += is_crossing
+        ordinals.append(c if is_crossing else 0)
+        s += _DELTA[e.kind]
+        counts.append(s)
+    if s != 0:
+        return None, Violation(
+            len(events), f"diagram is not closed: {s} strands left open")
+    return DiagramWalk(tuple(counts), tuple(ordinals), c), None
+
+
+@dataclass(frozen=True)
 class FrontDiagram:
-    """An immutable closed front diagram, stored as its event word."""
+    """An immutable closed front diagram, stored as its event word.
+
+    Construction walks the word once and raises InvalidDiagram at its
+    first violation, so every FrontDiagram is a valid closed front;
+    ``walk`` keeps what that pass found.
+    """
 
     events: tuple[Event, ...]
+    walk: DiagramWalk = field(init=False, repr=False, compare=False)
 
     def __init__(self, events: Iterable[Event] = ()):
-        object.__setattr__(self, "events", tuple(events))
+        events = tuple(events)
+        walk, violation = _walk(events)
+        if violation is not None:
+            raise InvalidDiagram(str(violation))
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "walk", walk)
 
     def __len__(self):
         return len(self.events)
@@ -77,35 +134,6 @@ class FrontDiagram:
 
     def __str__(self):
         return "[" + ", ".join(str(e) for e in self.events) + "]"
-
-    @cached_property
-    def walk(self) -> "DiagramWalk":
-        """The one pass over the word that everything else reads.
-
-        Slot arithmetic continues past a broken invariant, so the strand
-        counts exist for any word; only the first violation is kept.
-        """
-        counts, ordinals = [0], []
-        violation = None
-        s = c = 0
-        for i, e in enumerate(self.events, start=1):
-            p = e.pos
-            if e.kind == LEFT_CUSP:
-                need = p > s + 1 and f"position <= {s + 1}"
-            else:
-                need = p + 1 > s and f"two strands at {p},{p + 1}"
-            if need and violation is None:
-                violation = Violation(i, f"{_NAMES[e.kind]} at {p} needs "
-                                         f"{need} (only {s} strands alive)")
-            is_crossing = e.kind == CROSSING
-            c += is_crossing
-            ordinals.append(c if is_crossing else 0)
-            s += _DELTA[e.kind]
-            counts.append(s)
-        if violation is None and s != 0:
-            violation = Violation(
-                len(self.events), f"diagram is not closed: {s} strands left open")
-        return DiagramWalk(tuple(counts), tuple(ordinals), c, violation)
 
     def strand_counts(self) -> list[int]:
         """Strand count before each event, plus the final count.
@@ -121,47 +149,20 @@ class FrontDiagram:
 
 
 @dataclass(frozen=True)
-class Violation:
-    """A broken invariant, located at a 1-based event index."""
-
-    event_index: int
-    rule: str
-
-    def __str__(self):
-        return f"event {self.event_index}: {self.rule}"
-
-
-class DiagramWalk(NamedTuple):
-    """What one left-to-right pass over an event word finds."""
-
-    counts: tuple  # strand count before each event, plus the final count
-    ordinals: tuple  # per event: crossing ordinal (1-based), 0 at cusps
-    n_crossings: int
-    violation: Optional[Violation]  # the first one, None for a valid word
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     violations: tuple[Violation, ...] = ()
 
 
-def validate(diagram: FrontDiagram) -> ValidationReport:
-    """Check the event word against the front-diagram invariants.
+def validate(word: Iterable[Event]) -> ValidationReport:
+    """Check any event word against the front-diagram invariants.
 
     Returns a report rather than raising; only the first offending event
-    is reported since slot arithmetic is meaningless past it.
+    is reported.
     """
-    violation = diagram.walk.violation
+    _, violation = _walk(tuple(word))
     return ValidationReport(violation is None,
                             () if violation is None else (violation,))
-
-
-def require_valid(diagram: FrontDiagram) -> None:
-    """Raise InvalidDiagram unless the word is a valid closed front."""
-    violation = diagram.walk.violation
-    if violation is not None:
-        raise InvalidDiagram(str(violation))
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,6 @@ class StrandTrace:
 
 def trace_components(diagram: FrontDiagram) -> StrandTrace:
     """Trace strand identities through the word and join them at cusps."""
-    require_valid(diagram)
     parent: dict[int, int] = {}
 
     def find(a):
@@ -412,8 +412,6 @@ def generate_torus4(n: int) -> FrontDiagram:
 
 def disjoint_union(first: FrontDiagram, second: FrontDiagram) -> FrontDiagram:
     """Place two closed diagrams side by side (disjoint x-ranges)."""
-    require_valid(first)
-    require_valid(second)
     return FrontDiagram(first.events + second.events)
 
 
@@ -426,8 +424,6 @@ def stacked_union(lower: FrontDiagram, upper: FrontDiagram,
     never interleave vertically.  ``gap`` is a 1-based insertion index
     into the lower word (default: its middle).
     """
-    require_valid(lower)
-    require_valid(upper)
     if gap is None:
         gap = len(lower) // 2 + 1
     if not 1 <= gap <= len(lower) + 1:
@@ -442,8 +438,9 @@ def stacked_union(lower: FrontDiagram, upper: FrontDiagram,
 # ---------------------------------------------------------------------------
 # text format: one event per line, '#' comments, blank lines ignored
 
-def parse_with_lines(text: str) -> tuple[FrontDiagram, tuple[int, ...]]:
-    """Parse the text format, keeping each event's source line number."""
+def parse_with_lines(text: str) -> tuple[tuple[Event, ...], tuple[int, ...]]:
+    """Parse the text format into its raw, unchecked event word, with
+    each event's source line number."""
     events = []
     lines = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -464,18 +461,13 @@ def parse_with_lines(text: str) -> tuple[FrontDiagram, tuple[int, ...]]:
             raise ParseError("positions are 1-based", line=ln)
         events.append(Event(kind, pos))
         lines.append(ln)
-    return FrontDiagram(events), tuple(lines)
+    return tuple(events), tuple(lines)
 
 
-def parse(text: str, strict: bool = False) -> FrontDiagram:
-    """Parse the line-oriented diagram format.
-
-    With ``strict`` the parsed word must also validate as a closed front.
-    """
-    diagram, _ = parse_with_lines(text)
-    if strict:
-        require_valid(diagram)
-    return diagram
+def parse(text: str) -> FrontDiagram:
+    """Parse the line-oriented diagram format into a valid closed front;
+    raises ParseError or InvalidDiagram."""
+    return FrontDiagram(parse_with_lines(text)[0])
 
 
 def serialize(diagram: FrontDiagram) -> str:

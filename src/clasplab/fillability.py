@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .clasps import ClaspReport, _sorted_reports, clasp_report
-from .diagram import LEFT_CUSP, RIGHT_CUSP, FrontDiagram, require_valid, \
-    serialize
+from .diagram import LEFT_CUSP, RIGHT_CUSP, FrontDiagram, serialize
 from .errors import (BudgetExceeded, EvennessViolation, NotApplicable,
                      ScriptError, TransportFailure)
 from .moves import (Move, _match_r1inv, _match_r2inv, applicable_kinds,
@@ -272,8 +271,13 @@ def _backward_steps(diagram: FrontDiagram):
             yield parent, move
 
 
-def search_filling(diagram: FrontDiagram, depth_bound: int = 8,
-                   node_budget: int = 20000) -> SearchResult:
+#: search_filling's default depth bound and node budget.
+SEARCH_DEPTH = 8
+SEARCH_NODE_BUDGET = 20_000
+
+
+def search_filling(diagram: FrontDiagram, depth_bound: int = SEARCH_DEPTH,
+                   node_budget: int = SEARCH_NODE_BUDGET) -> SearchResult:
     """Bounded backward search for a filling script of the diagram.
 
     Returns "pruned" without searching when the obstruction verdict says
@@ -282,7 +286,6 @@ def search_filling(diagram: FrontDiagram, depth_bound: int = 8,
     non-fillability; only pruning carries a claim.  ``node_budget`` bounds
     the obstruction pre-check and the number of nodes expanded (none at 0).
     """
-    require_valid(diagram)
     try:
         verdict = obstruction_verdict(diagram, budget=node_budget)
     except BudgetExceeded:

@@ -32,14 +32,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .diagram import (CROSSING, LEFT_CUSP, RIGHT_CUSP, Event, FrontDiagram,
-                      far_commutation_order, lc, rc, require_valid,
-                      transpose_events, validate, x)
-from .errors import InvalidRuling, NotApplicable, ParseError, \
-    TransportFailure
+                      far_commutation_order, lc, rc, transpose_events, x)
+from .errors import InvalidDiagram, InvalidRuling, NotApplicable, \
+    ParseError, TransportFailure
 from .rulings import scan, switch_flags, switches_of, window_matches
 
 MOVE_KINDS = ("h0", "h1", "r1", "r1inv", "r2", "r2inv", "r3", "tr")
 _INSERTION_KINDS = ("h0", "h1", "r1")
+#: The move kinds that take each optional token; any kind takes an anchor.
+_TAKES = {"position": _INSERTION_KINDS, "variant": ("r1", "r2")}
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,11 @@ class Move:
 
     def __str__(self):
         parts = [self.kind]
-        if self.kind in ("h0", "h1", "r1"):
+        if self.kind in _TAKES["position"]:
             parts.append(str(self.pos))
         if self.anchor is not None:
             parts.append(f"@{self.anchor}")
-        if self.kind in ("r1", "r2") and self.variant:
+        if self.kind in _TAKES["variant"] and self.variant:
             parts.append(self.variant)
         return " ".join(parts)
 
@@ -271,15 +272,14 @@ class RulingTransport:
 
 def apply_move(diagram: FrontDiagram, move: Move) -> tuple:
     """Rewrite the diagram and return (new diagram, ruling transport)."""
-    require_valid(diagram)
     rw = _resolve(diagram, move)
     events = list(diagram.events)
     events[rw.i0:rw.i0 + rw.n_old] = rw.new_events
-    target = FrontDiagram(events)
-    report = validate(target)
-    if not report.ok:
+    try:
+        target = FrontDiagram(events)
+    except InvalidDiagram as exc:
         raise NotApplicable(
-            f"rewrite produced an invalid word: {report.violations[0]}")
+            f"rewrite produced an invalid word: {exc}") from exc
     return target, RulingTransport(move, diagram, target, rw)
 
 
@@ -311,7 +311,6 @@ def applicable_kinds(diagram: FrontDiagram) -> list:
 
     Each kind's menu is run only up to its first move.
     """
-    require_valid(diagram)
     events, counts = diagram.events, diagram.walk.counts
     return [k for k in MOVE_KINDS
             if next(_MENUS[k](events, counts), None) is not None]
@@ -319,7 +318,6 @@ def applicable_kinds(diagram: FrontDiagram) -> list:
 
 def moves_of_kind(diagram: FrontDiagram, kind: str) -> list:
     """Every applicable move of one kind, by anchor, slot and variant."""
-    require_valid(diagram)
     return list(_MENUS[kind](diagram.events, diagram.walk.counts))
 
 
@@ -341,7 +339,6 @@ def normalize(diagram: FrontDiagram) -> tuple:
     nothing.  Returns (diagram, tr moves applied), so rulings can be
     transported along.
     """
-    require_valid(diagram)
     canon, windows = far_commutation_order(diagram)
     return canon, [Move("tr", t + j) for t, swaps in enumerate(windows)
                    for j in range(len(swaps), 0, -1)]
@@ -355,32 +352,34 @@ def serialize_script(moves: Iterable) -> str:
 
 
 def parse_move(line: str, line_no: Optional[int] = None) -> Move:
+    """One script line: the kind, then at most one of each token it takes."""
     tokens = line.split()
     kind = tokens[0]
     if kind not in MOVE_KINDS:
         raise ParseError(f"unknown move kind {kind!r}", line=line_no)
-    anchor = None
-    pos = None
-    variant = ""
+    given = {}
     for tok in tokens[1:]:
-        if tok.startswith("@"):
-            try:
-                anchor = int(tok[1:])
-            except ValueError:
-                raise ParseError(f"bad anchor {tok!r}", line=line_no) from None
-        elif tok in ("up", "down"):
-            variant = tok
+        if tok in ("up", "down"):
+            what, value = "variant", tok
         else:
+            what = "anchor" if tok.startswith("@") else "position"
             try:
-                pos = int(tok)
+                value = int(tok.removeprefix("@"))
             except ValueError:
-                raise ParseError(f"bad token {tok!r}", line=line_no) from None
+                bad = "anchor" if what == "anchor" else "token"
+                raise ParseError(f"bad {bad} {tok!r}", line=line_no) from None
+        if what in given:
+            raise ParseError(f"repeated {what} {tok!r}", line=line_no)
+        if kind not in _TAKES.get(what, MOVE_KINDS):
+            raise ParseError(f"{kind} takes no {what}, got {tok!r}",
+                             line=line_no)
+        given[what] = value
     if kind in _INSERTION_KINDS:
-        if pos is None:
-            pos = 1
-    elif anchor is None:
+        given.setdefault("position", 1)
+    elif "anchor" not in given:
         raise ParseError(f"{kind} needs an @anchor", line=line_no)
-    return Move(kind, anchor, pos or 0, variant)
+    return Move(kind, given.get("anchor"), given.get("position", 0),
+                given.get("variant", ""))
 
 
 def parse_script(text: str) -> list:

@@ -9,8 +9,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .clasps import resolve
-from .diagram import CROSSING, LEFT_CUSP, FrontDiagram, require_valid, \
-    trace_components
+from .diagram import CROSSING, LEFT_CUSP, FrontDiagram, trace_components
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#17becf", "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22")
@@ -29,7 +28,6 @@ def ascii_render(diagram: FrontDiagram) -> str:
     ``<`` and ``>`` mark the two slots of a cusp, ``x`` the two slots of
     a crossing, ``-`` a strand passing through.
     """
-    require_valid(diagram)
     counts = diagram.strand_counts()
     height = max(counts, default=0)
     if height == 0:
@@ -87,7 +85,6 @@ def svg_render(diagram: FrontDiagram, ruling: Optional[Iterable] = None) -> str:
     tick, and each clasp's interleaved interval is marked with a dashed
     vertical segment.
     """
-    require_valid(diagram)
     counts = diagram.strand_counts()
     height = max(counts, default=0)
     n_slices = len(diagram) + 1

@@ -36,7 +36,7 @@ from itertools import combinations, compress
 from typing import Iterable, NamedTuple, Optional
 
 from .diagram import (CROSSING, LEFT_CUSP, Event, FrontDiagram,
-                      far_commutation_order, require_valid)
+                      far_commutation_order)
 from .errors import BudgetExceeded, InvalidRuling, TransportFailure
 
 #: A normal ruling is just its switch set, as crossing ordinals (1-based).
@@ -121,7 +121,8 @@ class PairingState:
     def step(self, event: Event, is_switch: bool = False) -> Optional[str]:
         """Advance over one event; return a failure reason or None.
 
-        The event word is assumed valid, so slot ranges are not rechecked.
+        The events are a FrontDiagram's, or a window of one, and so valid
+        by construction; slot ranges are not rechecked.
         """
         p = event.pos
         if event.kind == LEFT_CUSP:
@@ -184,7 +185,6 @@ class RulingCheck(NamedTuple):
 
 def is_normal_ruling(diagram: FrontDiagram, switches: Iterable) -> RulingCheck:
     """Run the scan with the given switch set and report the outcome."""
-    require_valid(diagram)
     _, fail = scan(diagram.events, switch_flags(diagram, switches))
     if fail is None:
         return RulingCheck(True)
@@ -388,7 +388,6 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
     can pass to the other crossing of a ``tr`` hop), so the reordered
     scan runs on a bare pairing.
     """
-    require_valid(diagram)
     narrow, windows = far_commutation_order(diagram)
     if max(narrow.strand_counts()) >= max(diagram.strand_counts()):
         found = _transfer(diagram, budget, state)
@@ -423,7 +422,6 @@ def brute_force_rulings(diagram: FrontDiagram) -> list:
     Subsets are tried by size, each size in lexicographic order, which is
     ruling_sort_key order.
     """
-    require_valid(diagram)
     c = diagram.n_crossings
     return [frozenset(combo) for r in range(c + 1)
             for combo in combinations(range(1, c + 1), r)

@@ -1,6 +1,7 @@
 from typing import Optional
 
 import pytest
+from hypothesis import settings
 
 from clasplab import (FrontDiagram, InternalInvariantError, UnknownEye,
                       generate_negative_braid_closure, generate_torus4,
@@ -10,6 +11,11 @@ from clasplab.clasps import INTERLEAVED, _pair_config
 from clasplab.diagram import CROSSING
 from clasplab.errors import BudgetExceeded
 from clasplab.rulings import PairingState
+
+# Reproducible property tests for CI (--hypothesis-profile=ci): the same
+# examples on every run, no per-example deadline on a slow runner.
+settings.register_profile("ci", derandomize=True, deadline=None,
+                          max_examples=100)
 
 
 def small_corpus():

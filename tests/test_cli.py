@@ -8,10 +8,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from clasplab import InternalInvariantError, cli
+from clasplab import (FrontDiagram, InternalInvariantError, InvalidDiagram,
+                      cli, validate)
 from clasplab.cli import main
-from clasplab.diagram import generate_trefoil, serialize
+from clasplab.diagram import Event, generate_trefoil, serialize
+from test_golden_cli import invoke
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 SRC = SCHEMAS.parent / "src"
@@ -213,6 +216,14 @@ class TestErrorsAndDeterminism:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_upper_generator_is_never_braid(self, capsys):
+        # the upper diagram has no --strands or --word of its own
+        with pytest.raises(SystemExit) as exc:
+            main(["cobordism", "--generate", "unknot",
+                  "--generate-upper", "braid"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'braid'" in capsys.readouterr().err
+
     def test_search_budget_bounds_precheck(self, capsys):
         code, out, _ = run(capsys, "search", "--generate", "braid",
                            "--strands", "2", "--word", ",".join(["1"] * 40),
@@ -277,10 +288,17 @@ class TestErrorsAndDeterminism:
          "--depth must be >= 0, got -1"),
         (("rulings", "--generate", "braid", "--strands", "2", "--word", "a"),
          "--word must be comma-separated integers, got 'a'"),
+        (("cobordism", "--generate", "torus4", "--n", "0",
+          "--generate-upper", "torus4"),
+         "--generate-upper torus4 needs --upper-n\n"),
+        (("cobordism", "--generate", "unknot", "--generate-upper", "torus4",
+          "--upper-n", "-1"),
+         "--upper-n must be >= 0, got -1\n"),
     ], ids=["missing-input", "directory-input", "missing-script",
             "missing-upper", "non-utf8-input", "out-in-missing-dir",
             "out-is-directory", "negative-n", "negative-depth",
-            "non-integer-word"])
+            "non-integer-word", "upper-without-upper-n",
+            "negative-upper-n"])
     def test_bad_paths_and_generator_args_are_usage_errors(
             self, capsys, tmp_path, argv, expected):
         latin1 = tmp_path / "latin1.front"
@@ -318,3 +336,61 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert out == ""
         assert "usage error: --ruling must be a JSON array of integers" in err
+
+
+#: Every command the boundary property runs on a random word's text.
+_WORD_COMMANDS = (
+    ("validate",),
+    ("rulings", "--budget", "5000"),
+    ("obstruct", "--budget", "5000"),
+    ("render", "--style", "ascii"),
+    ("search", "--depth", "2", "--budget", "200"),
+)
+
+
+_SLOTS = st.integers(1, 6)
+
+
+@st.composite
+def _closed_words(draw):
+    """Words with every slot inside the live strands, closed by right
+    cusps at slot 1; few uniformly random words are valid."""
+    word, s = [], 0
+    while draw(st.booleans()):
+        kind = draw(st.sampled_from(["lc", "rc", "x"] if s >= 2 else ["lc"]))
+        after = s + {"lc": 2, "rc": -2, "x": 0}[kind]
+        if len(word) + 1 + after // 2 > 12:
+            break
+        top = s + 1 if kind == "lc" else s - 1
+        word.append(Event(kind, draw(st.integers(1, min(top, 6)))))
+        s = after
+    return word + [Event("rc", 1)] * (s // 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.lists(st.builds(Event, st.sampled_from(["lc", "rc", "x"]), _SLOTS),
+             max_size=12),
+    _closed_words()))
+def test_any_word_is_a_diagram_or_a_structured_error(word):
+    """FrontDiagram raises exactly on the words validate rejects, and the
+    CLI answers any word with exit 0 or 1, never a traceback."""
+    report = validate(word)
+    try:
+        FrontDiagram(word)
+    except InvalidDiagram as exc:
+        assert not report.ok
+        assert str(exc) == str(report.violations[0])
+    else:
+        assert report.ok
+    text = "".join(f"{e}\n" for e in word)
+    for command, *flags in _WORD_COMMANDS:
+        code, _, err = invoke([command, "--input", "-", *flags], text)
+        assert code in (0, 1)
+        if err:
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert set(json.loads(err)) == {"error", "message"}
+        if not report.ok and command != "validate":
+            assert json.loads(err) == {
+                "error": "InvalidDiagram",
+                "message": str(report.violations[0])}

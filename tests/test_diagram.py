@@ -22,18 +22,18 @@ class TestValidate:
         assert validate(FrontDiagram()).ok
 
     def test_right_cusp_out_of_range(self):
-        report = validate(FrontDiagram([lc(1), rc(2)]))
+        report = validate([lc(1), rc(2)])
         assert not report.ok
         assert report.violations[0].event_index == 2
         assert "right cusp" in report.violations[0].rule
 
     def test_unclosed_diagram(self):
-        report = validate(FrontDiagram([lc(1)]))
+        report = validate([lc(1)])
         assert not report.ok
         assert "not closed" in report.violations[0].rule
 
     def test_crossing_needs_two_strands(self):
-        report = validate(FrontDiagram([lc(1), x(2), rc(1)]))
+        report = validate([lc(1), x(2), rc(1)])
         assert not report.ok
         assert report.violations[0].event_index == 2
 
@@ -47,8 +47,16 @@ class TestValidate:
     def test_single_event_edits_are_flagged_or_fine(self, corpus):
         for d in corpus.values():
             for i in range(len(d)):
-                edited = FrontDiagram(d.events[:i] + d.events[i + 1:])
+                edited = d.events[:i] + d.events[i + 1:]
                 validate(edited)  # must never crash, any verdict is fine
+
+    @pytest.mark.parametrize("word", [
+        [rc(1)], [x(1)], [lc(1), rc(2)], [lc(1), x(2), rc(1)],
+        [lc(3), rc(3)], [lc(1)]])
+    def test_construction_raises_the_first_violation(self, word):
+        with pytest.raises(InvalidDiagram) as info:
+            FrontDiagram(word)
+        assert str(info.value) == str(validate(word).violations[0])
 
 
 class TestTrace:
@@ -147,7 +155,7 @@ class TestTextFormat:
 
     def test_strict_mode(self):
         with pytest.raises(InvalidDiagram):
-            parse("rc 1\n", strict=True)
+            parse("rc 1\n")
 
     def test_round_trip_corpus(self, corpus, fillable_small):
         for d in list(corpus.values()) + fillable_small:

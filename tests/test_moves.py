@@ -4,7 +4,7 @@ import pytest
 
 import random
 
-from clasplab import (FrontDiagram, Move, NotApplicable,
+from clasplab import (FrontDiagram, Move, NotApplicable, ParseError,
                       TransportFailure, apply_move, clasp_report,
                       enumerate_applicable_moves, enumerate_rulings,
                       generate_negative_braid_closure, generate_torus4,
@@ -473,6 +473,22 @@ class TestScriptFormat:
 
     def test_comments_ignored(self):
         assert parse_script("# nothing\n\nh0 2 @1\n") == [Move("h0", 1, 2)]
+
+    @pytest.mark.parametrize("line, message", [
+        ("h0 1 2", "repeated position '2'"),
+        ("r3 @3 @5", "repeated anchor '@5'"),
+        ("r1 2 @4 up down", "repeated variant 'down'"),
+        ("r2 3 @2", "r2 takes no position, got '3'"),
+        ("tr 7 @1", "tr takes no position, got '7'"),
+        ("r1inv 2 @1", "r1inv takes no position, got '2'"),
+        ("h0 1 @1 up", "h0 takes no variant, got 'up'"),
+        ("r3 @1 down", "r3 takes no variant, got 'down'"),
+    ])
+    def test_repeated_or_foreign_tokens_rejected(self, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_script(f"h0 1\n\n{line}\n")
+        assert info.value.line == 3
+        assert str(info.value) == f"line 3: {message}"
 
 
 class TestInverseComposition:
