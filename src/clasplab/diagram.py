@@ -438,6 +438,12 @@ def stacked_union(lower: FrontDiagram, upper: FrontDiagram,
 # ---------------------------------------------------------------------------
 # text format: one event per line, '#' comments, blank lines ignored
 
+def ascii_number(text: str) -> Optional[int]:
+    """The value of a nonempty run of ASCII digits, else None (``int()``
+    also reads signs, underscores and other scripts' digits)."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def parse_with_lines(text: str) -> tuple[tuple[Event, ...], tuple[int, ...]]:
     """Parse the text format into its raw, unchecked event word, with
     each event's source line number."""
@@ -453,10 +459,9 @@ def parse_with_lines(text: str) -> tuple[tuple[Event, ...], tuple[int, ...]]:
         kind, pos_text = parts
         if kind not in _KINDS:
             raise ParseError(f"unknown event kind {kind!r}", line=ln)
-        try:
-            pos = int(pos_text)
-        except ValueError:
-            raise ParseError(f"bad position {pos_text!r}", line=ln) from None
+        pos = ascii_number(pos_text)
+        if pos is None:
+            raise ParseError(f"bad position {pos_text!r}", line=ln)
         if pos < 1:
             raise ParseError("positions are 1-based", line=ln)
         events.append(Event(kind, pos))

@@ -20,9 +20,9 @@ from .clasps import ClaspReport, _sorted_reports, clasp_report
 from .diagram import LEFT_CUSP, RIGHT_CUSP, FrontDiagram, serialize
 from .errors import (BudgetExceeded, EvennessViolation, NotApplicable,
                      ScriptError, TransportFailure)
-from .moves import (Move, _match_r1inv, _match_r2inv, applicable_kinds,
-                    apply_move, moves_of_kind)
-from .rulings import EMPTY_RULING, enumerate_rulings
+from .moves import (Move, RulingTransport, _match_r1inv, _match_r2inv,
+                    _menu, applicable_kinds, apply_move)
+from .rulings import PairingState, enumerate_rulings, switches_of
 
 @dataclass(frozen=True)
 class FillingCertificate:
@@ -40,23 +40,44 @@ class FillingCertificate:
         }
 
 
+def _carry(transport: RulingTransport, flags: list, entries: list) -> None:
+    """Carry a ruling across one move, in place: ``flags`` are the word's
+    per-event switch flags and ``entries[i]`` the pairing before event i
+    (and after the last).  Boundary matching keeps the window's exit
+    pairing, so the entries after it stay valid.  A TransportFailure
+    leaves both lists as they were."""
+    rw = transport._rewrite
+    i0, end = rw.i0, rw.i0 + rw.n_old
+    window = transport.window_flags(entries[i0], flags[i0:end])
+    state, after = entries[i0], []
+    for e, f in zip(rw.new_events, window):
+        state = state.copy()
+        state.step(e, f)
+        after.append(state)
+    flags[i0:end] = window
+    entries[i0 + 1:end + 1] = after
+
+
 def run_script(script: Iterable) -> FillingCertificate:
     """Fold the script from the empty diagram, tracking its ruling.
 
     Raises ScriptError at the first inapplicable move, TransportFailure
     when a saddle is incompatible with the ruling so far, and
     EvennessViolation if the final clasp total is odd (an internal bug,
-    never a property of the script).
+    never a property of the script).  The final clasp report rescans the
+    whole word under the carried switch flags.
     """
     diagram = FrontDiagram()
-    ruling = EMPTY_RULING
+    flags: list = []
+    entries = [PairingState()]
     script = tuple(script)
     for i, move in enumerate(script, start=1):
         try:
             diagram, transport = apply_move(diagram, move)
         except NotApplicable as exc:
             raise ScriptError(str(exc), index=i) from exc
-        ruling = transport(ruling)
+        _carry(transport, flags, entries)
+    ruling = switches_of(diagram, flags)
     report = clasp_report(diagram, ruling)
     if report.parity != "even":
         raise EvennessViolation(
@@ -180,25 +201,30 @@ def random_script(length: int, seed: int) -> list:
        can), the kind is removed from ``kinds`` and the step goes back
        to 1.
 
-    Only the chosen kind's moves are built.
+    Only the moves tried are built: the step shuffles the indices of the
+    chosen kind's menu, which draws the same numbers as shuffling the
+    moves themselves.
     """
     if length < 1:
         raise ValueError("scripts have length >= 1")
     rng = random.Random(seed)
     diagram = FrontDiagram()
-    ruling = EMPTY_RULING
+    flags: list = []
+    entries = [PairingState()]
     script: list = []
     while len(script) < length:
         kinds = applicable_kinds(diagram)
         accepted = False
         while kinds and not accepted:
             kind = rng.choice(kinds)
-            candidates = moves_of_kind(diagram, kind)
-            rng.shuffle(candidates)
-            for m in candidates:
+            menu = _menu(diagram, kind)
+            order = list(range(len(menu)))
+            rng.shuffle(order)
+            for i in order:
+                m = menu[i]
                 new_diagram, transport = apply_move(diagram, m)
                 try:
-                    ruling = transport(ruling)
+                    _carry(transport, flags, entries)
                 except TransportFailure:
                     if kind != "h1":
                         raise  # only a saddle can meet an incompatible ruling
@@ -248,11 +274,9 @@ def _backward_steps(diagram: FrontDiagram):
             candidates.append((parent, Move("h1", i + 1, a.pos)))
     for kind, fwd in (("r1inv", "r1"), ("r2inv", "r2"), ("r3", "r3"),
                       ("tr", "tr")):
-        for i in range(len(events)):
-            try:
-                parent, _ = apply_move(diagram, Move(kind, i + 1))
-            except NotApplicable:
-                continue
+        for undo in _menu(diagram, kind):
+            parent, _ = apply_move(diagram, undo)
+            i = undo.anchor - 1
             if fwd == "r1":
                 q, variant = _match_r1inv(events, i)
                 move = Move("r1", i + 1, q, variant)

@@ -28,14 +28,19 @@ the saddle has no match and fails loudly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from .diagram import (CROSSING, LEFT_CUSP, RIGHT_CUSP, Event, FrontDiagram,
-                      far_commutation_order, lc, rc, transpose_events, x)
+                      ascii_number, far_commutation_order, lc, rc,
+                      transpose_events, x)
 from .errors import InvalidDiagram, InvalidRuling, NotApplicable, \
     ParseError, TransportFailure
-from .rulings import scan, switch_flags, switches_of, window_matches
+from .rulings import (PairingState, scan, switch_flags, switches_of,
+                      window_matches)
 
 MOVE_KINDS = ("h0", "h1", "r1", "r1inv", "r2", "r2inv", "r3", "tr")
 _INSERTION_KINDS = ("h0", "h1", "r1")
@@ -64,6 +69,15 @@ class Move:
             raise ValueError(f"unknown move kind {self.kind!r}")
         if self.variant not in ("", "up", "down"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        # what __str__ drops or parse_move cannot read back is refused
+        for what, given in (("position", self.pos),
+                            ("variant", self.variant)):
+            if given and self.kind not in _TAKES[what]:
+                raise ValueError(f"{self.kind} takes no {what}")
+        if self.anchor is None and self.kind not in _INSERTION_KINDS:
+            raise ValueError(f"{self.kind} needs an anchor")
+        if self.pos < 0 or (self.anchor or 0) < 0:
+            raise ValueError("positions and anchors are never negative")
 
     def __str__(self):
         parts = [self.kind]
@@ -85,18 +99,34 @@ def _r1_window(q: int, variant: str) -> list:
     return [lc(q), x(q + 1), rc(q)]
 
 
+#: The window kinds by the kinds of a window's outer events.  Every such
+#: window is (k0 at p, x at p +- 1, k2 at p).
+_WINDOW_KINDS = {(LEFT_CUSP, RIGHT_CUSP): "r1inv",
+                 (LEFT_CUSP, CROSSING): "r2inv",
+                 (CROSSING, RIGHT_CUSP): "r2inv",
+                 (CROSSING, CROSSING): "r3"}
+
+
+def _window_kind(a: Event, b: Event, c: Event) -> Optional[str]:
+    """The kind (r1inv, r2inv or r3) whose window is [a, b, c], or None."""
+    if b.kind == CROSSING and a.pos == c.pos and abs(b.pos - a.pos) == 1:
+        return _WINDOW_KINDS.get((a.kind, c.kind))
+    return None
+
+
+def _window(events, i0: int, kind: str) -> Optional[tuple]:
+    """events[i0:i0+3] when they are a window of ``kind``, else None."""
+    w = events[i0:i0 + 3]
+    return w if len(w) == 3 and _window_kind(*w) == kind else None
+
+
 def _match_r1inv(events, i0: int) -> Optional[tuple]:
     """Return (q, variant) when events[i0:i0+3] is a tongue window."""
-    w = events[i0:i0 + 3]
-    if len(w) < 3 or w[0].kind != LEFT_CUSP or w[1].kind != CROSSING \
-            or w[2].kind != RIGHT_CUSP or w[0].pos != w[2].pos:
+    w = _window(events, i0, "r1inv")
+    if w is None:
         return None
-    a = w[0].pos
-    if w[1].pos == a - 1:
-        return a - 1, "up"
-    if w[1].pos == a + 1:
-        return a, "down"
-    return None
+    a, b = w[0].pos, w[1].pos
+    return (b, "up") if b < a else (a, "down")
 
 
 def _r2_target(cusp: Event, variant: str) -> list:
@@ -123,34 +153,20 @@ def _r2_variants(cusp: Event, s: int) -> list:
 
 def _match_r2inv(events, i0: int) -> Optional[tuple]:
     """Return (cusp_event, variant) when the window undoes an r2."""
-    w = events[i0:i0 + 3]
-    if len(w) < 3:
+    w = _window(events, i0, "r2inv")
+    if w is None:
         return None
-    if w[0].kind == LEFT_CUSP and w[1].kind == CROSSING \
-            and w[2].kind == CROSSING and w[2].pos == w[0].pos:
-        a = w[0].pos
-        if w[1].pos == a - 1:
-            return lc(a - 1), "up"
-        if w[1].pos == a + 1:
-            return lc(a + 1), "down"
-    if w[0].kind == CROSSING and w[1].kind == CROSSING \
-            and w[2].kind == RIGHT_CUSP and w[0].pos == w[2].pos:
-        a = w[2].pos
-        if w[1].pos == a - 1:
-            return rc(a - 1), "up"
-        if w[1].pos == a + 1:
-            return rc(a + 1), "down"
-    return None
+    a, b = w[0].pos, w[1].pos
+    cusp = lc(b) if w[0].kind == LEFT_CUSP else rc(b)
+    return cusp, "up" if b < a else "down"
 
 
 def _match_r3(events, i0: int) -> Optional[list]:
-    w = events[i0:i0 + 3]
-    if len(w) < 3 or any(e.kind != CROSSING for e in w):
+    w = _window(events, i0, "r3")
+    if w is None:
         return None
     q, r = w[0].pos, w[1].pos
-    if w[2].pos == q and abs(q - r) == 1:
-        return [x(r), x(q), x(r)]
-    return None
+    return [x(r), x(q), x(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +205,6 @@ def _resolve(diagram: FrontDiagram, move: Move) -> _Rewrite:
             raise NotApplicable(f"r1 needs a strand at {p}")
         return _Rewrite(gap - 1, 0, tuple(_r1_window(p, variant)))
 
-    if move.anchor is None:
-        raise NotApplicable(f"{kind} needs an event anchor")
     i0 = move.anchor - 1
     if not 0 <= i0 < len(events):
         raise NotApplicable(f"anchor {move.anchor} outside the word")
@@ -237,6 +251,10 @@ class RulingTransport:
     window choice that reaches the same exit pairing.  Isotopy moves give
     a bijection between the full ruling sets of source and target; a
     saddle raises TransportFailure on rulings it is incompatible with.
+
+    Calling it on a switch set checks the ordinals and rescans the word
+    up to the window; ``window_flags`` is the boundary matching alone,
+    for a caller (the script runner) that holds the entry pairing.
     """
 
     move: Move
@@ -245,15 +263,24 @@ class RulingTransport:
     _rewrite: _Rewrite = field(repr=False)
 
     def __call__(self, ruling: Iterable) -> frozenset:
-        ruling = frozenset(ruling)
         rw = self._rewrite
         flags = switch_flags(self.source, ruling)
         entry, fail = scan(self.source.events, flags[:rw.i0])
         if fail is not None:
             raise InvalidRuling(f"event {fail[0]}: {fail[1]}")
         end = rw.i0 + rw.n_old
-        matches = window_matches(entry, self.source.events[rw.i0:end],
-                                 flags[rw.i0:end], rw.new_events)
+        return switches_of(self.target, flags[:rw.i0]
+                           + self.window_flags(entry, flags[rw.i0:end])
+                           + flags[end:])
+
+    def window_flags(self, entry: PairingState, old_flags) -> list:
+        """The new window's switch flags, from the pairing entering the
+        window and the old window's flags.  Raises InvalidRuling when the
+        old window does not scan from ``entry``, TransportFailure unless
+        exactly one choice reaches its exit pairing."""
+        rw = self._rewrite
+        old = self.source.events[rw.i0:rw.i0 + rw.n_old]
+        matches = window_matches(entry, old, old_flags, rw.new_events)
         if matches is None:
             raise InvalidRuling(
                 "switch set is not a normal ruling of the source diagram")
@@ -266,8 +293,7 @@ class RulingTransport:
             raise TransportFailure(
                 f"{'no' if not matches else 'ambiguous'} boundary-matching "
                 f"switch choice for {self.move}")
-        return switches_of(self.target, flags[:rw.i0] + matches[0]
-                           + flags[end:])
+        return matches[0]
 
 
 def apply_move(diagram: FrontDiagram, move: Move) -> tuple:
@@ -283,42 +309,80 @@ def apply_move(diagram: FrontDiagram, move: Move) -> tuple:
     return target, RulingTransport(move, diagram, target, rw)
 
 
-#: One lazy menu per kind: (events, strand counts) -> that kind's
-#: applicable moves by anchor, slot and variant.
-_MENUS = {
-    "h0": lambda ev, cs: (Move("h0", g, p) for g, s in enumerate(cs, 1)
-                          for p in range(1, s + 2)),
-    "h1": lambda ev, cs: (Move("h1", g, p) for g, s in enumerate(cs, 1)
-                          for p in range(1, s)),
-    "r1": lambda ev, cs: (Move("r1", g, p, v) for g, s in enumerate(cs, 1)
-                          for p in range(1, s + 1) for v in ("down", "up")),
-    "r1inv": lambda ev, cs: (Move("r1inv", i + 1) for i in range(len(ev))
-                             if _match_r1inv(ev, i) is not None),
-    "r2": lambda ev, cs: (Move("r2", i + 1, variant=v)
-                          for i, e in enumerate(ev)
-                          for v in _r2_variants(e, cs[i])),
-    "r2inv": lambda ev, cs: (Move("r2inv", i + 1) for i in range(len(ev))
-                             if _match_r2inv(ev, i) is not None),
-    "r3": lambda ev, cs: (Move("r3", i + 1) for i in range(len(ev))
-                          if _match_r3(ev, i) is not None),
-    "tr": lambda ev, cs: (Move("tr", i + 1) for i in range(len(ev) - 1)
-                          if transpose_events(ev[i], ev[i + 1]) is not None),
-}
+#: Per insertion kind: the slots a gap with s strands offers beyond s,
+#: and each slot's variants in menu order.
+_INSERTION_SLOTS = {"h0": (1, ("",)), "h1": (-1, ("",)),
+                    "r1": (0, ("down", "up"))}
+
+
+class _InsertionMenu(Sequence):
+    """One insertion kind's moves by gap, slot and variant, each built
+    only when indexed: a gap with s strands offers s + 1 births,
+    max(s - 1, 0) saddles or 2s tongues, and ``menu[i]`` bisects the
+    running sum of those sizes for its gap."""
+
+    def __init__(self, kind: str, counts):
+        self.kind = kind
+        extra, self._variants = _INSERTION_SLOTS[kind]
+        self._starts = [0, *accumulate(max(s + extra, 0) * len(self._variants)
+                                       for s in counts)]
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i: int) -> Move:
+        if not 0 <= i < self._starts[-1]:
+            raise IndexError(f"menu index {i} out of range")
+        gap = bisect_right(self._starts, i)
+        slot, v = divmod(i - self._starts[gap - 1], len(self._variants))
+        return Move(self.kind, gap, slot + 1, self._variants[v])
+
+
+def _r2_moves(events, counts):
+    return (Move("r2", i, variant=v) for i, e in enumerate(events, 1)
+            for v in _r2_variants(e, counts[i - 1]))
+
+
+def _tr_moves(events):
+    return (Move("tr", i) for i, pair in enumerate(zip(events, events[1:]), 1)
+            if transpose_events(*pair) is not None)
+
+
+def _menu(diagram: FrontDiagram, kind: str) -> Sequence:
+    """One kind's applicable moves by anchor, slot and variant: indexed
+    without building them for the insertion kinds, a list for the rest."""
+    events, counts = diagram.events, diagram.walk.counts
+    if kind in _INSERTION_KINDS:
+        return _InsertionMenu(kind, counts)
+    if kind == "r2":
+        return list(_r2_moves(events, counts))
+    if kind == "tr":
+        return list(_tr_moves(events))
+    return [Move(kind, i) for i, w in
+            enumerate(zip(events, events[1:], events[2:]), 1)
+            if _window_kind(*w) == kind]
 
 
 def applicable_kinds(diagram: FrontDiagram) -> list:
     """The kinds with at least one applicable move, in MOVE_KINDS order.
 
-    Each kind's menu is run only up to its first move.
+    A birth is always applicable, a saddle where two strands are alive
+    and a tongue where one is.  One pass over the word's triples finds
+    the window kinds; r2 and tr stop at their first move.
     """
     events, counts = diagram.events, diagram.walk.counts
-    return [k for k in MOVE_KINDS
-            if next(_MENUS[k](events, counts), None) is not None]
+    present = {_window_kind(*w) for w in zip(events, events[1:], events[2:])}
+    top = max(counts)
+    present.update(k for k, ok in (
+        ("h0", True), ("h1", top >= 2), ("r1", top >= 1),
+        ("r2", next(_r2_moves(events, counts), None) is not None),
+        ("tr", next(_tr_moves(events), None) is not None)) if ok)
+    return [k for k in MOVE_KINDS if k in present]
 
 
 def moves_of_kind(diagram: FrontDiagram, kind: str) -> list:
     """Every applicable move of one kind, by anchor, slot and variant."""
-    return list(_MENUS[kind](diagram.events, diagram.walk.counts))
+    return list(_menu(diagram, kind))
 
 
 def enumerate_applicable_moves(diagram: FrontDiagram) -> list:
@@ -363,11 +427,10 @@ def parse_move(line: str, line_no: Optional[int] = None) -> Move:
             what, value = "variant", tok
         else:
             what = "anchor" if tok.startswith("@") else "position"
-            try:
-                value = int(tok.removeprefix("@"))
-            except ValueError:
+            value = ascii_number(tok.removeprefix("@"))
+            if value is None:
                 bad = "anchor" if what == "anchor" else "token"
-                raise ParseError(f"bad {bad} {tok!r}", line=line_no) from None
+                raise ParseError(f"bad {bad} {tok!r}", line=line_no)
         if what in given:
             raise ParseError(f"repeated {what} {tok!r}", line=line_no)
         if kind not in _TAKES.get(what, MOVE_KINDS):

@@ -3,13 +3,16 @@ from typing import Optional
 import pytest
 from hypothesis import settings
 
-from clasplab import (FrontDiagram, InternalInvariantError, UnknownEye,
+from clasplab import (EvennessViolation, FrontDiagram,
+                      InternalInvariantError, NotApplicable, ScriptError,
+                      UnknownEye, apply_move, clasp_report,
                       generate_negative_braid_closure, generate_torus4,
                       generate_trefoil, generate_unknot, random_script,
                       run_script)
 from clasplab.clasps import INTERLEAVED, _pair_config
 from clasplab.diagram import CROSSING
 from clasplab.errors import BudgetExceeded
+from clasplab.fillability import FillingCertificate
 from clasplab.rulings import PairingState
 
 # Reproducible property tests for CI (--hypothesis-profile=ci): the same
@@ -39,6 +42,31 @@ def random_fillable(count, length, seed_base=0):
         cert = run_script(random_script(length, seed_base + k))
         out.append(cert.diagram)
     return out
+
+
+def reference_run_script(script) -> FillingCertificate:
+    """run_script threading the ruling through each transport's public
+    call, which rebuilds the switch flags and rescans the prefix from the
+    empty pairing on every move.
+
+    The test-only reference for the runner's carried flags and entry
+    pairings, with the same results and errors.
+    """
+    diagram = FrontDiagram()
+    ruling = frozenset()
+    script = tuple(script)
+    for i, move in enumerate(script, start=1):
+        try:
+            diagram, transport = apply_move(diagram, move)
+        except NotApplicable as exc:
+            raise ScriptError(str(exc), index=i) from exc
+        ruling = transport(ruling)
+    report = clasp_report(diagram, ruling)
+    if report.parity != "even":
+        raise EvennessViolation(
+            f"filling certificate has {report.total} clasps; "
+            "the move calculus must keep this even")
+    return FillingCertificate(script, diagram, ruling, report)
 
 
 def backtrack_rulings(diagram, budget=None, state=None, steps=None) -> list:

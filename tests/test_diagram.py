@@ -145,6 +145,13 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="1-based"):
             parse("x 0")
 
+    @pytest.mark.parametrize("pos", ["+1", "1_0", "\u0661"])
+    def test_positions_are_ascii_digits(self, pos):
+        # int() would read these as 1, 10 and 1
+        with pytest.raises(ParseError) as info:
+            parse(f"lc 1\nrc 1\nlc {pos}\nrc 1\n")
+        assert str(info.value) == f"line 3: bad position {pos!r}"
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ParseError, match="kind"):
             parse("zz 1")

@@ -9,6 +9,15 @@ from clasplab import (EvennessViolation, FrontDiagram, Move, ScriptError,
                       obstruction_verdict, random_script, rc, run_script,
                       search_filling)
 from clasplab.moves import RulingTransport
+from conftest import reference_run_script
+
+
+def outcome(runner, script):
+    """The certificate JSON, or the error type and message."""
+    try:
+        return runner(script).to_json()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc).__name__, str(exc)
 
 
 class TestRunScript:
@@ -41,6 +50,21 @@ class TestRunScript:
         with pytest.raises(TransportFailure):
             run_script(script)
 
+    def test_carried_state_matches_the_threaded_transports(self):
+        for seed in range(500):
+            script = random_script(1 + seed % 25, seed)
+            assert outcome(run_script, script) == \
+                outcome(reference_run_script, script), seed
+
+    @pytest.mark.parametrize("script", [
+        [Move("h0", 1, 1), Move("h0", 2, 3), Move("h1", 3, 2)],
+        [Move("h0", 1, 1), Move("r3", 1)],
+        random_script(25, 1452),  # the known odd certificate
+    ])
+    def test_failing_scripts_fail_alike(self, script):
+        assert outcome(run_script, script) == \
+            outcome(reference_run_script, script)
+
 
 class TestRandomScript:
     def test_deterministic(self):
@@ -60,14 +84,14 @@ class TestRandomScript:
             random_script(0, 1)
 
     def test_isotopy_transport_failure_propagates(self, monkeypatch):
-        real = RulingTransport.__call__
+        real = RulingTransport.window_flags
 
-        def broken(self, ruling):
+        def broken(self, entry, old_flags):
             if self.move.kind == "r1":
                 raise TransportFailure("broken r1 transport")
-            return real(self, ruling)
+            return real(self, entry, old_flags)
 
-        monkeypatch.setattr(RulingTransport, "__call__", broken)
+        monkeypatch.setattr(RulingTransport, "window_flags", broken)
         with pytest.raises(TransportFailure, match="broken r1"):
             random_script(25, 9)
 

@@ -1,6 +1,7 @@
 """Move rewrites, ruling transport, and the invariance laws."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import random
 
@@ -13,8 +14,8 @@ from clasplab import (FrontDiagram, Move, NotApplicable, ParseError,
                       serialize_script, transpose_events, validate, x)
 from clasplab.fillability import random_script
 from clasplab.moves import (MOVE_KINDS, _match_r1inv, _match_r2inv,
-                            _match_r3, _r2_variants, applicable_kinds,
-                            moves_of_kind)
+                            _match_r3, _menu, _r2_variants,
+                            applicable_kinds, moves_of_kind)
 from clasplab.rulings import ruling_sort_key, scan, switch_flags
 from conftest import random_fillable
 
@@ -258,16 +259,49 @@ def reference_menu(diagram):
     return out
 
 
+def window_fronts():
+    """Fronts holding every window shape: the r1 and r2 images of the
+    unknot and the trefoil (tongues and r2 windows, up and down, at left
+    and right cusps), and braid closures with triple points both ways."""
+    out = [generate_negative_braid_closure(3, word)
+           for word in ([1, 2, 1], [2, 1, 2], [1, 2, 1, 2, 1])]
+    out.append(generate_negative_braid_closure(4, [1, 2, 3, 2, 1, 2]))
+    for d in (generate_unknot(), generate_trefoil()):
+        out += [apply_move(d, m)[0] for m in enumerate_applicable_moves(d)
+                if m.kind in ("r1", "r2")]
+    return out
+
+
 @pytest.fixture(scope="module")
 def menu_diagrams(corpus, fillable_small):
     return (list(corpus.values()) + fillable_small
-            + random_fillable(300, 12, seed_base=9000))
+            + random_fillable(300, 12, seed_base=9000) + window_fronts())
 
 
 class TestMenuAndHandlesAgainstReference:
     def test_menu_equals_sorted_reference(self, menu_diagrams):
         for d in menu_diagrams:
             assert enumerate_applicable_moves(d) == reference_menu(d)
+
+    def test_window_menus_invert_the_forward_moves(self, corpus,
+                                                  fillable_small):
+        """A window is listed exactly where a forward move leaves one:
+        an r1 at its gap, an r2 at its cusp, an r3 where it was; and
+        undoing a listed window, some forward move at its anchor redoes
+        it.  The forward rewrites do not read the window classifier."""
+        inverse = {"r1": "r1inv", "r2": "r2inv", "r3": "r3"}
+        for d in list(corpus.values()) + fillable_small + window_fronts():
+            for m in enumerate_applicable_moves(d):
+                if m.kind in inverse:
+                    d2, _ = apply_move(d, m)
+                    assert Move(inverse[m.kind], m.anchor) in \
+                        moves_of_kind(d2, inverse[m.kind])
+            for forward, kind in inverse.items():
+                for m in moves_of_kind(d, kind):
+                    parent, _ = apply_move(d, m)
+                    assert any(apply_move(parent, f)[0].events == d.events
+                               for f in moves_of_kind(parent, forward)
+                               if f.anchor == m.anchor), m
 
     def test_handles_follow_the_entry_pairing(self, menu_diagrams):
         """h0 keeps every ruling; h1 keeps a ruling exactly when the
@@ -348,6 +382,23 @@ class TestLazyMenu:
             for kind in MOVE_KINDS:
                 assert moves_of_kind(d, kind) == [m for m in menu
                                                   if m.kind == kind]
+
+    def test_window_kinds_are_both_present_and_absent(self, menu_diagrams):
+        for kind in ("r1inv", "r2inv", "r3"):
+            assert {kind in applicable_kinds(d) for d in menu_diagrams} \
+                == {True, False}, kind
+
+    def test_indexed_menu_equals_the_reference(self, menu_diagrams):
+        for d in menu_diagrams:
+            reference = reference_menu(d)
+            assert applicable_kinds(d) == [
+                k for k in MOVE_KINDS if any(m.kind == k for m in reference)]
+            for kind in MOVE_KINDS:
+                menu = _menu(d, kind)
+                assert [menu[i] for i in range(len(menu))] == \
+                    [m for m in reference if m.kind == kind]
+                with pytest.raises(IndexError):
+                    menu[len(menu)]
 
     def test_scripts_match_the_build_everything_sampler(self):
         for seed in range(500):
@@ -489,6 +540,42 @@ class TestScriptFormat:
             parse_script(f"h0 1\n\n{line}\n")
         assert info.value.line == 3
         assert str(info.value) == f"line 3: {message}"
+
+    @pytest.mark.parametrize("line, message", [
+        ("h0 +1", "bad token '+1'"),
+        ("h0 1_0", "bad token '1_0'"),
+        ("h0 \u0661 @1", "bad token '\u0661'"),
+        ("r3 @+2", "bad anchor '@+2'"),
+    ])
+    def test_numbers_are_ascii_digits(self, line, message):
+        # int() would read these as 1, 10, 1 and 2
+        with pytest.raises(ParseError) as info:
+            parse_script(f"h0 1\n{line}\n")
+        assert str(info.value) == f"line 2: {message}"
+
+
+class TestMoveTokens:
+    @pytest.mark.parametrize("args", [
+        ("r3", 1, 5), ("tr", 2, 1), ("r2", 1, 2, "up"),
+        ("r3", 1, 0, "up"), ("h0", 1, 1, "down"), ("r1inv", None),
+        ("h0", 1, -1), ("r3", -2), ("zz", 1), ("r1", 1, 1, "left"),
+    ])
+    def test_tokens_the_kind_does_not_take_are_refused(self, args):
+        # str() would drop the token or print what parse_move refuses
+        with pytest.raises(ValueError):
+            Move(*args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(MOVE_KINDS), st.none() | st.integers(-1, 10**6),
+           st.sampled_from([0, 1]) | st.integers(-1, 10**6),
+           st.sampled_from(["", "up", "down"]))
+    def test_every_constructible_move_round_trips(self, kind, anchor, pos,
+                                                  variant):
+        try:
+            move = Move(kind, anchor, pos, variant)
+        except ValueError:
+            return
+        assert parse_script(str(move)) == [move]
 
 
 class TestInverseComposition:
