@@ -35,6 +35,16 @@ class _UsageError(Exception):
     pass
 
 
+def _integer(text: str) -> int:
+    """An optional ``-`` and a run of ASCII digits, the only integer
+    spelling options and CLASPLAB_BUDGET accept (``int()`` also reads
+    ``+``, spaces, underscores and other scripts' digits)."""
+    value = diagram_mod.ascii_number(text.removeprefix("-"))
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return -value if text.startswith("-") else value
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -76,8 +86,8 @@ def _generated(args, upper: bool = False) -> diagram_mod.FrontDiagram:
         if args.strands is None or args.word is None:
             raise _UsageError("--generate braid needs --strands and --word")
         try:
-            word = [int(t) for t in args.word.split(",") if t.strip()]
-        except ValueError:
+            word = [_integer(t) for t in args.word.split(",") if t.strip()]
+        except argparse.ArgumentTypeError:
             raise _UsageError("--word must be comma-separated integers, "
                               f"got {args.word!r}") from None
         return diagram_mod.generate_negative_braid_closure(args.strands, word)
@@ -130,8 +140,8 @@ def _budget(args):
         if not env:
             return None
         try:
-            budget, source = int(env), "CLASPLAB_BUDGET"
-        except ValueError:
+            budget, source = _integer(env), "CLASPLAB_BUDGET"
+        except argparse.ArgumentTypeError:
             raise _UsageError(
                 f"CLASPLAB_BUDGET must be an integer, got {env!r}") from None
     if budget < 0:
@@ -299,8 +309,9 @@ def _add_io_flags(p, needs_diagram=True):
                        help="diagram file, or - for stdin")
         p.add_argument("--generate", choices=_GENERATORS,
                        help="synthesize the input instead of reading it")
-        p.add_argument("--n", type=int, help="parameter for torus4")
-        p.add_argument("--strands", type=int, help="strand count for braid")
+        p.add_argument("--n", type=_integer, help="parameter for torus4")
+        p.add_argument("--strands", type=_integer,
+                       help="strand count for braid")
         p.add_argument("--word", help="comma-separated braid letters")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", metavar="PATH", help="write output to a file")
@@ -319,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         _add_io_flags(p, needs_diagram)
         if name in _BUDGETED:
-            p.add_argument("--budget", type=int,
+            p.add_argument("--budget", type=_integer,
                            help="node budget for enumeration/search "
                                 "(default: $CLASPLAB_BUDGET)")
         handlers[name] = fn
@@ -336,12 +347,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="upper diagram file for the parity test")
     p.add_argument("--generate-upper", choices=_UPPER_GENERATORS,
                    help="synthesize the upper diagram")
-    p.add_argument("--upper-n", type=int, help="torus4 parameter for --generate-upper")
+    p.add_argument("--upper-n", type=_integer,
+                   help="torus4 parameter for --generate-upper")
     p = register("apply-script", _cmd_apply_script, needs_diagram=False)
     p.add_argument("--script", required=True, metavar="PATH",
                    help="move script file, or - for stdin")
     p = register("search", _cmd_search)
-    p.add_argument("--depth", type=int, default=SEARCH_DEPTH,
+    p.add_argument("--depth", type=_integer, default=SEARCH_DEPTH,
                    help="search depth bound")
     register("generate", _cmd_generate)
     p = register("render", _cmd_render)

@@ -284,7 +284,16 @@ def transpose_events(first: Event, second: Event) -> Optional[tuple]:
 _RANK = {RIGHT_CUSP: 0, CROSSING: 1, LEFT_CUSP: 2}
 
 
-def far_commutation_order(diagram: FrontDiagram) -> tuple:
+class _Gap(list):
+    """The gap objects of the caller's word that a left cusp waits for and
+    that lie in one gap of the emitted word's last slice, bottom to top.
+    Equal only to itself, so that list.index finds a gap by identity."""
+
+    __eq__ = object.__eq__
+
+
+def far_commutation_order(diagram: FrontDiagram,
+                          stop_width: Optional[int] = None):
     """Greedy topological order of a valid word under far commutation.
 
     Each step takes, among the remaining events that commute to the front
@@ -292,62 +301,152 @@ def far_commutation_order(diagram: FrontDiagram) -> tuple:
     crossings, then left cusps -- then by slot on the front slice, then
     by word order.  Closing eyes early and opening them late keeps few
     strands alive.  Running the order on its own output changes nothing.
+    Returns (reordered diagram, origins), origins[t] being the index in
+    ``diagram`` of the t-th emitted event, or None once the emitted
+    prefix has ``stop_width`` strands alive.
 
-    Returns (reordered diagram, windows).  windows[t] lists, in word
-    order, the (after, before) event pairs of each swap the t-th emitted
-    event made, at word indices t+j, t+j+1; each swap is one ``tr`` move.
-    The before pair is kept because a swap is not always undone by
-    swapping back: [lc p, rc p+2] swaps to [rc p, lc p], which alone does
-    not say on which side of the dying eye the new one was born.
+    One forward pass builds the dependency order on doubled coordinates
+    (slot p is 2p, the gap below it 2p-1): each coordinate has one
+    occupant, the last event that filled it, and an event waits for the
+    occupants of what it needs.  A left cusp also fills the outer gaps of
+    its eye, as a left cusp born there would have the same key but a
+    later index; a right cusp's merged gap waits, through one extra node,
+    for the cusp and both outer gaps.  Then only ready events get keys.
+    The emitted word's last slice names strands by their left cusp, and
+    its gaps hold the gap objects left cusps wait for, so a left cusp
+    finds its gap after right cusps merged it with others.  Only a left
+    cusp can wait for more: a right cusp emitted early erases its strands
+    from the rest of the word, and ``free`` checks the gaps beyond them.
     """
-    rest = list(diagram.events)
-    out = []
-    windows = []
+    events = diagram.events
+    n = len(events)
+    succs = [[] for _ in range(n)]
+    waiting = [0] * n
+
+    def wait(node, pred):
+        if pred >= 0 and node not in succs[pred]:
+            succs[pred].append(node)
+            waiting[node] += 1
+
+    occ = [-1, -1]  # occupant per doubled coordinate; index 0 unused
+    gaps = [0]  # gap objects of the slice, bottom to top
+    stack = []  # strand names of the slice, bottom to top
+    info = []  # per event: what it needs, its first new gap object, and
+    #            for a left cusp the gap objects and strands it saw
+    lc_gap = [False]  # per gap object: whether a left cusp splits it
+    filler = [-1]  # per gap object: the node that occupies it
+    killer = [0] * (2 * n)  # per strand name: the right cusp it dies at
+    for i, e in enumerate(events):
+        p = e.pos
+        if e.kind == LEFT_CUSP:
+            wait(i, occ[2 * p - 1])
+            occ[2 * p - 1:2 * p] = (i,) * 5
+            g = gaps[p - 1]
+            lc_gap[g] = True
+            new = len(lc_gap)
+            info.append((g, new, tuple(gaps), tuple(stack)))
+            gaps[p - 1:p] = (new, new + 1, new + 2)
+            lc_gap += (False, False, False)
+            filler += (i, i, i)
+            stack[p - 1:p - 1] = (2 * i, 2 * i + 1)
+            continue
+        for pred in occ[2 * p:2 * p + 3]:
+            wait(i, pred)
+        info.append((stack[p - 1], len(lc_gap)))
+        lc_gap.append(False)
+        if e.kind == CROSSING:
+            occ[2 * p:2 * p + 3] = (i, i, i)
+            gaps[p] = len(lc_gap) - 1
+            filler.append(i)
+            stack[p - 1], stack[p] = stack[p], stack[p - 1]
+        else:
+            v = i
+            outer = (occ[2 * p - 1], occ[2 * p + 3])
+            if outer != (-1, -1):
+                v = len(succs)
+                succs.append([])
+                waiting.append(0)
+                for pred in (i,) + outer:
+                    wait(v, pred)
+            occ[2 * p - 1:2 * p + 4] = (v,)
+            gaps[p - 1:p + 2] = (len(lc_gap) - 1,)
+            filler.append(v)
+            killer[stack[p - 1]] = killer[stack[p]] = i
+            del stack[p - 1:p + 1]
+    done = bytearray(len(succs))
+
+    def free(i):
+        """Whether every gap left cusp i now shares is unoccupied."""
+        _, _, slice_gaps, slice_strands = info[i]
+        lo = hi = events[i].pos - 1
+        while lo and done[killer[slice_strands[lo - 1]]]:
+            lo -= 1
+        while hi < len(slice_strands) and done[killer[slice_strands[hi]]]:
+            hi += 1
+        return all(filler[h] < 0 or done[filler[h]]
+                   for h in slice_gaps[lo:hi + 1])
+
+    ready = (set(), set(), set())
+    for i in range(n):
+        if not waiting[i]:
+            ready[_RANK[events[i].kind]].add(i)
+    front_strands: list = []
+    front_gaps = [_Gap([0] * lc_gap[0])]
+    where = {0: front_gaps[0]}
+    out, origins = [], []
     width = 0
-    while rest:
-        # Doubled coordinates on the slice left of rest[k]: slot p is 2p,
-        # the gap below it 2p-1.  front[d] is the coordinate d has on the
-        # front slice, or None once an earlier remaining event occupies d,
-        # so that nothing needing d commutes to the front.
-        front = list(range(2 * width + 2))
-        best = None
-        for k, e in enumerate(rest):
-            kind, p = e.kind, e.pos
-            if kind == LEFT_CUSP:
-                gap = front[2 * p - 1]
-                key = None if gap is None else (2, gap + 1, k)
-                # Both outer gaps of the new eye are the old gap.
-                front[2 * p:2 * p] = (None, None, None, gap)
-            else:
-                lo, mid, hi = front[2 * p:2 * p + 3]
-                key = None if lo is None or mid is None or hi is None \
-                    else (_RANK[kind], lo, k)
-                if kind == CROSSING:
-                    front[2 * p:2 * p + 3] = (None, None, None)
-                else:
-                    front[2 * p - 1:2 * p + 4] = (None,)
-            if key is not None and (best is None or key < best):
-                best = key
-        k = best[2]
-        moving = rest.pop(k)
-        kind, p = moving.kind, moving.pos
-        # Commute it to the front as transpose_events does: of each two
-        # swapped events, the upper one shifts by the lower one's delta.
-        swaps = []
-        for j in range(k - 1, -1, -1):
-            other, q = rest[j].kind, rest[j].pos
-            before = (rest[j], moving)
-            lo = 2 * p - 1 if kind == LEFT_CUSP else 2 * p
-            if lo > (2 * q - 1 if other == RIGHT_CUSP else 2 * q + 2):
-                p -= _DELTA[other]
-                moving = Event(kind, p)
-            else:
-                rest[j] = Event(other, q + _DELTA[kind])
-            swaps.append(((moving, rest[j]), before))
-        out.append(moving)
-        windows.append(tuple(reversed(swaps)))
-        width += _DELTA[kind]
-    return FrontDiagram(out), tuple(windows)
+    while len(out) < n:
+        rank = 0 if ready[0] else 1 if ready[1] else 2
+        if rank == 2:
+            at = front_gaps.index
+            slot, i = min((at(where[info[k][0]]), k) for k in ready[2]
+                          if free(k))
+        else:
+            at = front_strands.index
+            slot, i = min((at(info[k][0]), k) for k in ready[rank])
+        ready[rank].remove(i)
+        kind = events[i].kind
+        need, new = info[i][:2]  # its gap object or lower strand; new gaps
+        if kind == LEFT_CUSP:
+            below = front_gaps[slot]
+            k = below.index(need)
+            inner = _Gap([new + 1] * lc_gap[new + 1])
+            above = _Gap([new + 2] * lc_gap[new + 2] + below[k + 1:])
+            below[k:] = [new] * lc_gap[new]
+            for gap in (below, inner, above):
+                where.update(dict.fromkeys(gap, gap))
+            front_gaps[slot + 1:slot + 1] = (inner, above)
+            front_strands[slot:slot] = (2 * i, 2 * i + 1)
+            width += 2
+            if stop_width is not None and width >= stop_width:
+                return None
+        elif kind == CROSSING:
+            s = front_strands
+            s[slot], s[slot + 1] = s[slot + 1], s[slot]
+            if lc_gap[new]:
+                front_gaps[slot + 1].append(new)
+                where[new] = front_gaps[slot + 1]
+        else:
+            below, inner, above = front_gaps[slot:slot + 3]
+            below += inner + [new] * lc_gap[new] + above
+            where.update(dict.fromkeys(below, below))
+            front_gaps[slot:slot + 3] = (below,)
+            del front_strands[slot:slot + 2]
+            width -= 2
+        out.append(Event(kind, slot + 1))
+        origins.append(i)
+        finished = [i]
+        while finished:
+            node = finished.pop()
+            done[node] = 1
+            for s in succs[node]:
+                waiting[s] -= 1
+                if not waiting[s]:
+                    if s < n:
+                        ready[_RANK[events[s].kind]].add(s)
+                    else:
+                        finished.append(s)
+    return FrontDiagram(out), tuple(origins)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ the saddle has no match and fails loudly.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -401,11 +401,16 @@ def normalize(diagram: FrontDiagram) -> tuple:
     torus4 family).  See diagram.far_commutation_order, which
     enumerate_rulings also searches on.  Normalizing a normal form changes
     nothing.  Returns (diagram, tr moves applied), so rulings can be
-    transported along.
+    transported along: the t-th emitted event hops back to index t by one
+    ``tr`` move per event it passes, nearest first.
     """
-    canon, windows = far_commutation_order(diagram)
-    return canon, [Move("tr", t + j) for t, swaps in enumerate(windows)
-                   for j in range(len(swaps), 0, -1)]
+    canon, origins = far_commutation_order(diagram)
+    emitted, moves = [], []
+    for t, i in enumerate(origins):
+        hops = i - bisect_left(emitted, i)  # events before i not yet emitted
+        moves += [Move("tr", t + j) for j in range(hops, 0, -1)]
+        insort(emitted, i)
+    return canon, moves
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ tuple of its switch ordinals until a public listing makes it a frozenset.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations, compress
 from typing import Iterable, NamedTuple, Optional
 
@@ -313,54 +314,103 @@ def _transfer(diagram: FrontDiagram, budget: Optional[int],
     return found
 
 
-def _retrace(narrow: FrontDiagram, windows: tuple, ruling: tuple) -> list:
-    """Carry a ruling of ``narrow`` back to switch flags of the original word.
+def _map_back(diagram: FrontDiagram, narrow: FrontDiagram, origins: tuple,
+              ruling: tuple) -> list:
+    """Carry a ruling of ``narrow``, far_commutation_order's reordering of
+    ``diagram``, back to switch flags of ``diagram``.
 
-    Undoes the swaps far_commutation_order recorded in ``windows``, last
-    emitted event first.  A swap past a cusp keeps every switch on its
-    crossing.  A swap of two crossings is a ``tr`` move and takes the
-    boundary-matching switch choice, which does not always follow crossing
-    identity: when the two crossings involve the same two eyes, a lone
-    switch can pass to the other crossing.  Undoing the swaps of event t
-    only touches word indices >= t, so their entry state is the reordered
-    word's prefix state at t.
+    Undoing the reordering moves each emitted event back past the events
+    emitted after it that precede it in ``diagram``, last emitted first;
+    each swap is a ``tr`` move.  A swap past a cusp, or of two crossings
+    with equal flags, keeps every switch on its crossing, so the flags
+    travel by the permutation ``origins``.  A swap of two crossings with
+    different flags takes the boundary-matching switch choice, which can
+    pass the lone switch to the other crossing only when both strands
+    entering one crossing are mated with the two entering the other.  With
+    one eye shared, the other one-switch choice crosses the other eye pair
+    instead and leaves different exit mates; with none, neither crossing
+    can change the other's switch_ok.
 
-    Boundary matching runs only when the two crossings, at p and q, share
-    an eye: when the mate of p or p+1 is q or q+1 on entry.  Otherwise
-    the lone switch stays on its crossing.  The eyes through p, p+1 and
-    those through q, q+1 are then four distinct eyes, so crossing p moves
-    no mate of q or q+1 and cannot change switch_ok(q), nor crossing q
-    switch_ok(p): the flags that travel with their events scan.  The
-    other one-switch choice crosses the other eye pair instead, which
-    leaves different exit mates, so it does not match.
+    A swap starts from the pairing on a cut of the dependency order: the
+    reordered word before the moving crossing, then the events it has
+    passed.  Those never touch its strands, and a mate changes strand
+    only at a switch on that mate, so the walk visits only crossings on
+    the two mated strands (named by their left cusp's index in
+    ``diagram``).  The moving crossing lies below the other one when its
+    lower strand is the lower arc of its eye, which no ``tr`` move
+    changes, so a match runs on the four strands of the swap alone.
     """
+    time = [0] * len(origins)
+    for t, i in enumerate(origins):
+        time[i] = t
+    stack, strands, on = [], {}, {}
+    for i, e in enumerate(diagram.events):
+        p = e.pos
+        if e.kind == LEFT_CUSP:
+            stack[p - 1:p - 1] = (2 * i, 2 * i + 1)
+            on[2 * i], on[2 * i + 1] = [], []
+        elif e.kind == CROSSING:
+            a, b = strands[i] = stack[p - 1], stack[p]
+            on[a].append(i)
+            on[b].append(i)
+            stack[p - 1], stack[p] = b, a
+        else:
+            del stack[p - 1:p + 1]
+
+    # Per crossing of the reordered word: its strands, their mates on
+    # the slice before it, and whether its lower strand is the lower arc.
     flags = switch_flags(narrow, ruling)
-    hopped = [t for t, swaps in enumerate(windows) if swaps]
-    entries = {}
-    state, done = PairingState(), 0
-    for t in hopped:
-        scan(narrow.events[done:t], flags[done:t], state)
-        entries[t], done = state.copy(), t
-    for t in reversed(hopped):
-        state = entries[t]
-        m = state._m
-        for i, ((first, second), old) in enumerate(windows[t], start=t):
-            f1, f2 = flags[i], flags[i + 1]
-            if f1 != f2 and first.kind == CROSSING == second.kind and (
-                    second.pos <= m[first.pos] <= second.pos + 1 or
-                    second.pos <= m[first.pos + 1] <= second.pos + 1):
-                matches = window_matches(state, (first, second), (f1, f2),
-                                         old)
+    state, stack, walks = PairingState(), [], []
+    m = state._m
+    for t, e in enumerate(narrow.events):
+        p = e.pos
+        if e.kind == LEFT_CUSP:
+            stack[p - 1:p - 1] = (2 * origins[t], 2 * origins[t] + 1)
+        elif e.kind == CROSSING:
+            walks.append((t, stack[p - 1], stack[p], stack[m[p] - 1],
+                          stack[m[p + 1] - 1], m[p] > p))
+            stack[p - 1], stack[p] = stack[p], stack[p - 1]
+        else:
+            del stack[p - 1:p + 1]
+        state.step(e, flags[t])
+
+    out = [False] * len(origins)
+    for t, f in enumerate(flags):
+        out[origins[t]] = f
+    for t, s1, s2, mate1, mate2, below in reversed(walks):
+        moving = origins[t]
+        c = -1
+        while True:
+            # the next crossing on a mated strand that the moving one
+            # passes: after c, emitted after t, and before it in diagram
+            passed = []
+            for cs in (on[mate1], on[mate2]):
+                k = max(bisect_right(cs, c),
+                        bisect_right(cs, t, key=time.__getitem__))
+                if k < len(cs) and cs[k] < moving:
+                    passed.append(cs[k])
+            if not passed:
+                break
+            c = min(passed)
+            u1, u2 = strands[c]
+            if out[c] != out[moving] and {u1, u2} == {mate1, mate2}:
+                pm, po = (1, 3) if below else (3, 1)
+                slot = {s1: pm, s2: pm + 1, u1: po, u2: po + 1}
+                mates = [0] * 5
+                for a, b in ((s1, mate1), (s2, mate2)):
+                    mates[slot[a]], mates[slot[b]] = slot[b], slot[a]
+                xm, xo = Event(CROSSING, pm), Event(CROSSING, po)
+                matches = window_matches(PairingState(mates), (xm, xo),
+                                         (out[moving], out[c]), (xo, xm))
                 if matches is None or len(matches) != 1:
                     raise TransportFailure(
                         "no unique boundary-matching switch choice while "
                         "mapping a ruling back to the original word")
-                f2, f1 = matches[0]
-            # flags travel with their events, unless boundary matching
-            # moved a lone switch to the other crossing
-            flags[i], flags[i + 1] = f2, f1
-            state.step(old[0], f2)
-    return flags
+                out[c], out[moving] = matches[0]
+            if out[c]:  # the eyes turn: a mate on u1 goes on along u2
+                turn = {u1: u2, u2: u1}
+                mate1, mate2 = turn.get(mate1, mate1), turn.get(mate2, mate2)
+    return out
 
 
 def _enumerate(diagram: FrontDiagram, budget: Optional[int],
@@ -372,13 +422,15 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
     alive on one slice), so the word is first reordered by far
     commutation: among the events that can commute to the front of what
     is left, right cusps go first, then crossings, then left cusps, lower
-    slots first (see far_commutation_order).  The transfer scan
-    (_transfer) runs on that word when it is strictly narrower, else on
-    ``diagram`` itself, and each ruling found on the reordered word is
-    carried back along the ``tr`` moves, so switches are always crossing
-    ordinals of ``diagram`` itself.  The optional ``budget`` bounds the
-    backtracking steps on the word actually scanned; it is checked
-    before any ruling is listed.
+    slots first (see far_commutation_order).  The reorder stops once its
+    emitted prefix is as wide as ``diagram``, since the result could not
+    be strictly narrower; the transfer scan (_transfer) then runs on
+    ``diagram`` itself.  Otherwise it runs on the reordered word, and
+    _map_back carries each ruling found there back by the reorder's
+    permutation and the ``tr`` swaps it stands for, so switches are always
+    crossing ordinals of ``diagram`` itself.  The optional ``budget``
+    bounds the backtracking steps on the word actually scanned; it is
+    checked before any ruling is listed.
 
     The tallies are those ``state`` (default a bare pairing) adds when
     run over ``diagram`` under the ruling: folded along the listing when
@@ -388,14 +440,15 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
     can pass to the other crossing of a ``tr`` hop), so the reordered
     scan runs on a bare pairing.
     """
-    narrow, windows = far_commutation_order(diagram)
-    if max(narrow.strand_counts()) >= max(diagram.strand_counts()):
+    reordered = far_commutation_order(diagram, max(diagram.walk.counts))
+    if reordered is None:
         found = _transfer(diagram, budget, state)
     else:
+        narrow, origins = reordered
         ordinals = diagram.walk.ordinals
         found = []
         for ruling, _ in _transfer(narrow, budget):
-            flags = _retrace(narrow, windows, ruling)
+            flags = _map_back(diagram, narrow, origins, ruling)
             tallies = () if state is None else \
                 scan(diagram.events, flags, state.copy())[0].tallies()
             found.append((tuple(compress(ordinals, flags)), tallies))

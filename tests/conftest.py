@@ -10,10 +10,11 @@ from clasplab import (EvennessViolation, FrontDiagram,
                       generate_trefoil, generate_unknot, random_script,
                       run_script)
 from clasplab.clasps import INTERLEAVED, _pair_config
-from clasplab.diagram import CROSSING
-from clasplab.errors import BudgetExceeded
+from clasplab.diagram import (_DELTA, _RANK, CROSSING, LEFT_CUSP, RIGHT_CUSP,
+                              Event)
+from clasplab.errors import BudgetExceeded, TransportFailure
 from clasplab.fillability import FillingCertificate
-from clasplab.rulings import PairingState
+from clasplab.rulings import PairingState, scan, switch_flags, window_matches
 
 # Reproducible property tests for CI (--hypothesis-profile=ci): the same
 # examples on every run, no per-example deadline on a slow runner.
@@ -111,6 +112,151 @@ def backtrack_rulings(diagram, budget=None, state=None, steps=None) -> list:
     walk(0, (state or PairingState()).copy(), [])
     if steps is not None:
         steps.append(nodes)
+    return found
+
+
+def far_commutation_windows(diagram) -> tuple:
+    """diagram.far_commutation_order the slow way, with every swap it makes.
+
+    The test-only reference for the ready-set order: each step rescans the
+    whole remaining word, and takes, among the events that commute to its
+    front, the least by kind (right cusps, crossings, left cusps), then by
+    slot on the front slice, then by word order.
+
+    Returns (reordered diagram, windows).  windows[t] lists, in word
+    order, the (after, before) event pairs of each swap the t-th emitted
+    event made, at word indices t+j, t+j+1; each swap is one ``tr`` move.
+    The before pair is kept because a swap is not always undone by
+    swapping back: [lc p, rc p+2] swaps to [rc p, lc p], which alone does
+    not say on which side of the dying eye the new one was born.
+    """
+    rest = list(diagram.events)
+    out = []
+    windows = []
+    width = 0
+    while rest:
+        # Doubled coordinates on the slice left of rest[k]: slot p is 2p,
+        # the gap below it 2p-1.  front[d] is the coordinate d has on the
+        # front slice, or None once an earlier remaining event occupies d,
+        # so that nothing needing d commutes to the front.
+        front = list(range(2 * width + 2))
+        best = None
+        for k, e in enumerate(rest):
+            kind, p = e.kind, e.pos
+            if kind == LEFT_CUSP:
+                gap = front[2 * p - 1]
+                key = None if gap is None else (2, gap + 1, k)
+                # Both outer gaps of the new eye are the old gap.
+                front[2 * p:2 * p] = (None, None, None, gap)
+            else:
+                lo, mid, hi = front[2 * p:2 * p + 3]
+                key = None if lo is None or mid is None or hi is None \
+                    else (_RANK[kind], lo, k)
+                if kind == CROSSING:
+                    front[2 * p:2 * p + 3] = (None, None, None)
+                else:
+                    front[2 * p - 1:2 * p + 4] = (None,)
+            if key is not None and (best is None or key < best):
+                best = key
+        k = best[2]
+        moving = rest.pop(k)
+        kind, p = moving.kind, moving.pos
+        # Commute it to the front as transpose_events does: of each two
+        # swapped events, the upper one shifts by the lower one's delta.
+        swaps = []
+        for j in range(k - 1, -1, -1):
+            other, q = rest[j].kind, rest[j].pos
+            before = (rest[j], moving)
+            lo = 2 * p - 1 if kind == LEFT_CUSP else 2 * p
+            if lo > (2 * q - 1 if other == RIGHT_CUSP else 2 * q + 2):
+                p -= _DELTA[other]
+                moving = Event(kind, p)
+            else:
+                rest[j] = Event(other, q + _DELTA[kind])
+            swaps.append(((moving, rest[j]), before))
+        out.append(moving)
+        windows.append(tuple(reversed(swaps)))
+        width += _DELTA[kind]
+    return FrontDiagram(out), tuple(windows)
+
+
+def retrace(narrow, windows: tuple, ruling: tuple) -> list:
+    """Carry a ruling of ``narrow`` back to switch flags of the original word
+    by replaying every swap through the wide intermediate words.
+
+    The test-only reference for rulings._map_back.  Undoes the swaps
+    far_commutation_windows recorded in ``windows``, last emitted event
+    first.  A swap past a cusp keeps every switch on its
+    crossing.  A swap of two crossings is a ``tr`` move and takes the
+    boundary-matching switch choice, which does not always follow crossing
+    identity: when the two crossings involve the same two eyes, a lone
+    switch can pass to the other crossing.  Undoing the swaps of event t
+    only touches word indices >= t, so their entry state is the reordered
+    word's prefix state at t.
+
+    Boundary matching runs only when the two crossings, at p and q, share
+    an eye: when the mate of p or p+1 is q or q+1 on entry.  Otherwise
+    the lone switch stays on its crossing.  The eyes through p, p+1 and
+    those through q, q+1 are then four distinct eyes, so crossing p moves
+    no mate of q or q+1 and cannot change switch_ok(q), nor crossing q
+    switch_ok(p): the flags that travel with their events scan.  The
+    other one-switch choice crosses the other eye pair instead, which
+    leaves different exit mates, so it does not match.
+    """
+    flags = switch_flags(narrow, ruling)
+    hopped = [t for t, swaps in enumerate(windows) if swaps]
+    entries = {}
+    state, done = PairingState(), 0
+    for t in hopped:
+        scan(narrow.events[done:t], flags[done:t], state)
+        entries[t], done = state.copy(), t
+    for t in reversed(hopped):
+        state = entries[t]
+        m = state._m
+        for i, ((first, second), old) in enumerate(windows[t], start=t):
+            f1, f2 = flags[i], flags[i + 1]
+            if f1 != f2 and first.kind == CROSSING == second.kind and (
+                    second.pos <= m[first.pos] <= second.pos + 1 or
+                    second.pos <= m[first.pos + 1] <= second.pos + 1):
+                matches = window_matches(state, (first, second), (f1, f2),
+                                         old)
+                if matches is None or len(matches) != 1:
+                    raise TransportFailure(
+                        "no unique boundary-matching switch choice while "
+                        "mapping a ruling back to the original word")
+                f2, f1 = matches[0]
+            # flags travel with their events, unless boundary matching
+            # moved a lone switch to the other crossing
+            flags[i], flags[i + 1] = f2, f1
+            state.step(old[0], f2)
+    return flags
+
+
+def hop_counts(origins) -> list:
+    """Per event of a reordered word, how many events it passed: those
+    before it in the caller's word (index below origins[t]) and emitted
+    after it."""
+    return [i - sum(j < i for j in origins[:t])
+            for t, i in enumerate(origins)]
+
+
+def reference_enumerate(diagram, budget, state=None, reordered=None) -> list:
+    """rulings._enumerate on the slow paths: the windowed reorder and the
+    swap-by-swap retrace, with the same arguments and results.
+    ``reordered`` may pass in far_commutation_windows(diagram)."""
+    from clasplab.rulings import _transfer
+    narrow, windows = reordered or far_commutation_windows(diagram)
+    if max(narrow.strand_counts()) >= max(diagram.strand_counts()):
+        found = _transfer(diagram, budget, state)
+    else:
+        found = []
+        for ruling, _ in _transfer(narrow, budget):
+            flags = retrace(narrow, windows, ruling)
+            tallies = () if state is None else \
+                scan(diagram.events, flags, state.copy())[0].tallies()
+            found.append((tuple(o for o, f in zip(diagram.walk.ordinals,
+                                                  flags) if f), tallies))
+    found.sort(key=lambda row: (len(row[0]), row[0]))
     return found
 
 

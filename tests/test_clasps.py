@@ -260,9 +260,9 @@ class TestCountedInSearch:
     def test_one_reordering_per_verdict(self, d, monkeypatch):
         calls = []
 
-        def counted(diagram):
+        def counted(diagram, *args):
             calls.append(diagram)
-            return far_commutation_order(diagram)
+            return far_commutation_order(diagram, *args)
 
         monkeypatch.setattr(rulings, "far_commutation_order", counted)
         obstruction_verdict(d)

@@ -394,3 +394,76 @@ def test_any_word_is_a_diagram_or_a_structured_error(word):
             assert json.loads(err) == {
                 "error": "InvalidDiagram",
                 "message": str(report.violations[0])}
+
+
+#: Integer options, each in a command where any small value is cheap.
+_INTEGER_OPTIONS = {
+    "--n": ("validate", "--generate", "unknot", "--n"),
+    "--strands": ("validate", "--generate", "unknot", "--strands"),
+    "--budget": ("rulings", "--generate", "unknot", "--budget"),
+    "--upper-n": ("cobordism", "--generate", "unknot", "--generate-upper",
+                  "unknot", "--upper-n"),
+    "--depth": ("search", "--generate", "unknot", "--depth"),
+    "--word": ("validate", "--generate", "braid", "--strands", "2",
+               "--word"),
+}
+
+
+@pytest.mark.parametrize("option, text", [
+    ("--n", "+0"), ("--n", " 1"), ("--n", "1_0"), ("--n", "١"),
+    ("--strands", "+2"), ("--budget", "1_0"), ("--budget", "1e3"),
+    ("--upper-n", " 0"), ("--depth", "+1"), ("--word", "+1,1_0"),
+    ("--word", "1, 1"), ("CLASPLAB_BUDGET", "1_0"),
+    ("CLASPLAB_BUDGET", " 5"),
+])
+def test_integers_are_ascii_digits_only(option, text, monkeypatch):
+    """Signs other than one leading -, spaces, underscores and other
+    scripts' digits are usage errors, not integers."""
+    if option == "CLASPLAB_BUDGET":
+        monkeypatch.setenv(option, text)
+        argv = ["rulings", "--generate", "unknot"]
+    else:
+        argv = [*_INTEGER_OPTIONS[option], text]
+    code, out, err = invoke(argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert text in err or repr(text) in err
+
+
+@pytest.mark.parametrize("option, text, out", [
+    ("--n", "0", '{"ok":true,"violations":[]}\n'),
+    ("--budget", "007", "[[]]\n"),
+    ("--word", "1,1,", '{"ok":true,"violations":[]}\n'),
+    ("CLASPLAB_BUDGET", "5", "[[]]\n"),
+])
+def test_plain_integers_still_read(option, text, out, monkeypatch):
+    if option == "CLASPLAB_BUDGET":
+        monkeypatch.setenv(option, text)
+        argv = ["rulings", "--generate", "unknot"]
+    else:
+        argv = [*_INTEGER_OPTIONS[option], text]
+    assert invoke(argv) == (0, out, "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_INTEGER_OPTIONS) + ["CLASPLAB_BUDGET"]),
+       st.text(max_size=8))
+def test_any_integer_option_text_is_answered(option, text):
+    """Whatever text an integer option or CLASPLAB_BUDGET holds, the CLI
+    exits 0, 1 or 2 and prints no traceback."""
+    saved = os.environ.get("CLASPLAB_BUDGET")
+    try:
+        if option == "CLASPLAB_BUDGET":
+            os.environ["CLASPLAB_BUDGET"] = text.replace("\0", "")
+            argv = ["rulings", "--generate", "unknot"]
+        else:
+            os.environ.pop("CLASPLAB_BUDGET", None)
+            argv = [*_INTEGER_OPTIONS[option], text]
+        code, _, err = invoke(argv)
+    finally:
+        if saved is None:
+            os.environ.pop("CLASPLAB_BUDGET", None)
+        else:
+            os.environ["CLASPLAB_BUDGET"] = saved
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

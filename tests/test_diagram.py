@@ -11,7 +11,7 @@ from clasplab import (FrontDiagram, InvalidBraidLetter, InvalidDiagram,
                       transpose_events, validate, x)
 from clasplab.diagram import far_commutation_order
 from clasplab.fillability import random_script, run_script
-from conftest import random_fillable
+from conftest import far_commutation_windows, hop_counts, random_fillable
 
 
 class TestValidate:
@@ -216,12 +216,17 @@ class TestFarCommutationOrder:
         diagrams += [generate_torus4(n) for n in range(4)]
         diagrams += random_fillable(60, 16, seed_base=7000)
         for d in diagrams:
-            narrow, windows = far_commutation_order(d)
+            narrow, windows = far_commutation_windows(d)
             ref_narrow, ref_hops, ref_windows = reference_order(d)
             assert (narrow, windows) == (ref_narrow, ref_windows)
             assert tuple(len(w) for w in windows) == ref_hops
             assert validate(narrow).ok
             assert sorted(e.kind for e in narrow) == sorted(e.kind for e in d)
+            fast, origins = far_commutation_order(d)
+            assert fast == narrow
+            assert tuple(hop_counts(origins)) == ref_hops
+            assert [d.events[i].kind for i in origins] == \
+                [e.kind for e in narrow]
 
     def test_torus4_width_is_constant(self):
         for n in range(8):

@@ -10,12 +10,14 @@ from clasplab import (BudgetExceeded, ClaspState, FrontDiagram, InvalidRuling,
                       is_normal_ruling, lc, obstruction_verdict, rc,
                       ruling_reports, scan, stacked_union, switch_flags,
                       switches_of, x)
-from clasplab import rulings
-from clasplab.diagram import CROSSING, far_commutation_order
+from clasplab import clasps, rulings
+from clasplab import diagram as diagram_mod
+from clasplab.diagram import CROSSING, Event, far_commutation_order
 from clasplab.fillability import random_script, run_script
-from clasplab.rulings import (PairingState, _retrace, _transfer,
+from clasplab.rulings import (PairingState, _map_back, _transfer,
                               ruling_sort_key, window_matches)
-from conftest import backtrack_rulings, small_corpus
+from conftest import (backtrack_rulings, far_commutation_windows, hop_counts,
+                      reference_enumerate, retrace, small_corpus)
 
 
 def state_at(diagram, switches, event_index):
@@ -317,12 +319,95 @@ class TestRetrace:
         monkeypatch.setattr(rulings, "window_matches", counted)
         checked = 0
         for d in fillable_300 + [generate_torus4(n) for n in range(8)]:
-            narrow, windows = far_commutation_order(d)
+            narrow, windows = far_commutation_windows(d)
+            fast, origins = far_commutation_order(d)
+            assert fast == narrow
             for ruling, _ in _transfer(narrow, None):
-                assert _retrace(narrow, windows, ruling) == \
+                flags = retrace(narrow, windows, ruling)
+                assert flags == \
                     retrace_matching_every_swap(narrow, windows, ruling,
                                                 matched)
+                assert _map_back(d, narrow, origins, ruling) == flags
                 checked += 1
         assert checked > 300
-        # the shared-eye test skips some matches, not all
+        # the two-shared-eye test skips some matches, not all
         assert 0 < len(calls) < len(matched)
+
+
+@pytest.mark.parametrize("d", [
+    generate_negative_braid_closure(2, [1] * 16), generate_trefoil()],
+    ids=["braid2_16", "trefoil"])
+def test_reorder_stops_once_no_narrower(d, monkeypatch):
+    """_enumerate stops the reorder as soon as the emitted prefix is as
+    wide as the caller's word, and then scans the caller's word."""
+    width = max(d.walk.counts)
+    assert max(far_commutation_order(d)[0].walk.counts) == width
+    emitted = []
+
+    def counted(kind, pos):
+        emitted.append(kind)
+        return Event(kind, pos)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(diagram_mod, "Event", counted)
+        assert far_commutation_order(d, width) is None
+    assert 0 < len(emitted) < len(d)
+    steps = []
+    listed = backtrack_rulings(d, steps=steps)
+    assert enumerate_rulings(d) == sorted((frozenset(r) for r, _ in listed),
+                                          key=ruling_sort_key)
+    for budget in (steps[0], steps[0] - 1):
+        assert budget_outcome(enumerate_rulings, d, budget) == \
+            (None if budget == steps[0] else budget + 1)
+
+
+_SWEEP = {
+    "corpus": lambda: list(small_corpus().values()),
+    "braid2": lambda: [generate_negative_braid_closure(2, [1] * k)
+                       for k in range(1, 19)],
+    "braid4": lambda: [generate_negative_braid_closure(4, [1, 2, 3] * k)
+                       for k in range(1, 5)],
+    "torus4": lambda: [generate_torus4(n) for n in range(41)],
+    "fillable": lambda: [run_script(random_script(1 + s % 25, s)).diagram
+                         for s in range(3000)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_SWEEP))
+def test_equals_the_slow_paths(family, monkeypatch):
+    """The ready-set reorder and the permutation mapping back give what
+    the rescanning reorder and the swap-by-swap retrace give: the same
+    narrow word, hop counts, flags, listings, verdicts and budget
+    outcomes."""
+    def reference_outcomes(d, threshold, reordered):
+        def slow(diagram, budget, state=None):
+            return reference_enumerate(diagram, budget, state, reordered)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(rulings, "_enumerate", slow)
+            patched.setattr(clasps, "_enumerate", slow)
+            return outcomes(d, threshold)
+
+    def outcomes(d, threshold):
+        budgets = (threshold, threshold - 1) if threshold else (0,)
+        return (enumerate_rulings(d), obstruction_verdict(d),
+                [budget_outcome(ruling_reports, d, b) for b in budgets])
+
+    narrowed = 0
+    for d in _SWEEP[family]():
+        narrow, windows = far_commutation_windows(d)
+        fast, origins = far_commutation_order(d)
+        assert fast == narrow
+        assert hop_counts(origins) == [len(w) for w in windows]
+        searched = d
+        if max(narrow.walk.counts) < max(d.walk.counts):
+            narrowed += 1
+            searched = narrow
+            for ruling, _ in _transfer(narrow, None):
+                assert _map_back(d, narrow, origins, ruling) == \
+                    retrace(narrow, windows, ruling)
+        steps = []
+        backtrack_rulings(searched, steps=steps)
+        assert outcomes(d, steps[0]) == \
+            reference_outcomes(d, steps[0], (narrow, windows))
+    assert narrowed or family in ("braid2", "braid4", "corpus")
