@@ -14,15 +14,9 @@ import json
 import os
 import sys
 
+# Each handler imports the modules it runs, so a process loads only those.
 from . import diagram as diagram_mod
-from .clasps import clasp_report, ruling_reports
 from .errors import ClaspLabError
-from .fillability import (SEARCH_DEPTH, SEARCH_NODE_BUDGET,
-                          cobordism_parity_check, obstruction_verdict,
-                          run_script, search_filling)
-from .moves import parse_script
-from .render import ascii_render, svg_render
-from .rulings import enumerate_rulings
 
 _GENERATORS = ("unknot", "trefoil", "torus4", "braid")
 #: braid needs --strands and --word, which the upper diagram has no twin of.
@@ -113,7 +107,7 @@ def _load_diagram(args) -> diagram_mod.FrontDiagram:
 def _parse_ruling(text: str):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting
         raise _UsageError(f"--ruling must be a JSON array: {exc}") from exc
     # bool is a subclass of int, so JSON true would pass as ordinal 1.
     if not isinstance(data, list) or not all(
@@ -172,6 +166,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_rulings(args) -> int:
+    from .rulings import enumerate_rulings
     diagram = _load_diagram(args)
     rulings = enumerate_rulings(diagram, budget=_budget(args))
     listed = [sorted(r) for r in rulings]
@@ -197,6 +192,7 @@ _REPORT_FORMATS = {
 
 def _cmd_reports(args) -> int:
     """``clasps`` and ``parity``: one row per ruling, or for --ruling."""
+    from .clasps import clasp_report, ruling_reports
     diagram = _load_diagram(args)
     if args.ruling is not None:
         ruling = _parse_ruling(args.ruling)
@@ -214,6 +210,7 @@ def _cmd_reports(args) -> int:
 
 
 def _cmd_obstruct(args) -> int:
+    from .fillability import obstruction_verdict
     diagram = _load_diagram(args)
     verdict = obstruction_verdict(diagram, budget=_budget(args))
     if args.format == "text":
@@ -231,6 +228,7 @@ def _cmd_obstruct(args) -> int:
 
 
 def _cmd_cobordism(args) -> int:
+    from .fillability import cobordism_parity_check
     lower = _load_diagram(args)
     if args.upper is not None:
         upper = diagram_mod.parse(_read_source(args.upper))
@@ -250,6 +248,8 @@ def _cmd_cobordism(args) -> int:
 
 
 def _cmd_apply_script(args) -> int:
+    from .fillability import run_script
+    from .moves import parse_script
     text = _read_source(args.script)
     certificate = run_script(parse_script(text))
     if args.format == "text":
@@ -264,14 +264,16 @@ def _cmd_apply_script(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.depth < 0:
+    if args.depth is not None and args.depth < 0:
         raise _UsageError(f"--depth must be >= 0, got {args.depth}")
+    from . import fillability
+    depth = fillability.SEARCH_DEPTH if args.depth is None else args.depth
     diagram = _load_diagram(args)
     budget = _budget(args)
     if budget is None:
-        budget = SEARCH_NODE_BUDGET
-    result = search_filling(diagram, depth_bound=args.depth,
-                            node_budget=budget)
+        budget = fillability.SEARCH_NODE_BUDGET
+    result = fillability.search_filling(diagram, depth_bound=depth,
+                                        node_budget=budget)
     if args.format == "text":
         body = f"{result.status}\n"
         if result.script is not None:
@@ -289,6 +291,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import ascii_render, svg_render
     diagram = _load_diagram(args)
     ruling = _parse_ruling(args.ruling) if args.ruling is not None else None
     if args.style == "ascii":
@@ -353,8 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--script", required=True, metavar="PATH",
                    help="move script file, or - for stdin")
     p = register("search", _cmd_search)
-    p.add_argument("--depth", type=_integer, default=SEARCH_DEPTH,
-                   help="search depth bound")
+    p.add_argument("--depth", type=_integer, help="search depth bound")
     register("generate", _cmd_generate)
     p = register("render", _cmd_render)
     p.add_argument("--ruling", help="JSON array of switch ordinals")

@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .clasps import ClaspReport, _sorted_reports, clasp_report
 from .diagram import LEFT_CUSP, RIGHT_CUSP, FrontDiagram, serialize
 from .errors import (BudgetExceeded, EvennessViolation, NotApplicable,
                      ScriptError, TransportFailure)
-from .moves import (Move, RulingTransport, _match_r1inv, _match_r2inv,
-                    _menu, applicable_kinds, apply_move)
 from .rulings import PairingState, enumerate_rulings, switches_of
+
+# moves is imported where a script runs, so verdicts do not load it.
+if TYPE_CHECKING:
+    from .moves import RulingTransport
 
 @dataclass(frozen=True)
 class FillingCertificate:
@@ -67,6 +69,7 @@ def run_script(script: Iterable) -> FillingCertificate:
     never a property of the script).  The final clasp report rescans the
     whole word under the carried switch flags.
     """
+    from .moves import apply_move
     diagram = FrontDiagram()
     flags: list = []
     entries = [PairingState()]
@@ -207,6 +210,7 @@ def random_script(length: int, seed: int) -> list:
     """
     if length < 1:
         raise ValueError("scripts have length >= 1")
+    from .moves import _menu, applicable_kinds, apply_move
     rng = random.Random(seed)
     diagram = FrontDiagram()
     flags: list = []
@@ -262,6 +266,7 @@ def _backward_steps(diagram: FrontDiagram):
     is verified by reapplying before being yielded.  Only simplifying and
     lateral rewrites are explored, so the search is best effort.
     """
+    from .moves import Move, _match_r1inv, _match_r2inv, _menu, apply_move
     events = diagram.events
     candidates = []
     for i in range(len(events) - 1):

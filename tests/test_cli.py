@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -11,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clasplab import (FrontDiagram, InternalInvariantError, InvalidDiagram,
-                      cli, validate)
+                      clasps, validate)
 from clasplab.cli import main
 from clasplab.diagram import Event, generate_trefoil, serialize
-from test_golden_cli import invoke
+from test_golden_cli import invoke, load_corpus
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 SRC = SCHEMAS.parent / "src"
@@ -157,7 +158,7 @@ class TestErrorsAndDeterminism:
             raise InternalInvariantError("crossing between non-adjacent "
                                          "strands")
 
-        monkeypatch.setattr(cli, "clasp_report", broken)
+        monkeypatch.setattr(clasps, "clasp_report", broken)
         code, out, err = run(capsys, "clasps", "--generate", "trefoil",
                              "--ruling", "[1]")
         assert (code, out) == (1, "")
@@ -294,11 +295,15 @@ class TestErrorsAndDeterminism:
         (("cobordism", "--generate", "unknot", "--generate-upper", "torus4",
           "--upper-n", "-1"),
          "--upper-n must be >= 0, got -1\n"),
+        *(((command, "--generate", "trefoil", "--ruling",
+            "[" * 3000 + "]" * 3000), "--ruling must be a JSON array: ")
+          for command in ("clasps", "parity", "render")),
     ], ids=["missing-input", "directory-input", "missing-script",
             "missing-upper", "non-utf8-input", "out-in-missing-dir",
             "out-is-directory", "negative-n", "negative-depth",
             "non-integer-word", "upper-without-upper-n",
-            "negative-upper-n"])
+            "negative-upper-n", "deeply-nested-ruling-clasps",
+            "deeply-nested-ruling-parity", "deeply-nested-ruling-render"])
     def test_bad_paths_and_generator_args_are_usage_errors(
             self, capsys, tmp_path, argv, expected):
         latin1 = tmp_path / "latin1.front"
@@ -467,3 +472,171 @@ def test_any_integer_option_text_is_answered(option, text):
             os.environ["CLASPLAB_BUDGET"] = saved
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters: what each subcommand imports.  The in-process tests
+# above cannot see an import-order bug, because by then every module is
+# loaded.
+
+#: clasplab modules each subcommand loads besides cli, diagram and errors.
+_LOADS = {
+    "validate": set(), "generate": set(),
+    "rulings": {"rulings"},
+    "clasps": {"rulings", "clasps"}, "parity": {"rulings", "clasps"},
+    "render": {"rulings", "clasps", "render"},
+    "obstruct": {"rulings", "clasps", "fillability"},
+    "cobordism": {"rulings", "clasps", "fillability"},
+    "apply-script": {"rulings", "clasps", "fillability", "moves"},
+    "search": {"rulings", "clasps", "fillability", "moves"},
+}
+
+_LOADED = ("print(sorted(m for m in sys.modules "
+           "if m.startswith('clasplab.')))")
+
+#: Runs cli.main on its arguments, then prints the loaded module names.
+_PROBE = f"""
+import contextlib, io, sys
+from clasplab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
+{_LOADED}
+"""
+
+
+def _python(*args, stdin=None):
+    env = {k: v for k, v in os.environ.items() if k != "CLASPLAB_BUDGET"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, *args],
+                          input=(stdin or "").encode("utf-8"), env=env,
+                          capture_output=True, timeout=60)
+
+
+def test_bare_import_loads_no_submodule():
+    done = _python("-c", f"import sys, clasplab\n{_LOADED}")
+    assert (done.returncode, done.stdout) == (0, b"[]\n")
+
+
+@pytest.mark.parametrize("command", sorted(_LOADS))
+def test_subcommand_loads_only_its_modules(command):
+    """The subcommand's first golden row: its exact module set after
+    cli.main, and the same bytes from ``python -m clasplab.cli``."""
+    row = next(r for r in load_corpus() if r["argv"][0] == command)
+    probe = _python("-c", _PROBE, *row["argv"], stdin=row["stdin"])
+    modules = {"cli", "diagram", "errors", *_LOADS[command]}
+    assert probe.stdout.decode() == \
+        f"{sorted(f'clasplab.{m}' for m in modules)}\n"
+    done = _python("-m", "clasplab.cli", *row["argv"], stdin=row["stdin"])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        row["exit"], row["stdout"].encode("utf-8"),
+        row["stderr"].encode("utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# fuzzing whole argv and move scripts
+
+_TREFOIL_TEXT = serialize(generate_trefoil())
+_SCRIPT_TEXT = "h0 1 @1\nh0 3 @2\nh1 1 @2\n"
+
+#: Files in the fuzz's working directory; ``.`` is a directory.
+_FILES = {"d.front": _TREFOIL_TEXT, "junk.txt": "lc x\n[1]\n",
+          "s.moves": _SCRIPT_TEXT}
+
+#: Values that an option usually gets, so that drawn argv get past the
+#: parser and reach the subcommands; any option may also get junk.
+_PATHS = st.sampled_from([*_FILES, "-", ".", "missing"])
+_SMALL = st.sampled_from(["0", "1", "2", "3", "-1", "007"])
+_JSON = st.one_of(
+    st.recursive(st.none() | st.booleans() | st.integers(-2, 20),
+                 lambda inner: st.lists(inner, max_size=3),
+                 max_leaves=6).map(json.dumps),
+    st.sampled_from([10, 999, 3000]).map(lambda d: "[" * d + "]" * d))
+_TYPICAL = {
+    "--input": _PATHS, "-i": _PATHS, "--upper": _PATHS, "--script": _PATHS,
+    "--out": _PATHS, "--n": _SMALL, "--strands": _SMALL, "--budget": _SMALL,
+    "--upper-n": _SMALL, "--depth": _SMALL, "--seed": _SMALL,
+    "--generate": st.sampled_from(["unknot", "trefoil", "torus4", "braid"]),
+    "--generate-upper": st.sampled_from(["unknot", "trefoil", "torus4"]),
+    "--word": st.sampled_from(["1,1,1", "1,2,1", "2,0", "1,,1"]),
+    "--format": st.sampled_from(["json", "text"]),
+    "--style": st.sampled_from(["svg", "ascii"]),
+    "--ruling": _JSON, "-h": _JSON, "--": _JSON,
+}
+# junk without ASCII digits, so that no drawn size is large
+_JUNK = st.text(st.characters(blacklist_characters="0123456789"),
+                max_size=6)
+_INPUT = ("--input", "-i", "--generate", "--n", "--strands", "--word")
+#: The options each subcommand takes, besides --format and --out.
+_TAKES = {
+    "validate": _INPUT, "generate": _INPUT,
+    "rulings": (*_INPUT, "--budget"), "obstruct": (*_INPUT, "--budget"),
+    "clasps": (*_INPUT, "--budget", "--ruling"),
+    "parity": (*_INPUT, "--budget", "--ruling"),
+    "render": (*_INPUT, "--ruling", "--style"),
+    "cobordism": (*_INPUT, "--budget", "--upper", "--generate-upper",
+                  "--upper-n"),
+    "search": (*_INPUT, "--budget", "--depth"),
+    "apply-script": ("--script",),
+    "nonsense": (),
+}
+
+
+def _option_pairs(command):
+    """(option, value) pairs: mostly options the subcommand takes, with
+    the values they usually get; sometimes any option, or junk."""
+    taken = st.sampled_from([*_TAKES[command], "--format", "--out"])
+    return st.one_of(taken, taken, st.sampled_from(sorted(_TYPICAL))).flatmap(
+        lambda option: st.tuples(st.just(option), st.one_of(
+            _TYPICAL[option], _TYPICAL[option], _TYPICAL[option], _JUNK)))
+
+#: Script lines: the grammar's tokens mixed with junk.
+_SCRIPT_TOKENS = st.one_of(
+    st.sampled_from(["h0", "h1", "r1", "r1inv", "r2", "r2inv", "r3", "tr",
+                     "lc", "@1", "@2", "@3", "@0", "@-1", "1", "2", "3",
+                     "up", "down", "#", "@", "@x"]),
+    st.text(max_size=3))
+_SCRIPTS = st.lists(st.lists(_SCRIPT_TOKENS, max_size=4).map(" ".join),
+                    max_size=6).map("\n".join)
+
+_WORDS = st.lists(st.sampled_from(["lc 1", "lc 2", "rc 1", "rc 2", "x 1",
+                                   "x 2", "x", "rc 0", "# c", ""]),
+                  max_size=6).map("\n".join)
+
+
+def _answers_in_structure(argv, stdin):
+    """Run argv in a scratch directory; check exit code and stderr."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in _FILES.items():
+            Path(tmp, name).write_text(text)
+        os.chdir(tmp)
+        try:
+            code, _, err = invoke(argv, stdin)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if err and not err.startswith(("usage error: ", "usage: ")):
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert set(json.loads(err)) == {"error", "message"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_TAKES)),
+       st.one_of(_WORDS, _SCRIPTS))
+def test_any_argv_is_answered(data, command, stdin):
+    """Any subcommand with any options and values exits 0, 1 or 2, with
+    nothing, one JSON error line or a usage message on stderr."""
+    source = "--script" if command == "apply-script" else \
+        data.draw(st.sampled_from(["--generate", "--input"]))
+    options = data.draw(st.lists(_option_pairs(command), min_size=1,
+                                 max_size=4))
+    argv = [command, source, data.draw(_TYPICAL[source]),
+            *(token for pair in options for token in pair)]
+    _answers_in_structure(argv, stdin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SCRIPTS)
+def test_any_move_script_is_answered(script):
+    _answers_in_structure(["apply-script", "--script", "-"], script)

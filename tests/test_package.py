@@ -1,9 +1,73 @@
-"""The package's public name list."""
+"""The package's public name list, and its lazy resolution (PEP 562).
+
+The lazy checks run in a fresh interpreter, where no clasplab submodule
+is loaded yet, so they see the first lookup of each name.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import clasplab
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh(code):
+    """Run ``code`` in a new interpreter; return its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_all_names_exist_once():
     assert len(clasplab.__all__) == len(set(clasplab.__all__))
     missing = [n for n in clasplab.__all__ if not hasattr(clasplab, n)]
     assert missing == []
+
+
+def test_each_name_is_its_home_modules_attribute():
+    assert fresh("""
+import importlib, clasplab
+for name in clasplab.__all__:
+    home = importlib.import_module("clasplab." + clasplab._HOMES[name])
+    value = getattr(clasplab, name)
+    assert value is getattr(home, name), name
+    # defined there (NormalRuling is an alias of frozenset)
+    assert getattr(value, "__module__", home.__name__) in (
+        home.__name__, "builtins"), name
+    assert vars(clasplab)[name] is value, name
+print("ok")
+""") == "ok\n"
+
+
+def test_dir_lists_every_public_name():
+    assert fresh("""
+import clasplab
+print(sorted(set(clasplab.__all__) - set(dir(clasplab))))
+""") == "[]\n"
+
+
+def test_star_import_binds_every_name():
+    assert fresh("""
+import clasplab
+from clasplab import *
+print([n for n in clasplab.__all__
+       if globals().get(n) is not getattr(clasplab, n)])
+""") == "[]\n"
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert fresh("""
+import sys, clasplab
+try:
+    clasplab.no_such_name
+except AttributeError as exc:
+    print(exc)
+print(hasattr(clasplab, "no_such_name"), hasattr(clasplab, "__wrapped__"))
+print([m for m in sys.modules if m.startswith("clasplab.")])
+""") == ("module 'clasplab' has no attribute 'no_such_name'\n"
+         "False False\n[]\n")
