@@ -17,13 +17,13 @@ Clasps are counted by ClaspState, the pairing scan extended with an eye
 id per live slot, a count per eye pair, and the strand pair that entered
 each interleaved pair's current interval.  clasp_report is one linear
 scan with it, and ruling_reports counts during the transfer scan that
-lists the rulings (each crossing's tally is its eye pair and the clasps
-it closed), so listing every ruling's clasps scans no ruling twice; the
-verdict reads the sorted switch tuples behind it (_sorted_reports).
-resolve runs the same scan and keeps what it passes: the eyes, the
-slices, the crossing records and each clasp's interval (for rendering).
-brute_pair_clasps, an independent oracle, recounts one pair from
-materialized slices.
+lists the rulings (each crossing's tally, its eye pair and the clasps it
+closed, is summed per suffix in the backward pass), so no ruling is
+scanned twice; the verdict reads the sorted rows behind it
+(_sorted_reports).  resolve runs the same scan and keeps what it passes:
+the eyes, the slices, the crossing records and each clasp's interval
+(for rendering).  brute_pair_clasps, an independent oracle, recounts one
+pair from materialized slices.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .clasps import ClaspReport, _sorted_reports, clasp_report
 from .diagram import LEFT_CUSP, RIGHT_CUSP, FrontDiagram, serialize
@@ -89,8 +89,7 @@ def run_script(script: Iterable) -> FillingCertificate:
     return FillingCertificate(script, diagram, ruling, report)
 
 
-@dataclass(frozen=True)
-class RulingEvidence:
+class RulingEvidence(NamedTuple):
     switches: tuple
     clasps: int
     parity: str
@@ -132,8 +131,8 @@ class ObstructionVerdict:
 def obstruction_verdict(diagram: FrontDiagram,
                         budget: Optional[int] = None) -> ObstructionVerdict:
     """Enumerate rulings and decide whether all of them are odd."""
-    evidence = tuple(RulingEvidence(switches, report.total, report.parity)
-                     for switches, report in _sorted_reports(diagram, budget))
+    evidence = tuple(map(lambda row: RulingEvidence(
+        row[0], row[1].total, row[1].parity), _sorted_reports(diagram, budget)))
     witness = next((e.switches for e in evidence if e.parity == "even"),
                    None)
     if not evidence:

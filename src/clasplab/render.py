@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .clasps import resolve
 from .diagram import CROSSING, LEFT_CUSP, FrontDiagram, trace_components
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -111,6 +110,8 @@ def svg_render(diagram: FrontDiagram, ruling: Optional[Iterable] = None) -> str:
                 deaths[pair] = (i, e.pos)
         marks = []
     else:
+        # only a ruling needs clasps, so plain fronts do not load it
+        from .clasps import resolve
         res = resolve(diagram, ruling)
         paths = _paths_from_slices(res.slices)
         color_of = {key: _color(key[0]) for key in paths}

@@ -22,12 +22,13 @@ over a word or a window of one.  Switch sets of crossing ordinals meet the
 flags only in switch_flags, switches_of and _enumerate.
 
 Rulings are listed by a transfer scan (_transfer): states whose ``key()``
-agree scan every suffix alike, so each event keeps one state per key, the
-edges reaching the end of the word are kept, and a walk over them lists
-one ruling per path.  A state subclass that counts something reports each
-step's ``tally``; the walk folds them per ruling, and the scan itself
-knows nothing of what they count.  A listed ruling is the increasing
-tuple of its switch ordinals until a public listing makes it a frozenset.
+agree scan every suffix alike, so each event keeps one state per key, and
+a backward pass lists each state's suffixes, switch first, from the next
+event's lists.  A state subclass that counts something reports each
+step's ``tally``; the backward pass folds them per suffix, and the scan
+itself knows nothing of what they count.  A listed ruling is the
+increasing tuple of its switch ordinals until a public listing makes it
+a frozenset.
 """
 
 from __future__ import annotations
@@ -198,26 +199,52 @@ def ruling_sort_key(ruling: Iterable) -> tuple:
     return (len(t), t)
 
 
+class _FoldStep(dict):
+    """Fold id -> the fold id after one tally: the memo table of that
+    tally, filled on first use.  ``folds[f]`` is a sorted (label, sum)
+    tuple and ``ids`` its inverse, shared by every table of one scan."""
+
+    __slots__ = ("_tally", "_folds", "_ids")
+
+    def __init__(self, tally: tuple, folds: list, ids: dict):
+        self._tally, self._folds, self._ids = tally, folds, ids
+
+    def __missing__(self, f: int) -> int:
+        sums = dict(self._folds[f])
+        label, amount = self._tally
+        sums[label] = sums.get(label, 0) + amount
+        fold = tuple(sorted(sums.items()))
+        g = self[f] = self._ids.setdefault(fold, len(self._folds))
+        if g == len(self._folds):
+            self._folds.append(fold)
+        return g
+
+
 def _transfer(diagram: FrontDiagram, budget: Optional[int],
               state: Optional[PairingState] = None) -> list:
-    """Every way to scan the word as given, in walk order: (switches,
+    """Every way to scan the word as given, switch first at each
+    crossing, which within each size is increasing order: (switches,
     tallies) each, ``switches`` the increasing tuple of switch ordinals.
 
-    A transfer-matrix scan in three phases.  Forward, event by event, it
+    A transfer-matrix scan in two passes.  Forward, event by event, it
     keeps one representative state per ``key()`` (states with equal keys
     scan every suffix alike) with its number of prefix paths; each edge
-    records whether it switches and the ``tally`` its step added.
-    Backward, it keeps only the edges that reach the end of the word.
-    Then it walks the live graph, with a stack rather than one frame per
-    event, and folds each path's tallies into sorted (label, sum) pairs,
-    as the state's own ``tallies()`` would have.  ``state`` (default the
-    empty pairing) may be any PairingState subclass.
+    records the node it reaches and the ``tally`` its step added.
+    Backward, each node lists its suffixes, the paths from it to the end
+    of the word, from the next layer's lists: a switch edge prepends its
+    ordinal to every switch tuple, each edge maps the suffixes' fold ids
+    through its tally's memo table (_FoldStep), and the switch edge's
+    list comes before the plain edge's.  A node reaches the end exactly
+    when its list is non-empty.  A fold is the sorted (label, sum) pairs
+    the state's own ``tallies()`` would report.  Every prepend copies a
+    tuple, so a ruling with s switches costs s*s element copies, all of
+    them in C.  ``state`` (default the empty pairing) may be any
+    PairingState subclass.
 
     Raises BudgetExceeded, before listing anything, once more than
     ``budget`` event steps would be taken by a backtracking search: the
     sum of the path counts over every (event, key).
     """
-    ordinals = diagram.walk.ordinals
     reps, paths = [(state or PairingState()).copy()], [1]
     # Per event, two slots per node: the switch step, then the plain one.
     # nxt[slot] is the node it reaches in the next layer (-1 for none) and
@@ -225,7 +252,7 @@ def _transfer(diagram: FrontDiagram, budget: Optional[int],
     # collector tracks to a few per event, not a few per edge.
     layers = []
     steps = 0
-    for e, ordinal in zip(diagram.events, ordinals):
+    for e in diagram.events:
         steps += sum(paths)
         if budget is not None and steps > budget:
             raise BudgetExceeded(
@@ -251,67 +278,35 @@ def _transfer(diagram: FrontDiagram, budget: Optional[int],
         layers.append((nxt, tal))
         reps, paths = next_reps, next_paths
 
-    # Backward: drop the steps that cannot reach the end of the word and
-    # number the tallies of the rest, 0 standing for none.
-    tally_ids: dict = {None: 0}
-    live = [True] * len(reps)
-    for nxt, tal in reversed(layers):
-        for slot, k in enumerate(nxt):
-            if k >= 0 and not live[k]:
-                nxt[slot] = k = -1
-            tal[slot] = 0 if k < 0 else \
-                tally_ids.setdefault(tal[slot], len(tally_ids))
-        live = [nxt[j] >= 0 or nxt[j + 1] >= 0
-                for j in range(0, len(nxt), 2)]
-    if not live[0]:
-        return []
-    tallies = list(tally_ids)
+    # Backward: per node of the layer, its suffixes as parallel lists of
+    # switch tuples and fold ids; index -1 reads the dead end's lists.
+    dead, folds, fold_ids = ([], []), [()], {(): 0}
+    tables: dict = {}
 
-    # Each path carries a fold id: folds[f] is a sorted (label, sum)
-    # tuple, and fold_steps[f][t] the fold id after tally t, once known.
-    folds, fold_ids = [()], {(): 0}
-    fold_steps = [[0] + [None] * (len(tallies) - 1)]
+    def fold_step(tally: tuple):
+        table = tables.get(tally)
+        if table is None:
+            table = tables[tally] = _FoldStep(tally, folds, fold_ids)
+        return table.__getitem__
 
-    def add(f: int, t: int) -> int:
-        sums = dict(folds[f])
-        label, amount = tallies[t]
-        sums[label] = sums.get(label, 0) + amount
-        fold = tuple(sorted(sums.items()))
-        if fold not in fold_ids:
-            fold_ids[fold] = len(folds)
-            fold_steps.append([len(folds)] + [None] * (len(tallies) - 1))
-            folds.append(fold)
-        fold_steps[f][t] = fold_ids[fold]
-        return fold_ids[fold]
-
-    # Walk every path; the stack holds the paths to come back for, as
-    # (event index, node, path length there, fold).
-    found = []
-    switched: list = []
-    end = len(layers)
-    stack = [(0, 0, 0, 0)]
-    while stack:
-        i, k, depth, f = stack.pop()
-        del switched[depth:]
-        while i < end:
-            nxt, tal = layers[i]
-            j = 2 * k
-            a, b = nxt[j], nxt[j + 1]
-            if b >= 0:
-                t = tal[j + 1]
-                g = fold_steps[f][t]
-                if g is None:
-                    g = add(f, t)
-                if a < 0:
-                    i, k, f = i + 1, b, g
-                    continue
-                stack.append((i + 1, b, len(switched), g))
-            switched.append(ordinals[i])
-            t = tal[j]
-            g = fold_steps[f][t]
-            i, k, f = i + 1, a, add(f, t) if g is None else g
-        found.append((tuple(switched), folds[f]))
-    return found
+    suffixes = [([()], [0])] * len(reps) + [dead]
+    for (nxt, tal), ordinal in zip(reversed(layers),
+                                   reversed(diagram.walk.ordinals)):
+        prefix = (ordinal,).__add__
+        listed = []
+        for j in range(0, len(nxt), 2):
+            sb, fb = suffixes[nxt[j + 1]]
+            if fb and tal[j + 1] is not None:
+                fb = list(map(fold_step(tal[j + 1]), fb))
+            sa, fa = suffixes[nxt[j]]
+            if sa:
+                if tal[j] is not None:
+                    fa = list(map(fold_step(tal[j]), fa))
+                sb, fb = list(map(prefix, sa)) + sb, fa + fb
+            listed.append((sb, fb))
+        suffixes = listed + [dead]
+    switches, fold = suffixes[0]
+    return list(zip(switches, map(folds.__getitem__, fold)))
 
 
 def _map_back(diagram: FrontDiagram, narrow: FrontDiagram, origins: tuple,
@@ -415,8 +410,10 @@ def _map_back(diagram: FrontDiagram, narrow: FrontDiagram, origins: tuple,
 
 def _enumerate(diagram: FrontDiagram, budget: Optional[int],
                state: Optional[PairingState] = None) -> list:
-    """Every normal ruling as (switch tuple, tallies), sorted once by
-    (length, tuple): ruling_sort_key order without a key per row.
+    """Every normal ruling as (switch tuple, tallies), sorted once into
+    ruling_sort_key order: by length alone on ``diagram`` itself, which
+    the transfer scan lists in increasing order within each length, and
+    by (length, tuple) after mapping back, which changes the ordinals.
 
     The number of scan states grows with the width (the most strands
     alive on one slice), so the word is first reordered by far
@@ -443,6 +440,7 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
     reordered = far_commutation_order(diagram, max(diagram.walk.counts))
     if reordered is None:
         found = _transfer(diagram, budget, state)
+        found.sort(key=lambda row: len(row[0]))
     else:
         narrow, origins = reordered
         ordinals = diagram.walk.ordinals
@@ -452,7 +450,7 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
             tallies = () if state is None else \
                 scan(diagram.events, flags, state.copy())[0].tallies()
             found.append((tuple(compress(ordinals, flags)), tallies))
-    found.sort(key=lambda row: (len(row[0]), row[0]))
+        found.sort(key=lambda row: (len(row[0]), row[0]))
     return found
 
 

@@ -484,7 +484,7 @@ _LOADS = {
     "validate": set(), "generate": set(),
     "rulings": {"rulings"},
     "clasps": {"rulings", "clasps"}, "parity": {"rulings", "clasps"},
-    "render": {"rulings", "clasps", "render"},
+    "render": {"render"},
     "obstruct": {"rulings", "clasps", "fillability"},
     "cobordism": {"rulings", "clasps", "fillability"},
     "apply-script": {"rulings", "clasps", "fillability", "moves"},
@@ -517,19 +517,31 @@ def test_bare_import_loads_no_submodule():
     assert (done.returncode, done.stdout) == (0, b"[]\n")
 
 
-@pytest.mark.parametrize("command", sorted(_LOADS))
-def test_subcommand_loads_only_its_modules(command):
-    """The subcommand's first golden row: its exact module set after
-    cli.main, and the same bytes from ``python -m clasplab.cli``."""
-    row = next(r for r in load_corpus() if r["argv"][0] == command)
+def _assert_loads(row, loads):
+    """The golden row's exact module set after cli.main, and the same
+    bytes from ``python -m clasplab.cli``."""
     probe = _python("-c", _PROBE, *row["argv"], stdin=row["stdin"])
-    modules = {"cli", "diagram", "errors", *_LOADS[command]}
+    modules = {"cli", "diagram", "errors", *loads}
     assert probe.stdout.decode() == \
         f"{sorted(f'clasplab.{m}' for m in modules)}\n"
     done = _python("-m", "clasplab.cli", *row["argv"], stdin=row["stdin"])
     assert (done.returncode, done.stdout, done.stderr) == (
         row["exit"], row["stdout"].encode("utf-8"),
         row["stderr"].encode("utf-8"))
+
+
+@pytest.mark.parametrize("command", sorted(_LOADS))
+def test_subcommand_loads_only_its_modules(command):
+    """The subcommand's first golden row (render's has no --ruling)."""
+    _assert_loads(next(r for r in load_corpus() if r["argv"][0] == command),
+                  _LOADS[command])
+
+
+def test_render_with_a_ruling_loads_clasps():
+    """Drawing a ruling's resolution is what needs clasps and rulings."""
+    argv = ["render", "--generate", "trefoil", "--ruling", "[1]"]
+    _assert_loads(next(r for r in load_corpus() if r["argv"] == argv),
+                  {"render", "rulings", "clasps"})
 
 
 # ---------------------------------------------------------------------------

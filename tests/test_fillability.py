@@ -8,6 +8,7 @@ from clasplab import (EvennessViolation, FrontDiagram, Move, ScriptError,
                       generate_trefoil, generate_unknot, lc,
                       obstruction_verdict, random_script, rc, run_script,
                       search_filling)
+from clasplab.fillability import RulingEvidence
 from clasplab.moves import RulingTransport
 from conftest import reference_run_script
 
@@ -138,6 +139,27 @@ class TestObstruction:
                     continue
                 d2, _ = apply_move(d, m)
                 assert obstruction_verdict(d2).verdict == base
+
+
+class TestRulingEvidence:
+    """The verdict's evidence is an immutable value with a fixed repr,
+    the hash of its field tuple and a fixed JSON form."""
+
+    def test_value_contract(self):
+        e = RulingEvidence((1, 3), 1, "odd")
+        assert repr(e) == \
+            "RulingEvidence(switches=(1, 3), clasps=1, parity='odd')"
+        assert hash(e) == hash((e.switches, e.clasps, e.parity))
+        assert e.to_json() == {"switches": [1, 3], "clasps": 1,
+                               "parity": "odd"}
+        with pytest.raises(AttributeError):
+            e.clasps = 2
+
+    def test_verdict_builds_evidence(self):
+        # a NamedTuple equals a plain tuple, so the reference comparison
+        # in test_clasps.py cannot see which one the verdict built
+        evidence = obstruction_verdict(generate_trefoil()).evidence
+        assert [type(e) for e in evidence] == [RulingEvidence] * 3
 
 
 class TestCobordismParity:

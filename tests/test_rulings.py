@@ -268,6 +268,21 @@ class TestTransferScan:
                 assert sorted(got, key=lambda row: ruling_sort_key(row[0])) \
                     == sorted(want, key=lambda row: ruling_sort_key(row[0]))
 
+    def test_lists_in_backtracking_order(self, fillable_300):
+        """Switch first at each crossing, exactly as backtracking lists:
+        within each size that is increasing order, which _enumerate's
+        size-only sort of the word as given rests on.  The wide torus4
+        words are scanned as given up to torus4(2), and all of them as
+        _enumerate scans them, reordered."""
+        words = [d for family, make in _KERNEL_FAMILIES.items()
+                 if family != "torus4" for d in make()]
+        torus = _KERNEL_FAMILIES["torus4"]()
+        words += torus[:3] + [far_commutation_order(d)[0] for d in torus]
+        for d in words + fillable_300:
+            for state in (PairingState(), ClaspState()):
+                assert _transfer(d, None, state) == \
+                    backtrack_rulings(d, None, state)
+
     def test_long_word_lists_without_deep_recursion(self):
         # 1,500 disjoint unknots: 3,000 events, one ruling
         d = FrontDiagram(generate_unknot().events * 1500)
