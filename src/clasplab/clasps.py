@@ -28,8 +28,7 @@ pair from materialized slices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .diagram import CROSSING, LEFT_CUSP, FrontDiagram
 from .errors import InternalInvariantError, InvalidRuling, UnknownEye
@@ -45,8 +44,7 @@ INTERLEAVED = "interleaved"
 LOWER, UPPER = 0, 1
 
 
-@dataclass(frozen=True)
-class CrossingRecord:
+class CrossingRecord(NamedTuple):
     """A crossing of the resolved diagram between two distinct eyes.
 
     ``switch`` records are touch-points (the eyes meet without trading
@@ -63,8 +61,7 @@ class CrossingRecord:
     switch: bool
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """The eye decomposition of a diagram under one normal ruling."""
 
     n_eyes: int
@@ -131,14 +128,12 @@ def _pair_config(order: tuple) -> str:
     return INTERLEAVED
 
 
-@dataclass(frozen=True)
-class PairClasps:
+class PairClasps(NamedTuple):
     eyes: tuple
     clasps: int
 
 
-@dataclass(frozen=True)
-class ClaspReport:
+class ClaspReport(NamedTuple):
     pairs: tuple
     total: int
     parity: str  # "odd" | "even"

@@ -379,6 +379,10 @@ def main(argv=None) -> int:
         sys.stderr.write(_dumps({"error": type(exc).__name__,
                                  "message": str(exc)}))
         return 1
+    except MemoryError:  # an unbounded listing; its lists are freed by now
+        sys.stderr.write(_dumps({"error": "MemoryError", "message": "out of "
+                                 "memory; --budget N bounds the listing"}))
+        return 1
 
 
 if __name__ == "__main__":

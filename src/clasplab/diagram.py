@@ -17,7 +17,6 @@ it again; ``validate`` reports on any raw event word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidBraidLetter, InvalidDiagram, ParseError
@@ -32,18 +31,53 @@ _NAMES = {LEFT_CUSP: "left cusp", RIGHT_CUSP: "right cusp",
 _DELTA = {LEFT_CUSP: 2, RIGHT_CUSP: -2, CROSSING: 0}
 
 
-@dataclass(frozen=True)
-class Event:
+class _Frozen:
+    """Base of the immutable values the scan and move loops read: slots
+    read faster than NamedTuple getters.  ``_fields``, the constructor's
+    arguments in order, are compared within one class, hashed as a tuple,
+    pickled and (unless ``_hidden``) shown; setting any attribute raises."""
+
+    __slots__ = ()
+    _hidden = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields
+                 if name not in self._hidden)
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Event(_Frozen):
     """One cusp or crossing of a front, at one x-coordinate."""
 
-    kind: str
-    pos: int
+    __slots__ = _fields = ("kind", "pos")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.pos < 1:
+    def __init__(self, kind: str, pos: int):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if pos < 1:
             raise ValueError("event positions are 1-based")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "pos", pos)
 
     def __str__(self):
         return f"{self.kind} {self.pos}"
@@ -61,8 +95,7 @@ def x(p: int) -> Event:
     return Event(CROSSING, p)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A broken invariant, located at a 1-based event index."""
 
     event_index: int
@@ -106,8 +139,7 @@ def _walk(events: tuple) -> tuple:
     return DiagramWalk(tuple(counts), tuple(ordinals), c), None
 
 
-@dataclass(frozen=True)
-class FrontDiagram:
+class FrontDiagram(_Frozen):
     """An immutable closed front diagram, stored as its event word.
 
     Construction walks the word once and raises InvalidDiagram at its
@@ -115,8 +147,8 @@ class FrontDiagram:
     ``walk`` keeps what that pass found.
     """
 
-    events: tuple[Event, ...]
-    walk: DiagramWalk = field(init=False, repr=False, compare=False)
+    __slots__ = ("events", "walk")
+    _fields = ("events",)
 
     def __init__(self, events: Iterable[Event] = ()):
         events = tuple(events)
@@ -148,8 +180,7 @@ class FrontDiagram:
         return self.walk.n_crossings
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...] = ()
 
@@ -165,8 +196,7 @@ def validate(word: Iterable[Event]) -> ValidationReport:
                             () if violation is None else (violation,))
 
 
-@dataclass(frozen=True)
-class StrandTrace:
+class StrandTrace(NamedTuple):
     """Connectivity data of a diagram.
 
     Strand segments are numbered by birth (each left cusp creates ids

@@ -13,7 +13,6 @@ all odd admits no such script at all.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .clasps import ClaspReport, _sorted_reports, clasp_report
@@ -26,8 +25,7 @@ from .rulings import PairingState, enumerate_rulings, switches_of
 if TYPE_CHECKING:
     from .moves import RulingTransport
 
-@dataclass(frozen=True)
-class FillingCertificate:
+class FillingCertificate(NamedTuple):
     script: tuple
     diagram: FrontDiagram
     ruling: frozenset
@@ -99,8 +97,7 @@ class RulingEvidence(NamedTuple):
                 "parity": self.parity}
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(NamedTuple):
     """Outcome of the all-rulings-odd test.
 
     ``obstructed`` means the diagram has at least one normal ruling and
@@ -131,8 +128,9 @@ class ObstructionVerdict:
 def obstruction_verdict(diagram: FrontDiagram,
                         budget: Optional[int] = None) -> ObstructionVerdict:
     """Enumerate rulings and decide whether all of them are odd."""
-    evidence = tuple(map(lambda row: RulingEvidence(
-        row[0], row[1].total, row[1].parity), _sorted_reports(diagram, budget)))
+    # unpacking each row's report is quicker than reading fields by name
+    evidence = tuple(RulingEvidence(s, total, parity) for s, (_, total, parity)
+                     in _sorted_reports(diagram, budget))
     witness = next((e.switches for e in evidence if e.parity == "even"),
                    None)
     if not evidence:
@@ -140,8 +138,7 @@ def obstruction_verdict(diagram: FrontDiagram,
     return ObstructionVerdict(witness is None, evidence, witness)
 
 
-@dataclass(frozen=True)
-class CobordismParity:
+class CobordismParity(NamedTuple):
     status: str  # "compatible" | "incompatible" | "not_applicable"
     lower: Optional[RulingEvidence] = None
     upper: Optional[RulingEvidence] = None
@@ -243,8 +240,7 @@ def random_script(length: int, seed: int) -> list:
     return script
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     status: str  # "found" | "exhausted" | "pruned"
     script: Optional[tuple] = None
     stats: Optional[dict] = None

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Optional
 
 from .diagram import (CROSSING, LEFT_CUSP, RIGHT_CUSP, Event, FrontDiagram,
-                      ascii_number, far_commutation_order, lc, rc,
+                      _Frozen, ascii_number, far_commutation_order, lc, rc,
                       transpose_events, x)
 from .errors import InvalidDiagram, InvalidRuling, NotApplicable, \
     ParseError, TransportFailure
@@ -48,8 +47,7 @@ _INSERTION_KINDS = ("h0", "h1", "r1")
 _TAKES = {"position": _INSERTION_KINDS, "variant": ("r1", "r2")}
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(_Frozen):
     """One anchored rewrite.
 
     For insertion kinds (h0, h1, r1) the anchor is a 1-based word gap
@@ -59,25 +57,26 @@ class Move:
     the up/down orientation of r1 and r2.
     """
 
-    kind: str
-    anchor: Optional[int] = None
-    pos: int = 0
-    variant: str = ""
+    __slots__ = _fields = ("kind", "anchor", "pos", "variant")
 
-    def __post_init__(self):
-        if self.kind not in MOVE_KINDS:
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        if self.variant not in ("", "up", "down"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+    def __init__(self, kind: str, anchor: Optional[int] = None, pos: int = 0,
+                 variant: str = ""):
+        if kind not in MOVE_KINDS:
+            raise ValueError(f"unknown move kind {kind!r}")
+        if variant not in ("", "up", "down"):
+            raise ValueError(f"unknown variant {variant!r}")
         # what __str__ drops or parse_move cannot read back is refused
-        for what, given in (("position", self.pos),
-                            ("variant", self.variant)):
-            if given and self.kind not in _TAKES[what]:
-                raise ValueError(f"{self.kind} takes no {what}")
-        if self.anchor is None and self.kind not in _INSERTION_KINDS:
-            raise ValueError(f"{self.kind} needs an anchor")
-        if self.pos < 0 or (self.anchor or 0) < 0:
+        for what, given in (("position", pos), ("variant", variant)):
+            if given and kind not in _TAKES[what]:
+                raise ValueError(f"{kind} takes no {what}")
+        if anchor is None and kind not in _INSERTION_KINDS:
+            raise ValueError(f"{kind} needs an anchor")
+        if pos < 0 or (anchor or 0) < 0:
             raise ValueError("positions and anchors are never negative")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "variant", variant)
 
     def __str__(self):
         parts = [self.kind]
@@ -172,13 +171,15 @@ def _match_r3(events, i0: int) -> Optional[list]:
 # ---------------------------------------------------------------------------
 # rewrites
 
-@dataclass(frozen=True)
-class _Rewrite:
+class _Rewrite(_Frozen):
     """Replace events[i0:i0+n_old] with new_events (0-based i0)."""
 
-    i0: int
-    n_old: int
-    new_events: tuple
+    __slots__ = _fields = ("i0", "n_old", "new_events")
+
+    def __init__(self, i0: int, n_old: int, new_events: tuple):
+        object.__setattr__(self, "i0", i0)
+        object.__setattr__(self, "n_old", n_old)
+        object.__setattr__(self, "new_events", new_events)
 
 
 def _resolve(diagram: FrontDiagram, move: Move) -> _Rewrite:
@@ -243,8 +244,7 @@ def _resolve(diagram: FrontDiagram, move: Move) -> _Rewrite:
 # ---------------------------------------------------------------------------
 # ruling transport
 
-@dataclass(frozen=True)
-class RulingTransport:
+class RulingTransport(_Frozen):
     """Per-ruling switch-set map induced by one move.
 
     Every move keeps the switches outside its window and takes the unique
@@ -257,10 +257,15 @@ class RulingTransport:
     for a caller (the script runner) that holds the entry pairing.
     """
 
-    move: Move
-    source: FrontDiagram
-    target: FrontDiagram
-    _rewrite: _Rewrite = field(repr=False)
+    __slots__ = _fields = ("move", "source", "target", "_rewrite")
+    _hidden = ("_rewrite",)
+
+    def __init__(self, move: Move, source: FrontDiagram,
+                 target: FrontDiagram, _rewrite: _Rewrite):
+        object.__setattr__(self, "move", move)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_rewrite", _rewrite)
 
     def __call__(self, ruling: Iterable) -> frozenset:
         rw = self._rewrite

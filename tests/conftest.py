@@ -1,3 +1,5 @@
+import copy
+import pickle
 from typing import Optional
 
 import pytest
@@ -68,6 +70,31 @@ def reference_run_script(script) -> FillingCertificate:
             f"filling certificate has {report.total} clasps; "
             "the move calculus must keep this even")
     return FillingCertificate(script, diagram, ruling, report)
+
+
+def assert_value_contract(value, text, fields, other, hashable=True):
+    """The contract of the library's immutable value types: the exact
+    repr ``text``; equal to the value rebuilt from ``fields`` (its
+    compared fields, which are its constructor's arguments) and unequal
+    to ``other``, in which one field differs; hashed as ``fields`` (or
+    unhashable, when a field is a dict); no assignment or deletion; and
+    equal, of the same type, after a copy.copy and a pickle round trip."""
+    assert repr(value) == text
+    assert value == type(value)(*fields)
+    assert value != other and not value == other
+    if hashable:
+        assert hash(value) == hash(fields)
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+    first = text.partition("(")[2].partition("=")[0]  # as the repr names it
+    with pytest.raises(AttributeError):
+        setattr(value, first, None)
+    with pytest.raises(AttributeError):
+        delattr(value, first)
+    assert getattr(value, first) == fields[0]
+    for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value
 
 
 def backtrack_rulings(diagram, budget=None, state=None, steps=None) -> list:

@@ -2,7 +2,6 @@
 
 import functools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,13 +16,14 @@ from clasplab import (BudgetExceeded, ClaspLabError, ClaspState,
                       obstruction_verdict, resolve, ruling_reports, scan,
                       switch_flags)
 from clasplab.clasps import (DISJOINT, INTERLEAVED, NESTED, LOWER, UPPER,
-                             ClaspReport, PairClasps, _pair_config,
+                             ClaspReport, PairClasps, Resolution, _pair_config,
                              parity_of_total)
 from clasplab.diagram import far_commutation_order
 from clasplab.fillability import (ObstructionVerdict, RulingEvidence,
                                   random_script, run_script)
 from clasplab.rulings import ruling_sort_key
-from conftest import backtrack_rulings, clasp_intervals, random_fillable
+from conftest import (assert_value_contract, backtrack_rulings,
+                      clasp_intervals, random_fillable)
 
 
 class TestResolve:
@@ -156,13 +156,46 @@ class TestOracle:
         self._check(cert.diagram, cert.ruling)
 
 
+class TestValueTypes:
+    """conftest.assert_value_contract for the clasp records."""
+
+    def test_crossing_record(self):
+        fields = (2, 4, 0, LOWER, 1, UPPER, False)
+        assert_value_contract(
+            CrossingRecord(*fields),
+            "CrossingRecord(ordinal=2, event_index=4, eye_a=0, strand_a=0, "
+            "eye_b=1, strand_b=1, switch=False)",
+            fields, CrossingRecord(*fields[:-1], True))
+
+    def test_resolution(self):
+        slices = ((), ((0, 0), (0, 1)), ())
+        assert_value_contract(
+            resolve(generate_unknot(), ()),
+            "Resolution(n_eyes=1, birth=(1,), death=(2,), "
+            "slices=((), ((0, 0), (0, 1)), ()), records=(), clasps=())",
+            (1, (1,), (2,), slices, (), ()),
+            Resolution(1, (1,), (3,), slices, (), ()))
+
+    def test_reports(self):
+        pair = PairClasps((0, 1), 1)
+        assert_value_contract(pair, "PairClasps(eyes=(0, 1), clasps=1)",
+                              ((0, 1), 1), PairClasps((0, 2), 1))
+        report = clasp_report(generate_trefoil(), {1})
+        assert_value_contract(
+            report, "ClaspReport(pairs=(PairClasps(eyes=(0, 1), clasps=1),),"
+                    " total=1, parity='odd')",
+            ((pair,), 1, "odd"), ClaspReport((pair,), 3, "odd"))
+        assert report.to_json() == {"pairs": [{"eyes": [0, 1], "clasps": 1}],
+                                    "total": 1, "parity": "odd"}
+
+
 class TestInvariantErrors:
     def test_inconsistent_resolution_raises_named_error(self):
         res = resolve(generate_trefoil(), {1, 2, 3})
         # the lower strand of eye 0 and the upper strand of eye 1 are never
         # adjacent, so no unswitched crossing can exchange them
         bad = CrossingRecord(2, 4, 0, LOWER, 1, UPPER, switch=False)
-        res = replace(res, records=(bad,))
+        res = res._replace(records=(bad,))
         with pytest.raises(InternalInvariantError,
                            match="crossing between non-adjacent strands"):
             clasp_intervals(res, 0, 1)

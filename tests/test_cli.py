@@ -166,6 +166,23 @@ class TestErrorsAndDeterminism:
             "error": "InternalInvariantError",
             "message": "crossing between non-adjacent strands"}
 
+    def test_memory_error_exit_1(self, capsys, monkeypatch):
+        """An unbounded listing that exhausts memory ends in one JSON
+        line naming --budget, not in a traceback."""
+        from clasplab import fillability
+
+        def exhausted(diagram, budget=None):
+            raise MemoryError
+
+        monkeypatch.setattr(fillability, "obstruction_verdict", exhausted)
+        code, out, err = run(capsys, "obstruct", "--generate", "braid",
+                             "--strands", "2", "--word", ",".join("1" * 40))
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert "Traceback" not in err
+        payload = json.loads(err)
+        assert payload["error"] == "MemoryError"
+        assert "--budget" in payload["message"]
+
     def test_parse_error_structured(self, capsys, tmp_path):
         f = tmp_path / "d.front"
         f.write_text("x zero\n")
@@ -494,13 +511,19 @@ _LOADS = {
 _LOADED = ("print(sorted(m for m in sys.modules "
            "if m.startswith('clasplab.')))")
 
-#: Runs cli.main on its arguments, then prints the loaded module names.
+#: Standard modules no subcommand may load: dataclasses also imports
+#: inspect, ast, dis and tokenize, which every cold start would pay for.
+_BARRED = ("dataclasses", "inspect")
+
+#: Runs cli.main on its arguments, then prints the loaded module names
+#: and the barred ones among them.
 _PROBE = f"""
 import contextlib, io, sys
 from clasplab import cli
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(sys.argv[1:])
 {_LOADED}
+print([m for m in {_BARRED!r} if m in sys.modules])
 """
 
 
@@ -518,12 +541,12 @@ def test_bare_import_loads_no_submodule():
 
 
 def _assert_loads(row, loads):
-    """The golden row's exact module set after cli.main, and the same
-    bytes from ``python -m clasplab.cli``."""
+    """The golden row's exact module set after cli.main, none of the
+    barred modules, and the same bytes from ``python -m clasplab.cli``."""
     probe = _python("-c", _PROBE, *row["argv"], stdin=row["stdin"])
     modules = {"cli", "diagram", "errors", *loads}
     assert probe.stdout.decode() == \
-        f"{sorted(f'clasplab.{m}' for m in modules)}\n"
+        f"{sorted(f'clasplab.{m}' for m in modules)}\n[]\n"
     done = _python("-m", "clasplab.cli", *row["argv"], stdin=row["stdin"])
     assert (done.returncode, done.stdout, done.stderr) == (
         row["exit"], row["stdout"].encode("utf-8"),

@@ -1,5 +1,7 @@
 """Event words, validation, tracing, generators, and the text format."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,9 +11,11 @@ from clasplab import (FrontDiagram, InvalidBraidLetter, InvalidDiagram,
                       generate_trefoil, generate_unknot, lc, n_components,
                       parse, rc, serialize, stacked_union, trace_components,
                       transpose_events, validate, x)
-from clasplab.diagram import far_commutation_order
+from clasplab.diagram import (Event, StrandTrace, ValidationReport,
+                              Violation, far_commutation_order)
 from clasplab.fillability import random_script, run_script
-from conftest import far_commutation_windows, hop_counts, random_fillable
+from conftest import (assert_value_contract, far_commutation_windows,
+                      hop_counts, random_fillable)
 
 
 class TestValidate:
@@ -84,6 +88,52 @@ class TestTrace:
             for comp in range(t.n_components):
                 left, right = t.cusp_tally(comp)
                 assert left == right
+
+
+class TestValueTypes:
+    """Each value's repr, equality, hash, immutability, copy and pickle
+    (conftest.assert_value_contract)."""
+
+    def test_event(self):
+        assert_value_contract(Event("x", 2), "Event(kind='x', pos=2)",
+                              ("x", 2), Event("x", 3))
+        # unlike a NamedTuple record, a slotted value equals no tuple
+        assert Event("x", 2) != ("x", 2)
+
+    @pytest.mark.parametrize("kind, pos, message", [
+        ("q", 1, "unknown event kind 'q'"),
+        ("x", 0, "event positions are 1-based")])
+    def test_event_refuses_bad_fields(self, kind, pos, message):
+        with pytest.raises(ValueError, match=message):
+            Event(kind, pos)
+
+    def test_front_diagram(self):
+        d = generate_unknot()
+        assert_value_contract(
+            d, "FrontDiagram(events=(Event(kind='lc', pos=1), "
+               "Event(kind='rc', pos=1)))",
+            (d.events,), FrontDiagram(d.events * 2))
+        assert pickle.loads(pickle.dumps(d)).walk == d.walk
+
+    def test_validation_records(self):
+        v = Violation(3, "bad")
+        assert_value_contract(v, "Violation(event_index=3, rule='bad')",
+                              (3, "bad"), Violation(3, "worse"))
+        assert_value_contract(
+            ValidationReport(False, (v,)),
+            "ValidationReport(ok=False, "
+            "violations=(Violation(event_index=3, rule='bad'),))",
+            (False, (v,)), ValidationReport(True, (v,)))
+
+    def test_strand_trace(self):
+        t = trace_components(generate_unknot())
+        assert_value_contract(
+            t, "StrandTrace(slices=((), (1, 2), ()), "
+               "component_of_strand={1: 0, 2: 0}, n_components=1, "
+               "left_cusps=(1,), right_cusps=(1,))",
+            (((), (1, 2), ()), {1: 0, 2: 0}, 1, (1,), (1,)),
+            StrandTrace(t.slices, t.component_of_strand, 2, t.left_cusps,
+                        t.right_cusps), hashable=False)
 
 
 class TestGenerators:

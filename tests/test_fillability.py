@@ -8,9 +8,11 @@ from clasplab import (EvennessViolation, FrontDiagram, Move, ScriptError,
                       generate_trefoil, generate_unknot, lc,
                       obstruction_verdict, random_script, rc, run_script,
                       search_filling)
-from clasplab.fillability import RulingEvidence
+from clasplab.fillability import (CobordismParity, FillingCertificate,
+                                  ObstructionVerdict, RulingEvidence,
+                                  SearchResult)
 from clasplab.moves import RulingTransport
-from conftest import reference_run_script
+from conftest import assert_value_contract, reference_run_script
 
 
 def outcome(runner, script):
@@ -24,6 +26,7 @@ def outcome(runner, script):
 class TestRunScript:
     def test_single_birth(self):
         cert = run_script([Move("h0", 1, 1)])
+        fields = (cert.script, cert.diagram, cert.ruling, cert.report)
         assert cert.diagram.events == generate_unknot().events
         assert cert.ruling == frozenset()
         assert cert.report.total == 0
@@ -160,6 +163,64 @@ class TestRulingEvidence:
         # in test_clasps.py cannot see which one the verdict built
         evidence = obstruction_verdict(generate_trefoil()).evidence
         assert [type(e) for e in evidence] == [RulingEvidence] * 3
+
+
+class TestValueTypes:
+    """conftest.assert_value_contract and the JSON form of the filling
+    records."""
+
+    UNKNOT = "FrontDiagram(events=(Event(kind='lc', pos=1), " \
+             "Event(kind='rc', pos=1)))"
+    H0 = "Move(kind='h0', anchor=1, pos=1, variant='')"
+    EVEN = "RulingEvidence(switches=(), clasps=0, parity='even')"
+
+    def test_filling_certificate(self):
+        cert = run_script([Move("h0", 1, 1)])
+        fields = (cert.script, cert.diagram, cert.ruling, cert.report)
+        assert_value_contract(
+            cert, f"FillingCertificate(script=({self.H0},), "
+                  f"diagram={self.UNKNOT}, ruling=frozenset(), "
+                  "report=ClaspReport(pairs=(), total=0, parity='even'))",
+            fields, FillingCertificate(*fields[:2], frozenset({1}), fields[3]))
+        assert cert.to_json() == {
+            "script": ["h0 1 @1"], "diagram": "lc 1\nrc 1\n", "ruling": [],
+            "clasps": {"pairs": [], "total": 0, "parity": "even"}}
+
+    def test_obstruction_verdict(self):
+        verdict = obstruction_verdict(generate_unknot())
+        evidence = (RulingEvidence((), 0, "even"),)
+        assert_value_contract(
+            verdict, f"ObstructionVerdict(obstructed=False, "
+                     f"evidence=({self.EVEN},), witness=(), note=None)",
+            (False, evidence, (), None),
+            ObstructionVerdict(False, evidence, None, None))
+        assert verdict.to_json() == {
+            "verdict": "not_obstructed", "witness": [], "note": None,
+            "rulings": [{"switches": [], "clasps": 0, "parity": "even"}]}
+
+    def test_cobordism_parity(self):
+        result = cobordism_parity_check(generate_unknot(), generate_unknot())
+        even = RulingEvidence((), 0, "even")
+        assert_value_contract(
+            result, f"CobordismParity(status='compatible', lower={self.EVEN}, "
+                    f"upper={self.EVEN}, reason=None)",
+            ("compatible", even, even, None),
+            CobordismParity("incompatible", even, even, None))
+        assert result.to_json() == {
+            "status": "compatible", "reason": None,
+            "lower": {"switches": [], "clasps": 0, "parity": "even"},
+            "upper": {"switches": [], "clasps": 0, "parity": "even"}}
+
+    def test_search_result(self):
+        result = search_filling(generate_unknot())
+        assert_value_contract(
+            result, f"SearchResult(status='found', script=({self.H0},), "
+                    "stats={'nodes': 1, 'depth': 1})",
+            ("found", (Move("h0", 1, 1),), {"nodes": 1, "depth": 1}),
+            SearchResult("found", (Move("h0", 1, 1),), {"nodes": 2}),
+            hashable=False)
+        assert result.to_json() == {"status": "found", "script": ["h0 1 @1"],
+                                    "stats": {"nodes": 1, "depth": 1}}
 
 
 class TestCobordismParity:

@@ -13,11 +13,11 @@ from clasplab import (FrontDiagram, Move, NotApplicable, ParseError,
                       obstruction_verdict, parse, parse_script, rc, resolve,
                       serialize_script, transpose_events, validate, x)
 from clasplab.fillability import random_script
-from clasplab.moves import (MOVE_KINDS, _match_r1inv, _match_r2inv,
-                            _match_r3, _menu, _r2_variants,
+from clasplab.moves import (MOVE_KINDS, RulingTransport, _match_r1inv,
+                            _match_r2inv, _match_r3, _menu, _r2_variants,
                             applicable_kinds, moves_of_kind)
 from clasplab.rulings import ruling_sort_key, scan, switch_flags
-from conftest import random_fillable
+from conftest import assert_value_contract, random_fillable
 
 EMPTY = frozenset()
 
@@ -552,6 +552,28 @@ class TestScriptFormat:
         with pytest.raises(ParseError) as info:
             parse_script(f"h0 1\n{line}\n")
         assert str(info.value) == f"line 2: {message}"
+
+
+class TestValueTypes:
+    """conftest.assert_value_contract for moves and transports."""
+
+    def test_move(self):
+        assert_value_contract(
+            Move("r1", 2, 1, "up"),
+            "Move(kind='r1', anchor=2, pos=1, variant='up')",
+            ("r1", 2, 1, "up"), Move("r1", 2, 1, "down"))
+
+    def test_ruling_transport(self):
+        unknot = generate_unknot()
+        target, t = apply_move(unknot, Move("h0", 1, 1))
+        word = "Event(kind='lc', pos=1), Event(kind='rc', pos=1)"
+        # the rewrite is compared, hashed and pickled, but not shown
+        fields = (Move("h0", 1, 1), unknot, target, t._rewrite)
+        assert_value_contract(
+            t, "RulingTransport(move=Move(kind='h0', anchor=1, pos=1, "
+               f"variant=''), source=FrontDiagram(events=({word})), "
+               f"target=FrontDiagram(events=({word}, {word})))",
+            fields, RulingTransport(Move("h0", 3, 1), *fields[1:]))
 
 
 class TestMoveTokens:

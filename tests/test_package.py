@@ -71,3 +71,19 @@ print(hasattr(clasplab, "no_such_name"), hasattr(clasplab, "__wrapped__"))
 print([m for m in sys.modules if m.startswith("clasplab.")])
 """) == ("module 'clasplab' has no attribute 'no_such_name'\n"
          "False False\n[]\n")
+
+
+def test_no_module_loads_dataclasses():
+    """dataclasses (which imports inspect, ast, dis and tokenize) would
+    cost every CLI start; prints the first module that loads either."""
+    names = sorted(p.stem for p in (SRC / "clasplab").glob("*.py")
+                   if p.stem != "__init__")
+    assert "cli" in names  # the glob found the package
+    assert fresh(f"""
+import importlib, sys
+for name in {names!r}:
+    importlib.import_module("clasplab." + name)
+    if "dataclasses" in sys.modules or "inspect" in sys.modules:
+        print(name)
+        break
+""") == ""
