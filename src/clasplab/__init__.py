@@ -16,11 +16,11 @@ from importlib import import_module as _import_module
 #: The public names, by home module.
 _NAMES = {
     "clasps": """ClaspReport ClaspState CrossingRecord PairClasps Resolution
-        brute_pair_clasps clasp_report resolve ruling_reports""",
+        clasp_report resolve ruling_reports""",
     "diagram": """Event FrontDiagram StrandTrace ValidationReport Violation
-        disjoint_union generate_negative_braid_closure generate_torus4
-        generate_trefoil generate_unknot lc n_components parse rc serialize
-        stacked_union trace_components transpose_events validate x""",
+        generate_negative_braid_closure generate_torus4 generate_trefoil
+        generate_unknot lc parse rc serialize trace_components
+        transpose_events validate x""",
     "errors": """BudgetExceeded ClaspLabError EvennessViolation
         InternalInvariantError InvalidBraidLetter InvalidDiagram
         InvalidRuling NotApplicable ParseError ScriptError TransportFailure
@@ -29,10 +29,10 @@ _NAMES = {
         SearchResult cobordism_parity_check obstruction_verdict
         random_script run_script search_filling""",
     "moves": """Move RulingTransport apply_move enumerate_applicable_moves
-        normalize parse_script serialize_script""",
+        parse_script serialize_script""",
     "render": "ascii_render svg_render",
-    "rulings": """EMPTY_RULING NormalRuling PairingState brute_force_rulings
-        enumerate_rulings is_normal_ruling scan switch_flags switches_of""",
+    "rulings": """PairingState enumerate_rulings is_normal_ruling scan
+        switch_flags switches_of""",
 }
 _HOMES = {name: module for module, names in _NAMES.items()
           for name in names.split()}

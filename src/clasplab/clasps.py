@@ -22,8 +22,7 @@ closed, is summed per suffix in the backward pass), so no ruling is
 scanned twice; the verdict reads the sorted rows behind it
 (_sorted_reports).  resolve runs the same scan and keeps what it passes:
 the eyes, the slices, the crossing records and each clasp's interval
-(for rendering).  brute_pair_clasps, an independent oracle, recounts one
-pair from materialized slices.
+(for rendering).
 """
 
 from __future__ import annotations
@@ -31,17 +30,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .diagram import CROSSING, LEFT_CUSP, FrontDiagram
-from .errors import InternalInvariantError, InvalidRuling, UnknownEye
+from .errors import InvalidRuling
 from .rulings import PairingState, _enumerate, scan, switch_flags
-
-DISJOINT = "disjoint"
-NESTED = "nested"
-INTERLEAVED = "interleaved"
-
-#: Strand labels within an eye.  The lower strand at birth stays below its
-#: partner for the eye's whole life (the two never cross), so the label is
-#: simply the current vertical order.
-LOWER, UPPER = 0, 1
 
 
 class CrossingRecord(NamedTuple):
@@ -75,11 +65,11 @@ class Resolution(NamedTuple):
 def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
     """Run one ClaspState scan, checking the ruling and building its eyes.
 
-    Eye ids and strand labels are the state's: a strand is UPPER where
-    its mate lies below it.  Each crossing is recorded just before it
-    steps.  After an unswitched crossing, its pair is open when it opened
-    an interleaved interval, and its tally counts 1 when it closed a
-    clasp.
+    Eye ids and strand labels are the state's: a strand is upper (1)
+    where its mate lies below it, else lower (0).  Each crossing is
+    recorded just before it steps.  After an unswitched crossing, its
+    pair is open when it opened an interleaved interval, and its tally
+    counts 1 when it closed a clasp.
     """
     flags = switch_flags(diagram, ruling)
     state = ClaspState()
@@ -116,16 +106,6 @@ def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
                             for q in range(1, len(m))))
     return Resolution(len(birth), tuple(birth), tuple(death), tuple(slices),
                       tuple(records), tuple(clasps))
-
-
-def _pair_config(order: tuple) -> str:
-    """Configuration of two eyes from their four strands' vertical order."""
-    eyes = tuple(e for e, _ in order)
-    if eyes[0] == eyes[1]:
-        return DISJOINT
-    if eyes[0] == eyes[3]:
-        return NESTED
-    return INTERLEAVED
 
 
 class PairClasps(NamedTuple):
@@ -211,7 +191,7 @@ class ClaspState(PairingState):
             return None
         if is_switch or a == b:  # a failure; the pairing step names it
             return PairingState.step(self, event, is_switch)
-        # strand labels: True (UPPER) where the strand's mate lies below it
+        # strand labels: True (upper) where the strand's mate lies below it
         at_p, at_q = m[p] < p, m[p + 1] < p + 1
         pair, strands = ((a, b), (at_p, at_q)) if a < b else \
             ((b, a), (at_q, at_p))
@@ -252,8 +232,8 @@ def clasp_report(diagram: FrontDiagram, ruling: Iterable) -> ClaspReport:
 
 
 def _sorted_reports(diagram: FrontDiagram, budget: Optional[int]) -> list:
-    """(switch tuple, ClaspReport) of every normal ruling, by
-    ruling_sort_key, counted during the transfer scan itself as tallies
+    """(switch tuple, ClaspReport) of every normal ruling, by size, then
+    lexicographic, counted during the transfer scan itself as tallies
     folded along each listed ruling; equal counts share one report."""
     reports: dict = {}
     found = []
@@ -267,79 +247,9 @@ def _sorted_reports(diagram: FrontDiagram, budget: Optional[int]) -> list:
 
 def ruling_reports(diagram: FrontDiagram,
                    budget: Optional[int] = None) -> list:
-    """(ruling, ClaspReport) of every normal ruling, by ruling_sort_key,
-    with no ruling scanned twice (see _sorted_reports); ``budget`` bounds
-    the scan exactly as in enumerate_rulings."""
+    """(ruling, ClaspReport) of every normal ruling, by size, then
+    lexicographic, with no ruling scanned twice (see _sorted_reports);
+    ``budget`` bounds the scan exactly as in enumerate_rulings."""
     return [(frozenset(switches), report)
             for switches, report in _sorted_reports(diagram, budget)]
 
-
-# ---------------------------------------------------------------------------
-# independent oracle: classify every slice from scratch
-
-def brute_pair_clasps(diagram: FrontDiagram, ruling: Iterable,
-                      eye_a: int, eye_b: int) -> int:
-    """Recount one pair's clasps by materializing every slice.
-
-    Replays the word with its own scan, classifies the pair's
-    configuration on every slice, locates maximal interleaved runs, and
-    reads the bounding crossings' strand pairs off the position arrays.
-    Used to cross-check the counts of ClaspState.
-    """
-    ruling = frozenset(ruling)
-    slots: list = []
-    slices = [()]
-    next_eye = ordinal = 0
-    for e in diagram.events:
-        p = e.pos
-        if e.kind == LEFT_CUSP:
-            slots[p - 1:p - 1] = [(next_eye, LOWER), (next_eye, UPPER)]
-            next_eye += 1
-        elif e.kind == CROSSING:
-            ordinal += 1
-            if ordinal not in ruling:
-                slots[p - 1], slots[p] = slots[p], slots[p - 1]
-        else:
-            del slots[p - 1:p + 1]
-        slices.append(tuple(slots))
-    if not (0 <= eye_a < next_eye and 0 <= eye_b < next_eye):
-        raise UnknownEye("eye id out of range")
-
-    def config_at(k):
-        both = [s for s in slices[k] if s[0] in (eye_a, eye_b)]
-        if len(both) != 4:
-            return None  # not coexisting on this slice
-        return _pair_config(tuple(both))
-
-    def swapped_pair(k):
-        """Strand pair of event k when it crosses our two eyes, else None."""
-        e = diagram.events[k - 1]
-        if e.kind != CROSSING:
-            return None
-        lo, hi = slices[k - 1][e.pos - 1], slices[k - 1][e.pos]
-        if lo == slices[k][e.pos - 1]:
-            return None  # a switch: nothing moved
-        if {lo[0], hi[0]} != {eye_a, eye_b}:
-            return None
-        if lo[0] != min(eye_a, eye_b):
-            lo, hi = hi, lo
-        return (lo[1], hi[1])
-
-    configs = [config_at(k) for k in range(len(slices))]
-    clasps = 0
-    k = 0
-    while k < len(configs):
-        if configs[k] != INTERLEAVED:
-            k += 1
-            continue
-        start = k
-        while k < len(configs) and configs[k] == INTERLEAVED:
-            k += 1
-        enter = swapped_pair(start)       # event turning slice start-1 -> start
-        leave = swapped_pair(k)           # event turning slice k-1 -> k
-        if enter is None or leave is None:
-            raise InternalInvariantError(
-                "interleaved run not bounded by pair crossings")
-        if enter == leave:
-            clasps += 1
-    return clasps

@@ -16,13 +16,18 @@ import sys
 
 # Each handler imports the modules it runs, so a process loads only those.
 from . import diagram as diagram_mod
-from .errors import ClaspLabError
+from .errors import BudgetExceeded, ClaspLabError
 
 _GENERATORS = ("unknot", "trefoil", "torus4", "braid")
 #: braid needs --strands and --word, which the upper diagram has no twin of.
 _UPPER_GENERATORS = ("unknot", "trefoil", "torus4")
 #: Subcommands that run an enumeration or search, and so take --budget.
 _BUDGETED = ("rulings", "clasps", "parity", "obstruct", "cobordism", "search")
+#: The step budget of every listing when neither --budget nor
+#: CLASPLAB_BUDGET sets one; search keeps SEARCH_NODE_BUDGET.  A
+#: listing's memory grows with its steps: braid(2, [1]*26) needs 1.03 M
+#: and about 160 MB, and no row of the golden corpus needs 1,300.
+LISTING_BUDGET = 1_000_000
 
 
 class _UsageError(Exception):
@@ -127,12 +132,16 @@ def _emit(args, payload: str) -> None:
         sys.stdout.write(payload)
 
 
-def _budget(args):
+def _budget(args, default=None) -> int:
+    """--budget, else CLASPLAB_BUDGET, else ``default`` (LISTING_BUDGET
+    when None), which sets ``args.default_budget`` so that running out
+    of it names --budget."""
     budget, source = args.budget, "--budget"
     if budget is None:
         env = os.environ.get("CLASPLAB_BUDGET")
         if not env:
-            return None
+            args.default_budget = True
+            return LISTING_BUDGET if default is None else default
         try:
             budget, source = _integer(env), "CLASPLAB_BUDGET"
         except argparse.ArgumentTypeError:
@@ -229,6 +238,9 @@ def _cmd_obstruct(args) -> int:
 
 def _cmd_cobordism(args) -> int:
     from .fillability import cobordism_parity_check
+    if args.upper is not None and args.generate_upper is not None:
+        raise _UsageError("--upper and --generate-upper are mutually "
+                          "exclusive")
     lower = _load_diagram(args)
     if args.upper is not None:
         upper = diagram_mod.parse(_read_source(args.upper))
@@ -269,11 +281,9 @@ def _cmd_search(args) -> int:
     from . import fillability
     depth = fillability.SEARCH_DEPTH if args.depth is None else args.depth
     diagram = _load_diagram(args)
-    budget = _budget(args)
-    if budget is None:
-        budget = fillability.SEARCH_NODE_BUDGET
-    result = fillability.search_filling(diagram, depth_bound=depth,
-                                        node_budget=budget)
+    result = fillability.search_filling(
+        diagram, depth_bound=depth,
+        node_budget=_budget(args, fillability.SEARCH_NODE_BUDGET))
     if args.format == "text":
         body = f"{result.status}\n"
         if result.script is not None:
@@ -335,7 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in _BUDGETED:
             p.add_argument("--budget", type=_integer,
                            help="node budget for enumeration/search "
-                                "(default: $CLASPLAB_BUDGET)")
+                                "(default: $CLASPLAB_BUDGET, else a "
+                                "built-in bound)")
         handlers[name] = fn
         return p
 
@@ -362,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ruling", help="JSON array of switch ordinals")
     p.add_argument("--style", choices=("svg", "ascii"), default="svg")
 
-    parser.set_defaults(handlers=handlers)
+    parser.set_defaults(handlers=handlers, default_budget=False)
     return parser
 
 
@@ -376,8 +387,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except ClaspLabError as exc:
+        message = str(exc)
+        if args.default_budget and isinstance(exc, BudgetExceeded):
+            message += " (the default budget; --budget N sets another)"
         sys.stderr.write(_dumps({"error": type(exc).__name__,
-                                 "message": str(exc)}))
+                                 "message": message}))
         return 1
     except MemoryError:  # an unbounded listing; its lists are freed by now
         sys.stderr.write(_dumps({"error": "MemoryError", "message": "out of "

@@ -167,14 +167,6 @@ class FrontDiagram(_Frozen):
     def __str__(self):
         return "[" + ", ".join(str(e) for e in self.events) + "]"
 
-    def strand_counts(self) -> list[int]:
-        """Strand count before each event, plus the final count.
-
-        The returned list has len(events)+1 entries; entry i is the number
-        of live strands on the slice just left of event i.
-        """
-        return list(self.walk.counts)
-
     @property
     def n_crossings(self) -> int:
         return self.walk.n_crossings
@@ -207,11 +199,6 @@ class StrandTrace(NamedTuple):
     slices: tuple[tuple[int, ...], ...]
     component_of_strand: dict[int, int]
     n_components: int
-    left_cusps: tuple[int, ...]   # per component
-    right_cusps: tuple[int, ...]  # per component
-
-    def cusp_tally(self, component: int) -> tuple[int, int]:
-        return self.left_cusps[component], self.right_cusps[component]
 
 
 def trace_components(diagram: FrontDiagram) -> StrandTrace:
@@ -232,8 +219,6 @@ def trace_components(diagram: FrontDiagram) -> StrandTrace:
     slices: list[tuple[int, ...]] = [()]
     stack: list[int] = []
     next_id = 1
-    lc_of: list[tuple[int, int]] = []  # (strand, strand) per cusp kind
-    rc_of: list[tuple[int, int]] = []
     for e in diagram.events:
         if e.kind == LEFT_CUSP:
             a, b = next_id, next_id + 1
@@ -242,12 +227,10 @@ def trace_components(diagram: FrontDiagram) -> StrandTrace:
             parent[b] = b
             union(a, b)
             stack[e.pos - 1:e.pos - 1] = [a, b]
-            lc_of.append((a, b))
         elif e.kind == RIGHT_CUSP:
             a, b = stack[e.pos - 1], stack[e.pos]
             union(a, b)
             del stack[e.pos - 1:e.pos + 1]
-            rc_of.append((a, b))
         else:
             stack[e.pos - 1], stack[e.pos] = stack[e.pos], stack[e.pos - 1]
         slices.append(tuple(stack))
@@ -259,18 +242,7 @@ def trace_components(diagram: FrontDiagram) -> StrandTrace:
         if root not in order:
             order[root] = len(order)
         component_of[sid] = order[root]
-    n = len(order)
-    lcs = [0] * n
-    rcs = [0] * n
-    for a, _ in lc_of:
-        lcs[component_of[a]] += 1
-    for a, _ in rc_of:
-        rcs[component_of[a]] += 1
-    return StrandTrace(tuple(slices), component_of, n, tuple(lcs), tuple(rcs))
-
-
-def n_components(diagram: FrontDiagram) -> int:
-    return trace_components(diagram).n_components
+    return StrandTrace(tuple(slices), component_of, len(order))
 
 
 # ---------------------------------------------------------------------------
@@ -536,31 +508,6 @@ def generate_torus4(n: int) -> FrontDiagram:
     events += [rc(5)] * (q - 4)
     events += [x(4), x(3), x(5), x(2), x(4), x(6)]
     events += [rc(1)] * 4
-    return FrontDiagram(events)
-
-
-def disjoint_union(first: FrontDiagram, second: FrontDiagram) -> FrontDiagram:
-    """Place two closed diagrams side by side (disjoint x-ranges)."""
-    return FrontDiagram(first.events + second.events)
-
-
-def stacked_union(lower: FrontDiagram, upper: FrontDiagram,
-                  gap: int | None = None) -> FrontDiagram:
-    """Insert ``upper`` above the strands of ``lower`` at one word gap.
-
-    The upper diagram's events run at a single x-interval of the lower
-    word, with positions offset by the strand count there, so the two
-    never interleave vertically.  ``gap`` is a 1-based insertion index
-    into the lower word (default: its middle).
-    """
-    if gap is None:
-        gap = len(lower) // 2 + 1
-    if not 1 <= gap <= len(lower) + 1:
-        raise ValueError(f"gap {gap} outside 1..{len(lower) + 1}")
-    offset = lower.strand_counts()[gap - 1]
-    inserted = [Event(e.kind, e.pos + offset) for e in upper.events]
-    events = list(lower.events)
-    events[gap - 1:gap - 1] = inserted
     return FrontDiagram(events)
 
 

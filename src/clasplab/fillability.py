@@ -13,17 +13,15 @@ all odd admits no such script at all.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .clasps import ClaspReport, _sorted_reports, clasp_report
 from .diagram import LEFT_CUSP, RIGHT_CUSP, FrontDiagram, serialize
 from .errors import (BudgetExceeded, EvennessViolation, NotApplicable,
                      ScriptError, TransportFailure)
 from .rulings import PairingState, enumerate_rulings, switches_of
-
 # moves is imported where a script runs, so verdicts do not load it.
-if TYPE_CHECKING:
-    from .moves import RulingTransport
+
 
 class FillingCertificate(NamedTuple):
     script: tuple
@@ -38,24 +36,6 @@ class FillingCertificate(NamedTuple):
             "ruling": sorted(self.ruling),
             "clasps": self.report.to_json(),
         }
-
-
-def _carry(transport: RulingTransport, flags: list, entries: list) -> None:
-    """Carry a ruling across one move, in place: ``flags`` are the word's
-    per-event switch flags and ``entries[i]`` the pairing before event i
-    (and after the last).  Boundary matching keeps the window's exit
-    pairing, so the entries after it stay valid.  A TransportFailure
-    leaves both lists as they were."""
-    rw = transport._rewrite
-    i0, end = rw.i0, rw.i0 + rw.n_old
-    window = transport.window_flags(entries[i0], flags[i0:end])
-    state, after = entries[i0], []
-    for e, f in zip(rw.new_events, window):
-        state = state.copy()
-        state.step(e, f)
-        after.append(state)
-    flags[i0:end] = window
-    entries[i0 + 1:end + 1] = after
 
 
 def run_script(script: Iterable) -> FillingCertificate:
@@ -77,7 +57,7 @@ def run_script(script: Iterable) -> FillingCertificate:
             diagram, transport = apply_move(diagram, move)
         except NotApplicable as exc:
             raise ScriptError(str(exc), index=i) from exc
-        _carry(transport, flags, entries)
+        transport.carry(flags, entries)
     ruling = switches_of(diagram, flags)
     report = clasp_report(diagram, ruling)
     if report.parity != "even":
@@ -224,7 +204,7 @@ def random_script(length: int, seed: int) -> list:
                 m = menu[i]
                 new_diagram, transport = apply_move(diagram, m)
                 try:
-                    _carry(transport, flags, entries)
+                    transport.carry(flags, entries)
                 except TransportFailure:
                     if kind != "h1":
                         raise  # only a saddle can meet an incompatible ruling

@@ -28,14 +28,13 @@ the saddle has no match and fails loudly.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import accumulate
 from typing import Iterable, Optional
 
 from .diagram import (CROSSING, LEFT_CUSP, RIGHT_CUSP, Event, FrontDiagram,
-                      _Frozen, ascii_number, far_commutation_order, lc, rc,
-                      transpose_events, x)
+                      _Frozen, ascii_number, lc, rc, transpose_events, x)
 from .errors import InvalidDiagram, InvalidRuling, NotApplicable, \
     ParseError, TransportFailure
 from .rulings import (PairingState, scan, switch_flags, switches_of,
@@ -184,7 +183,7 @@ class _Rewrite(_Frozen):
 
 def _resolve(diagram: FrontDiagram, move: Move) -> _Rewrite:
     events = diagram.events
-    counts = diagram.strand_counts()
+    counts = diagram.walk.counts
     kind = move.kind
     if kind in _INSERTION_KINDS:
         gap = move.anchor if move.anchor is not None else len(events) + 1
@@ -253,8 +252,9 @@ class RulingTransport(_Frozen):
     saddle raises TransportFailure on rulings it is incompatible with.
 
     Calling it on a switch set checks the ordinals and rescans the word
-    up to the window; ``window_flags`` is the boundary matching alone,
-    for a caller (the script runner) that holds the entry pairing.
+    up to the window.  ``carry`` moves a caller's per-event flags and
+    entry pairings (the script runner's) across the move without a
+    rescan; ``window_flags`` is the boundary matching that both run.
     """
 
     __slots__ = _fields = ("move", "source", "target", "_rewrite")
@@ -299,6 +299,23 @@ class RulingTransport(_Frozen):
                 f"{'no' if not matches else 'ambiguous'} boundary-matching "
                 f"switch choice for {self.move}")
         return matches[0]
+
+    def carry(self, flags: list, entries: list) -> None:
+        """Carry a ruling across the move, in place: ``flags`` are the
+        source word's per-event switch flags and ``entries[i]`` the
+        pairing before event i (and after the last).  Boundary matching
+        keeps the window's exit pairing, so the entries after it stay
+        valid.  A TransportFailure leaves both lists as they were."""
+        rw = self._rewrite
+        i0, end = rw.i0, rw.i0 + rw.n_old
+        window = self.window_flags(entries[i0], flags[i0:end])
+        state, after = entries[i0], []
+        for e, f in zip(rw.new_events, window):
+            state = state.copy()
+            state.step(e, f)
+            after.append(state)
+        flags[i0:end] = window
+        entries[i0 + 1:end + 1] = after
 
 
 def apply_move(diagram: FrontDiagram, move: Move) -> tuple:
@@ -385,37 +402,10 @@ def applicable_kinds(diagram: FrontDiagram) -> list:
     return [k for k in MOVE_KINDS if k in present]
 
 
-def moves_of_kind(diagram: FrontDiagram, kind: str) -> list:
-    """Every applicable move of one kind, by anchor, slot and variant."""
-    return list(_menu(diagram, kind))
-
-
 def enumerate_applicable_moves(diagram: FrontDiagram) -> list:
     """Every applicable move at every anchor, kind by kind in MOVE_KINDS
     order, then by anchor, slot and variant."""
-    return [m for kind in MOVE_KINDS for m in moves_of_kind(diagram, kind)]
-
-
-def normalize(diagram: FrontDiagram) -> tuple:
-    """Commute independent events into the greedy far-commutation order.
-
-    Among the events that can commute to the front of what is left of the
-    word, right cusps go first, then crossings, then left cusps, lower
-    slots first; this closes eyes early and opens them late, so the result
-    is often much narrower than the input (constant width 10 across the
-    torus4 family).  See diagram.far_commutation_order, which
-    enumerate_rulings also searches on.  Normalizing a normal form changes
-    nothing.  Returns (diagram, tr moves applied), so rulings can be
-    transported along: the t-th emitted event hops back to index t by one
-    ``tr`` move per event it passes, nearest first.
-    """
-    canon, origins = far_commutation_order(diagram)
-    emitted, moves = [], []
-    for t, i in enumerate(origins):
-        hops = i - bisect_left(emitted, i)  # events before i not yet emitted
-        moves += [Move("tr", t + j) for j in range(hops, 0, -1)]
-        insort(emitted, i)
-    return canon, moves
+    return [m for kind in MOVE_KINDS for m in _menu(diagram, kind)]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ def ascii_render(diagram: FrontDiagram) -> str:
     ``<`` and ``>`` mark the two slots of a cusp, ``x`` the two slots of
     a crossing, ``-`` a strand passing through.
     """
-    counts = diagram.strand_counts()
+    counts = diagram.walk.counts
     height = max(counts, default=0)
     if height == 0:
         return "(empty diagram)\n"
@@ -84,7 +84,7 @@ def svg_render(diagram: FrontDiagram, ruling: Optional[Iterable] = None) -> str:
     tick, and each clasp's interleaved interval is marked with a dashed
     vertical segment.
     """
-    counts = diagram.strand_counts()
+    counts = diagram.walk.counts
     height = max(counts, default=0)
     n_slices = len(diagram) + 1
     width = _X0 * 2 + _DX * max(n_slices - 1, 1)

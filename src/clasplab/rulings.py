@@ -41,11 +41,6 @@ from .diagram import (CROSSING, LEFT_CUSP, Event, FrontDiagram,
                       far_commutation_order)
 from .errors import BudgetExceeded, InvalidRuling, TransportFailure
 
-#: A normal ruling is just its switch set, as crossing ordinals (1-based).
-NormalRuling = frozenset
-
-EMPTY_RULING: NormalRuling = frozenset()
-
 
 class PairingState:
     """Mutable pairing of live slots into eyes during a scan.
@@ -75,15 +70,6 @@ class PairingState:
     def tallies(self) -> tuple:
         """Every tally the run so far added, summed per label, sorted."""
         return ()
-
-    @property
-    def n_strands(self) -> int:
-        return len(self._m) - 1
-
-    def partition(self) -> tuple:
-        """Canonical snapshot of the pairing, for state comparison."""
-        m = self._m
-        return tuple((p, m[p]) for p in range(1, len(m)) if p < m[p])
 
     def birth(self, p: int) -> None:
         m = self._m
@@ -191,12 +177,6 @@ def is_normal_ruling(diagram: FrontDiagram, switches: Iterable) -> RulingCheck:
     if fail is None:
         return RulingCheck(True)
     return RulingCheck(False, fail[1], fail[0])
-
-
-def ruling_sort_key(ruling: Iterable) -> tuple:
-    """Deterministic order used everywhere: by size, then lexicographic."""
-    t = tuple(sorted(ruling))
-    return (len(t), t)
 
 
 class _FoldStep(dict):
@@ -410,8 +390,8 @@ def _map_back(diagram: FrontDiagram, narrow: FrontDiagram, origins: tuple,
 
 def _enumerate(diagram: FrontDiagram, budget: Optional[int],
                state: Optional[PairingState] = None) -> list:
-    """Every normal ruling as (switch tuple, tallies), sorted once into
-    ruling_sort_key order: by length alone on ``diagram`` itself, which
+    """Every normal ruling as (switch tuple, tallies), sorted once by
+    size, then lexicographic: by length alone on ``diagram`` itself, which
     the transfer scan lists in increasing order within each length, and
     by (length, tuple) after mapping back, which changes the ordinals.
 
@@ -457,26 +437,13 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
 def enumerate_rulings(diagram: FrontDiagram, budget: Optional[int] = None) -> list:
     """All normal rulings, from a transfer scan over the switch choices.
 
-    Switch sets are crossing ordinals of ``diagram``, in ruling_sort_key
-    order; the scan runs on a narrower reordering of the word when there
-    is one (see _enumerate).  The optional ``budget`` bounds the steps a
-    backtracking search would take on the word actually scanned;
-    BudgetExceeded is raised before any ruling is listed.
+    Switch sets are crossing ordinals of ``diagram``, by size, then
+    lexicographic; the scan runs on a narrower reordering of the word
+    when there is one (see _enumerate).  The optional ``budget`` bounds
+    the steps a backtracking search would take on the word actually
+    scanned; BudgetExceeded is raised before any ruling is listed.
     """
     return [frozenset(r) for r, _ in _enumerate(diagram, budget)]
-
-
-def brute_force_rulings(diagram: FrontDiagram) -> list:
-    """Filter all 2^c switch subsets through is_normal_ruling.
-
-    Independent check for enumerate_rulings; only sensible for small c.
-    Subsets are tried by size, each size in lexicographic order, which is
-    ruling_sort_key order.
-    """
-    c = diagram.n_crossings
-    return [frozenset(combo) for r in range(c + 1)
-            for combo in combinations(range(1, c + 1), r)
-            if is_normal_ruling(diagram, combo).ok]
 
 
 def window_matches(entry: PairingState, old, old_flags,

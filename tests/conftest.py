@@ -1,19 +1,20 @@
 import copy
 import pickle
-from typing import Optional
+from bisect import bisect_left, insort
+from itertools import combinations
+from typing import Iterable, Optional
 
 import pytest
 from hypothesis import settings
 
 from clasplab import (EvennessViolation, FrontDiagram,
-                      InternalInvariantError, NotApplicable, ScriptError,
-                      UnknownEye, apply_move, clasp_report,
+                      InternalInvariantError, Move, NotApplicable,
+                      ScriptError, UnknownEye, apply_move, clasp_report,
                       generate_negative_braid_closure, generate_torus4,
-                      generate_trefoil, generate_unknot, random_script,
-                      run_script)
-from clasplab.clasps import INTERLEAVED, _pair_config
+                      generate_trefoil, generate_unknot, is_normal_ruling,
+                      random_script, run_script)
 from clasplab.diagram import (_DELTA, _RANK, CROSSING, LEFT_CUSP, RIGHT_CUSP,
-                              Event)
+                              Event, far_commutation_order)
 from clasplab.errors import BudgetExceeded, TransportFailure
 from clasplab.fillability import FillingCertificate
 from clasplab.rulings import PairingState, scan, switch_flags, window_matches
@@ -45,6 +46,31 @@ def random_fillable(count, length, seed_base=0):
         cert = run_script(random_script(length, seed_base + k))
         out.append(cert.diagram)
     return out
+
+
+def disjoint_union(first: FrontDiagram, second: FrontDiagram) -> FrontDiagram:
+    """Place two closed diagrams side by side (disjoint x-ranges)."""
+    return FrontDiagram(first.events + second.events)
+
+
+def stacked_union(lower: FrontDiagram, upper: FrontDiagram,
+                  gap: int | None = None) -> FrontDiagram:
+    """Insert ``upper`` above the strands of ``lower`` at one word gap.
+
+    The upper diagram's events run at a single x-interval of the lower
+    word, with positions offset by the strand count there, so the two
+    never interleave vertically.  ``gap`` is a 1-based insertion index
+    into the lower word (default: its middle).
+    """
+    if gap is None:
+        gap = len(lower) // 2 + 1
+    if not 1 <= gap <= len(lower) + 1:
+        raise ValueError(f"gap {gap} outside 1..{len(lower) + 1}")
+    offset = lower.walk.counts[gap - 1]
+    inserted = [Event(e.kind, e.pos + offset) for e in upper.events]
+    events = list(lower.events)
+    events[gap - 1:gap - 1] = inserted
+    return FrontDiagram(events)
 
 
 def reference_run_script(script) -> FillingCertificate:
@@ -95,6 +121,31 @@ def assert_value_contract(value, text, fields, other, hashable=True):
     assert getattr(value, first) == fields[0]
     for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value
+
+
+def ruling_sort_key(ruling: Iterable) -> tuple:
+    """Deterministic order used everywhere: by size, then lexicographic."""
+    t = tuple(sorted(ruling))
+    return (len(t), t)
+
+
+def partition(state: PairingState) -> tuple:
+    """Canonical snapshot of the pairing, for state comparison."""
+    m = state._m
+    return tuple((p, m[p]) for p in range(1, len(m)) if p < m[p])
+
+
+def brute_force_rulings(diagram: FrontDiagram) -> list:
+    """Filter all 2^c switch subsets through is_normal_ruling.
+
+    Independent check for enumerate_rulings; only sensible for small c.
+    Subsets are tried by size, each size in lexicographic order, which is
+    ruling_sort_key order.
+    """
+    c = diagram.n_crossings
+    return [frozenset(combo) for r in range(c + 1)
+            for combo in combinations(range(1, c + 1), r)
+            if is_normal_ruling(diagram, combo).ok]
 
 
 def backtrack_rulings(diagram, budget=None, state=None, steps=None) -> list:
@@ -207,6 +258,28 @@ def far_commutation_windows(diagram) -> tuple:
     return FrontDiagram(out), tuple(windows)
 
 
+def normalize(diagram: FrontDiagram) -> tuple:
+    """Commute independent events into the greedy far-commutation order.
+
+    Among the events that can commute to the front of what is left of the
+    word, right cusps go first, then crossings, then left cusps, lower
+    slots first; this closes eyes early and opens them late, so the result
+    is often much narrower than the input (constant width 10 across the
+    torus4 family).  See diagram.far_commutation_order, which
+    enumerate_rulings also searches on.  Normalizing a normal form changes
+    nothing.  Returns (diagram, tr moves applied), so rulings can be
+    transported along: the t-th emitted event hops back to index t by one
+    ``tr`` move per event it passes, nearest first.
+    """
+    canon, origins = far_commutation_order(diagram)
+    emitted, moves = [], []
+    for t, i in enumerate(origins):
+        hops = i - bisect_left(emitted, i)  # events before i not yet emitted
+        moves += [Move("tr", t + j) for j in range(hops, 0, -1)]
+        insort(emitted, i)
+    return canon, moves
+
+
 def retrace(narrow, windows: tuple, ruling: tuple) -> list:
     """Carry a ruling of ``narrow`` back to switch flags of the original word
     by replaying every swap through the wide intermediate words.
@@ -273,7 +346,7 @@ def reference_enumerate(diagram, budget, state=None, reordered=None) -> list:
     ``reordered`` may pass in far_commutation_windows(diagram)."""
     from clasplab.rulings import _transfer
     narrow, windows = reordered or far_commutation_windows(diagram)
-    if max(narrow.strand_counts()) >= max(diagram.strand_counts()):
+    if max(narrow.walk.counts) >= max(diagram.walk.counts):
         found = _transfer(diagram, budget, state)
     else:
         found = []
@@ -365,4 +438,95 @@ def clasp_intervals(res, eye_a: int, eye_b: int) -> list:
         config = new_config
     if config == INTERLEAVED:
         raise InternalInvariantError("eyes interleave at a death slice")
+    return clasps
+
+
+# ---------------------------------------------------------------------------
+# independent clasp oracle: classify every slice from scratch
+
+DISJOINT = "disjoint"
+NESTED = "nested"
+INTERLEAVED = "interleaved"
+
+#: Strand labels within an eye.  The lower strand at birth stays below its
+#: partner for the eye's whole life (the two never cross), so the label is
+#: simply the current vertical order.
+LOWER, UPPER = 0, 1
+
+
+def _pair_config(order: tuple) -> str:
+    """Configuration of two eyes from their four strands' vertical order."""
+    eyes = tuple(e for e, _ in order)
+    if eyes[0] == eyes[1]:
+        return DISJOINT
+    if eyes[0] == eyes[3]:
+        return NESTED
+    return INTERLEAVED
+
+
+def brute_pair_clasps(diagram: FrontDiagram, ruling: Iterable,
+                      eye_a: int, eye_b: int) -> int:
+    """Recount one pair's clasps by materializing every slice.
+
+    Replays the word with its own scan, classifies the pair's
+    configuration on every slice, locates maximal interleaved runs, and
+    reads the bounding crossings' strand pairs off the position arrays.
+    Used to cross-check the counts of ClaspState.
+    """
+    ruling = frozenset(ruling)
+    slots: list = []
+    slices = [()]
+    next_eye = ordinal = 0
+    for e in diagram.events:
+        p = e.pos
+        if e.kind == LEFT_CUSP:
+            slots[p - 1:p - 1] = [(next_eye, LOWER), (next_eye, UPPER)]
+            next_eye += 1
+        elif e.kind == CROSSING:
+            ordinal += 1
+            if ordinal not in ruling:
+                slots[p - 1], slots[p] = slots[p], slots[p - 1]
+        else:
+            del slots[p - 1:p + 1]
+        slices.append(tuple(slots))
+    if not (0 <= eye_a < next_eye and 0 <= eye_b < next_eye):
+        raise UnknownEye("eye id out of range")
+
+    def config_at(k):
+        both = [s for s in slices[k] if s[0] in (eye_a, eye_b)]
+        if len(both) != 4:
+            return None  # not coexisting on this slice
+        return _pair_config(tuple(both))
+
+    def swapped_pair(k):
+        """Strand pair of event k when it crosses our two eyes, else None."""
+        e = diagram.events[k - 1]
+        if e.kind != CROSSING:
+            return None
+        lo, hi = slices[k - 1][e.pos - 1], slices[k - 1][e.pos]
+        if lo == slices[k][e.pos - 1]:
+            return None  # a switch: nothing moved
+        if {lo[0], hi[0]} != {eye_a, eye_b}:
+            return None
+        if lo[0] != min(eye_a, eye_b):
+            lo, hi = hi, lo
+        return (lo[1], hi[1])
+
+    configs = [config_at(k) for k in range(len(slices))]
+    clasps = 0
+    k = 0
+    while k < len(configs):
+        if configs[k] != INTERLEAVED:
+            k += 1
+            continue
+        start = k
+        while k < len(configs) and configs[k] == INTERLEAVED:
+            k += 1
+        enter = swapped_pair(start)       # event turning slice start-1 -> start
+        leave = swapped_pair(k)           # event turning slice k-1 -> k
+        if enter is None or leave is None:
+            raise InternalInvariantError(
+                "interleaved run not bounded by pair crossings")
+        if enter == leave:
+            clasps += 1
     return clasps

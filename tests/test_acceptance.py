@@ -7,16 +7,15 @@ import time
 
 import pytest
 
-from clasplab import (apply_move, brute_force_rulings, brute_pair_clasps,
-                      clasp_report, cobordism_parity_check,
+from clasplab import (apply_move, clasp_report, cobordism_parity_check,
                       enumerate_applicable_moves, enumerate_rulings,
                       generate_torus4, generate_trefoil, generate_unknot,
                       obstruction_verdict, parse, random_script, resolve,
                       ruling_reports, run_script, search_filling, serialize)
 from clasplab.cli import main
-from clasplab.rulings import ruling_sort_key
 
-from conftest import clasp_intervals, random_fillable, small_corpus
+from conftest import (brute_force_rulings, brute_pair_clasps, clasp_intervals,
+                      random_fillable, ruling_sort_key, small_corpus)
 
 
 def report(name, detail):

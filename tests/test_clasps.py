@@ -9,21 +9,20 @@ from hypothesis import given, settings, strategies as st
 from clasplab import rulings
 from clasplab import (BudgetExceeded, ClaspLabError, ClaspState,
                       CrossingRecord, InternalInvariantError, InvalidRuling,
-                      UnknownEye, brute_force_rulings, brute_pair_clasps,
-                      clasp_report, disjoint_union, enumerate_rulings,
+                      UnknownEye, clasp_report, enumerate_rulings,
                       generate_negative_braid_closure, generate_torus4,
                       generate_trefoil, generate_unknot, is_normal_ruling,
                       obstruction_verdict, resolve, ruling_reports, scan,
                       switch_flags)
-from clasplab.clasps import (DISJOINT, INTERLEAVED, NESTED, LOWER, UPPER,
-                             ClaspReport, PairClasps, Resolution, _pair_config,
+from clasplab.clasps import (ClaspReport, PairClasps, Resolution,
                              parity_of_total)
 from clasplab.diagram import far_commutation_order
 from clasplab.fillability import (ObstructionVerdict, RulingEvidence,
                                   random_script, run_script)
-from clasplab.rulings import ruling_sort_key
-from conftest import (assert_value_contract, backtrack_rulings,
-                      clasp_intervals, random_fillable)
+from conftest import (DISJOINT, INTERLEAVED, LOWER, NESTED, UPPER,
+                      _pair_config, assert_value_contract, backtrack_rulings,
+                      brute_force_rulings, brute_pair_clasps, clasp_intervals,
+                      disjoint_union, random_fillable, ruling_sort_key)
 
 
 class TestResolve:
@@ -239,7 +238,7 @@ def reference_verdict(diagram):
 
 def is_narrower(d):
     narrow, _ = far_commutation_order(d)
-    return max(narrow.strand_counts()) < max(d.strand_counts())
+    return max(narrow.walk.counts) < max(d.walk.counts)
 
 
 _FAMILIES = {

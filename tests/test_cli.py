@@ -220,6 +220,47 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert json.loads(err)["error"] == "BudgetExceeded"
 
+    @pytest.mark.parametrize("command", ["rulings", "obstruct"])
+    def test_default_budget_stops_a_huge_listing(self, command):
+        """braid(2, [1]*40) has F(41) rulings; with no --budget and no
+        CLASPLAB_BUDGET the listing stops at the default in a fresh
+        process (its address space capped, so a regression fails here
+        rather than filling memory), with one JSON line naming --budget."""
+        env = {k: v for k, v in os.environ.items() if k != "CLASPLAB_BUDGET"}
+        env["PYTHONPATH"] = str(SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", "import resource; resource.setrlimit("
+             "resource.RLIMIT_AS, (1 << 31, 1 << 31)); from clasplab.cli "
+             "import main; raise SystemExit(main())", command, "--generate",
+             "braid", "--strands", "2", "--word", ",".join("1" * 40)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert "Traceback" not in done.stderr
+        assert json.loads(done.stderr) == {
+            "error": "BudgetExceeded",
+            "message": "enumeration exceeded 1000000 steps (the default "
+                       "budget; --budget N sets another)"}
+
+    def test_explicit_budget_lifts_the_default(self, capsys, monkeypatch):
+        from clasplab import cli
+        monkeypatch.delenv("CLASPLAB_BUDGET", raising=False)
+        monkeypatch.setattr(cli, "LISTING_BUDGET", 10)
+        argv = ("rulings", "--generate", "braid", "--strands", "2",
+                "--word", "1,1,1,1,1,1")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["message"] == (
+            "enumeration exceeded 10 steps (the default budget; --budget N "
+            "sets another)")
+        code, out, _ = run(capsys, *argv, "--budget", "5000")
+        assert code == 0 and len(json.loads(out)) == 13
+        monkeypatch.setenv("CLASPLAB_BUDGET", "5000")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(json.loads(out)) == 13
+        # an explicit budget's message is the library's own
+        code, _, err = run(capsys, *argv, "--budget", "5")
+        assert json.loads(err)["message"] == "enumeration exceeded 5 steps"
+
     @pytest.mark.parametrize("argv", [
         ("obstruct", "--generate", "unknot", "--depth", "3"),
         ("rulings", "--generate", "unknot", "--depth", "3"),
@@ -312,6 +353,9 @@ class TestErrorsAndDeterminism:
         (("cobordism", "--generate", "unknot", "--generate-upper", "torus4",
           "--upper-n", "-1"),
          "--upper-n must be >= 0, got -1\n"),
+        (("cobordism", "--generate", "unknot", "--upper", "{missing}",
+          "--generate-upper", "unknot"),
+         "--upper and --generate-upper are mutually exclusive\n"),
         *(((command, "--generate", "trefoil", "--ruling",
             "[" * 3000 + "]" * 3000), "--ruling must be a JSON array: ")
           for command in ("clasps", "parity", "render")),
@@ -319,7 +363,8 @@ class TestErrorsAndDeterminism:
             "missing-upper", "non-utf8-input", "out-in-missing-dir",
             "out-is-directory", "negative-n", "negative-depth",
             "non-integer-word", "upper-without-upper-n",
-            "negative-upper-n", "deeply-nested-ruling-clasps",
+            "negative-upper-n", "upper-and-generate-upper",
+            "deeply-nested-ruling-clasps",
             "deeply-nested-ruling-parity", "deeply-nested-ruling-render"])
     def test_bad_paths_and_generator_args_are_usage_errors(
             self, capsys, tmp_path, argv, expected):

@@ -6,16 +6,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clasplab import (FrontDiagram, InvalidBraidLetter, InvalidDiagram,
-                      ParseError, disjoint_union,
-                      generate_negative_braid_closure, generate_torus4,
-                      generate_trefoil, generate_unknot, lc, n_components,
-                      parse, rc, serialize, stacked_union, trace_components,
+                      ParseError, generate_negative_braid_closure,
+                      generate_torus4, generate_trefoil, generate_unknot, lc,
+                      parse, rc, serialize, trace_components,
                       transpose_events, validate, x)
-from clasplab.diagram import (Event, StrandTrace, ValidationReport,
-                              Violation, far_commutation_order)
+from clasplab.diagram import (CROSSING, LEFT_CUSP, Event, StrandTrace,
+                              ValidationReport, Violation,
+                              far_commutation_order)
 from clasplab.fillability import random_script, run_script
-from conftest import (assert_value_contract, far_commutation_windows,
-                      hop_counts, random_fillable)
+from conftest import (assert_value_contract, disjoint_union,
+                      far_commutation_windows, hop_counts, random_fillable,
+                      stacked_union)
+
+
+def cusp_tallies(diagram):
+    """(left cusps, right cusps) per component of the trace, each cusp's
+    component read off a strand it touches: on the slice after a left
+    cusp, on the slice before a right cusp."""
+    t = trace_components(diagram)
+    tallies = [[0, 0] for _ in range(t.n_components)]
+    for i, e in enumerate(diagram.events):
+        if e.kind != CROSSING:
+            born = e.kind == LEFT_CUSP
+            strand = t.slices[i + born][e.pos - 1]
+            tallies[t.component_of_strand[strand]][not born] += 1
+    return [tuple(tally) for tally in tallies]
 
 
 class TestValidate:
@@ -43,7 +58,7 @@ class TestValidate:
 
     def test_strand_profile_steps(self, corpus):
         for d in corpus.values():
-            counts = d.strand_counts()
+            counts = d.walk.counts
             assert counts[0] == 0 and counts[-1] == 0
             for a, b in zip(counts, counts[1:]):
                 assert b - a in (-2, 0, 2) and b >= 0
@@ -65,14 +80,10 @@ class TestValidate:
 
 class TestTrace:
     def test_unknot(self):
-        t = trace_components(generate_unknot())
-        assert t.n_components == 1
-        assert t.cusp_tally(0) == (1, 1)
+        assert cusp_tallies(generate_unknot()) == [(1, 1)]
 
     def test_trefoil(self):
-        t = trace_components(generate_trefoil())
-        assert t.n_components == 1
-        assert t.cusp_tally(0) == (2, 2)
+        assert cusp_tallies(generate_trefoil()) == [(2, 2)]
 
     def test_two_component_unlink(self):
         d = FrontDiagram([lc(1), rc(1), lc(1), rc(1)])
@@ -84,9 +95,10 @@ class TestTrace:
 
     def test_cusp_tallies_balance(self, corpus, fillable_small):
         for d in list(corpus.values()) + fillable_small:
-            t = trace_components(d)
-            for comp in range(t.n_components):
-                left, right = t.cusp_tally(comp)
+            tallies = cusp_tallies(d)
+            assert sum(left for left, _ in tallies) == \
+                sum(e.kind == LEFT_CUSP for e in d.events)
+            for left, right in tallies:
                 assert left == right
 
 
@@ -129,11 +141,9 @@ class TestValueTypes:
         t = trace_components(generate_unknot())
         assert_value_contract(
             t, "StrandTrace(slices=((), (1, 2), ()), "
-               "component_of_strand={1: 0, 2: 0}, n_components=1, "
-               "left_cusps=(1,), right_cusps=(1,))",
-            (((), (1, 2), ()), {1: 0, 2: 0}, 1, (1,), (1,)),
-            StrandTrace(t.slices, t.component_of_strand, 2, t.left_cusps,
-                        t.right_cusps), hashable=False)
+               "component_of_strand={1: 0, 2: 0}, n_components=1)",
+            (((), (1, 2), ()), {1: 0, 2: 0}, 1),
+            StrandTrace(t.slices, t.component_of_strand, 2), hashable=False)
 
 
 class TestGenerators:
@@ -144,17 +154,17 @@ class TestGenerators:
         d = generate_trefoil()
         assert d.events == (lc(1), lc(3), x(2), x(2), x(2), rc(3), rc(1))
         assert d.n_crossings == 3
-        assert n_components(d) == 1
+        assert trace_components(d).n_components == 1
 
     def test_braid_closure_two_strands(self):
         d = generate_negative_braid_closure(2, [1, 1, 1])
         assert d.n_crossings == 3
-        assert n_components(d) == 1
+        assert trace_components(d).n_components == 1
 
     def test_braid_closure_four_strands(self):
         d = generate_negative_braid_closure(4, [1, 2, 3] * 5)
         assert d.n_crossings == 15
-        assert n_components(d) == 1
+        assert trace_components(d).n_components == 1
 
     def test_braid_letter_out_of_range(self):
         with pytest.raises(InvalidBraidLetter):
@@ -169,14 +179,14 @@ class TestGenerators:
         d = generate_torus4(n)
         assert validate(d).ok
         assert d.n_crossings == 3 * (2 * n + 5)
-        assert n_components(d) == 1
+        assert trace_components(d).n_components == 1
 
     def test_unions(self):
         u = generate_unknot()
-        assert n_components(disjoint_union(u, u)) == 2
+        assert trace_components(disjoint_union(u, u)).n_components == 2
         stacked = stacked_union(u, u, gap=2)
         assert validate(stacked).ok
-        assert n_components(stacked) == 2
+        assert trace_components(stacked).n_components == 2
 
 
 class TestTextFormat:
@@ -282,11 +292,11 @@ class TestFarCommutationOrder:
         for n in range(8):
             d = generate_torus4(n)
             narrow, _ = far_commutation_order(d)
-            assert max(d.strand_counts()) == 2 * (2 * n + 5)
-            assert max(narrow.strand_counts()) == 10
+            assert max(d.walk.counts) == 2 * (2 * n + 5)
+            assert max(narrow.walk.counts) == 10
 
     def test_no_narrower_order(self):
         for d in (generate_trefoil(), generate_torus4(0),
                   generate_negative_braid_closure(2, [1] * 16)):
             narrow, _ = far_commutation_order(d)
-            assert max(narrow.strand_counts()) == max(d.strand_counts())
+            assert max(narrow.walk.counts) == max(d.walk.counts)

@@ -9,15 +9,16 @@ from clasplab import (FrontDiagram, Move, NotApplicable, ParseError,
                       TransportFailure, apply_move, clasp_report,
                       enumerate_applicable_moves, enumerate_rulings,
                       generate_negative_braid_closure, generate_torus4,
-                      generate_trefoil, generate_unknot, lc, normalize,
+                      generate_trefoil, generate_unknot, lc,
                       obstruction_verdict, parse, parse_script, rc, resolve,
                       serialize_script, transpose_events, validate, x)
 from clasplab.fillability import random_script
 from clasplab.moves import (MOVE_KINDS, RulingTransport, _match_r1inv,
                             _match_r2inv, _match_r3, _menu, _r2_variants,
-                            applicable_kinds, moves_of_kind)
-from clasplab.rulings import ruling_sort_key, scan, switch_flags
-from conftest import assert_value_contract, random_fillable
+                            applicable_kinds)
+from clasplab.rulings import scan, switch_flags
+from conftest import (assert_value_contract, normalize, partition,
+                      random_fillable, ruling_sort_key)
 
 EMPTY = frozenset()
 
@@ -233,7 +234,7 @@ def reference_menu(diagram):
     """The move menu as it used to be built: gap by gap, then anchor by
     anchor, then sorted by kind, anchor, slot and variant."""
     events = diagram.events
-    counts = diagram.strand_counts()
+    counts = diagram.walk.counts
     out = []
     for gap in range(1, len(events) + 2):
         s = counts[gap - 1]
@@ -295,12 +296,12 @@ class TestMenuAndHandlesAgainstReference:
                 if m.kind in inverse:
                     d2, _ = apply_move(d, m)
                     assert Move(inverse[m.kind], m.anchor) in \
-                        moves_of_kind(d2, inverse[m.kind])
+                        _menu(d2, inverse[m.kind])
             for forward, kind in inverse.items():
-                for m in moves_of_kind(d, kind):
+                for m in _menu(d, kind):
                     parent, _ = apply_move(d, m)
                     assert any(apply_move(parent, f)[0].events == d.events
-                               for f in moves_of_kind(parent, forward)
+                               for f in _menu(parent, forward)
                                if f.anchor == m.anchor), m
 
     def test_handles_follow_the_entry_pairing(self, menu_diagrams):
@@ -318,7 +319,7 @@ class TestMenuAndHandlesAgainstReference:
                     flags = switch_flags(d, r)[:m.anchor - 1]
                     entry, _ = scan(d.events, flags)
                     if m.kind == "h0" \
-                            or (m.pos, m.pos + 1) in entry.partition():
+                            or (m.pos, m.pos + 1) in partition(entry):
                         assert transport(r) == r
                         continue
                     with pytest.raises(TransportFailure) as exc:
@@ -380,8 +381,8 @@ class TestLazyMenu:
         for d in menu_diagrams:
             menu = enumerate_applicable_moves(d)
             for kind in MOVE_KINDS:
-                assert moves_of_kind(d, kind) == [m for m in menu
-                                                  if m.kind == kind]
+                assert list(_menu(d, kind)) == [m for m in menu
+                                                if m.kind == kind]
 
     def test_window_kinds_are_both_present_and_absent(self, menu_diagrams):
         for kind in ("r1inv", "r2inv", "r3"):
@@ -665,4 +666,4 @@ class TestGreedyNormalize:
         for m in moves:
             d, _ = apply_move(d, m)
         assert d.events == canon.events
-        assert max(canon.strand_counts()) == 10
+        assert max(canon.walk.counts) == 10

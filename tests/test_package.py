@@ -36,9 +36,8 @@ for name in clasplab.__all__:
     home = importlib.import_module("clasplab." + clasplab._HOMES[name])
     value = getattr(clasplab, name)
     assert value is getattr(home, name), name
-    # defined there (NormalRuling is an alias of frozenset)
-    assert getattr(value, "__module__", home.__name__) in (
-        home.__name__, "builtins"), name
+    # defined there
+    assert getattr(value, "__module__", home.__name__) == home.__name__, name
     assert vars(clasplab)[name] is value, name
 print("ok")
 """) == "ok\n"
@@ -71,6 +70,24 @@ print(hasattr(clasplab, "no_such_name"), hasattr(clasplab, "__wrapped__"))
 print([m for m in sys.modules if m.startswith("clasplab.")])
 """) == ("module 'clasplab' has no attribute 'no_such_name'\n"
          "False False\n[]\n")
+
+
+def test_removed_names_are_attribute_errors():
+    """Test oracles and helpers live in tests/conftest.py, and the
+    aliases and wrappers are gone: none of these resolves any more."""
+    assert fresh("""
+import clasplab
+removed = ["EMPTY_RULING", "NormalRuling", "brute_force_rulings",
+           "brute_pair_clasps", "disjoint_union", "n_components",
+           "normalize", "stacked_union"]
+for name in removed:
+    try:
+        getattr(clasplab, name)
+    except AttributeError:
+        continue
+    print(name)
+print(len(clasplab.__all__), sorted(set(removed) & set(clasplab.__all__)))
+""") == "60 []\n"
 
 
 def test_no_module_loads_dataclasses():

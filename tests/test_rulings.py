@@ -4,20 +4,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clasplab import (BudgetExceeded, ClaspState, FrontDiagram, InvalidRuling,
-                      TransportFailure, brute_force_rulings, clasp_report,
-                      enumerate_rulings, generate_negative_braid_closure,
-                      generate_torus4, generate_trefoil, generate_unknot,
-                      is_normal_ruling, lc, obstruction_verdict, rc,
-                      ruling_reports, scan, stacked_union, switch_flags,
-                      switches_of, x)
+                      TransportFailure, clasp_report, enumerate_rulings,
+                      generate_negative_braid_closure, generate_torus4,
+                      generate_trefoil, generate_unknot, is_normal_ruling, lc,
+                      obstruction_verdict, rc, ruling_reports, scan,
+                      switch_flags, switches_of, x)
 from clasplab import clasps, rulings
 from clasplab import diagram as diagram_mod
 from clasplab.diagram import CROSSING, Event, far_commutation_order
 from clasplab.fillability import random_script, run_script
 from clasplab.rulings import (PairingState, _map_back, _transfer,
-                              ruling_sort_key, window_matches)
-from conftest import (backtrack_rulings, far_commutation_windows, hop_counts,
-                      reference_enumerate, retrace, small_corpus)
+                              window_matches)
+from conftest import (backtrack_rulings, brute_force_rulings,
+                      far_commutation_windows, hop_counts, partition,
+                      reference_enumerate, retrace, ruling_sort_key,
+                      small_corpus, stacked_union)
 
 
 def state_at(diagram, switches, event_index):
@@ -32,14 +33,14 @@ class TestSwitchAllowed:
     def test_disjoint_eyes_allow_switch(self):
         # two stacked eyes, crossing slots (2,3): mates at 1 and 4
         state = state_at(generate_trefoil(), frozenset(), 2)
-        assert state.partition() == ((1, 2), (3, 4))
+        assert partition(state) == ((1, 2), (3, 4))
         assert state.switch_ok(2)
         assert state.step(x(2), True) is None
 
     def test_interleaved_eyes_forbid_switch(self):
         # after one unswitched crossing the trefoil eyes interleave
         state = state_at(generate_trefoil(), frozenset(), 3)
-        assert state.partition() == ((1, 3), (2, 4))
+        assert partition(state) == ((1, 3), (2, 4))
         assert not state.switch_ok(2)
         assert state.step(x(2), True) == \
             "normality violated: eyes interleave at switch"
@@ -53,7 +54,7 @@ class TestSwitchAllowed:
     def test_nested_eyes_allow_switch(self):
         d = FrontDiagram([lc(1), lc(2), x(1), rc(2), rc(1)])
         state = state_at(d, frozenset(), 2)
-        assert state.partition() == ((1, 4), (2, 3))
+        assert partition(state) == ((1, 4), (2, 3))
         assert state.switch_ok(1)
 
 
@@ -87,7 +88,7 @@ class TestScanKernel:
                 assert fail is None
                 resumed, fail = scan(d.events[half:], flags[half:], state)
                 assert fail is None and resumed is state
-                assert state.n_strands == 0
+                assert state.key() == (0,)
 
 
 class TestIsNormalRuling:
@@ -147,7 +148,7 @@ class TestEnumerate:
 
 def is_narrower(d):
     narrow, _ = far_commutation_order(d)
-    return max(narrow.strand_counts()) < max(d.strand_counts())
+    return max(narrow.walk.counts) < max(d.walk.counts)
 
 
 class TestReorderedEnumeration:
