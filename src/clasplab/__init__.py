@@ -22,9 +22,8 @@ _NAMES = {
         generate_unknot lc parse rc serialize trace_components
         transpose_events validate x""",
     "errors": """BudgetExceeded ClaspLabError EvennessViolation
-        InternalInvariantError InvalidBraidLetter InvalidDiagram
-        InvalidRuling NotApplicable ParseError ScriptError TransportFailure
-        UnknownEye""",
+        InvalidBraidLetter InvalidDiagram InvalidRuling NotApplicable
+        ParseError ScriptError TransportFailure""",
     "fillability": """CobordismParity FillingCertificate ObstructionVerdict
         SearchResult cobordism_parity_check obstruction_verdict
         random_script run_script search_filling""",

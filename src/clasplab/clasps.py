@@ -19,8 +19,9 @@ each interleaved pair's current interval.  clasp_report is one linear
 scan with it, and ruling_reports counts during the transfer scan that
 lists the rulings (each crossing's tally, its eye pair and the clasps it
 closed, is summed per suffix in the backward pass), so no ruling is
-scanned twice; the verdict reads the sorted rows behind it
-(_sorted_reports).  resolve runs the same scan and keeps what it passes:
+scanned twice.  The scan yields each distinct count once, as a fold, so
+the listing behind both (_sorted_reports) builds one report per fold.
+resolve runs the same scan and keeps what it passes:
 the eyes, the slices, the crossing records and each clasp's interval
 (for rendering).
 """
@@ -231,18 +232,13 @@ def clasp_report(diagram: FrontDiagram, ruling: Iterable) -> ClaspReport:
     return report_of(state.tallies())
 
 
-def _sorted_reports(diagram: FrontDiagram, budget: Optional[int]) -> list:
-    """(switch tuple, ClaspReport) of every normal ruling, by size, then
-    lexicographic, counted during the transfer scan itself as tallies
-    folded along each listed ruling; equal counts share one report."""
-    reports: dict = {}
-    found = []
-    for switches, tallies in _enumerate(diagram, budget, ClaspState()):
-        report = reports.get(tallies)
-        if report is None:
-            report = reports[tallies] = report_of(tallies)
-        found.append((switches, report))
-    return found
+def _sorted_reports(diagram: FrontDiagram, budget: Optional[int]) -> tuple:
+    """(switches, fold_ids, reports) of every normal ruling, by size, then
+    lexicographic: _enumerate's columns, counting clasps during the
+    transfer scan, with one ClaspReport per fold, so rulings with equal
+    counts share one report (``reports[fold_ids[i]]`` is the i-th's)."""
+    switches, fold_ids, folds = _enumerate(diagram, budget, ClaspState())
+    return switches, fold_ids, list(map(report_of, folds))
 
 
 def ruling_reports(diagram: FrontDiagram,
@@ -250,6 +246,6 @@ def ruling_reports(diagram: FrontDiagram,
     """(ruling, ClaspReport) of every normal ruling, by size, then
     lexicographic, with no ruling scanned twice (see _sorted_reports);
     ``budget`` bounds the scan exactly as in enumerate_rulings."""
-    return [(frozenset(switches), report)
-            for switches, report in _sorted_reports(diagram, budget)]
-
+    switches, fold_ids, reports = _sorted_reports(diagram, budget)
+    return list(zip(map(frozenset, switches),
+                    map(reports.__getitem__, fold_ids)))

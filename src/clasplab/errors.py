@@ -27,10 +27,6 @@ class InvalidRuling(ClaspLabError):
     """A switch set is not a normal ruling of the given diagram."""
 
 
-class UnknownEye(ClaspLabError):
-    """An eye id does not occur in the resolution."""
-
-
 class NotApplicable(ClaspLabError):
     """The requested move does not match the local event pattern."""
 
@@ -55,10 +51,6 @@ class EvennessViolation(ClaspLabError):
     This cannot happen for a correct move calculus; it signals an
     implementation bug, never a property of the input.
     """
-
-
-class InternalInvariantError(ClaspLabError):
-    """An internal invariant failed: a bug in clasplab, not in the input."""
 
 
 class BudgetExceeded(ClaspLabError):

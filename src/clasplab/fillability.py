@@ -13,6 +13,7 @@ all odd admits no such script at all.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Iterable, NamedTuple, Optional
 
 from .clasps import ClaspReport, _sorted_reports, clasp_report
@@ -108,13 +109,17 @@ class ObstructionVerdict(NamedTuple):
 def obstruction_verdict(diagram: FrontDiagram,
                         budget: Optional[int] = None) -> ObstructionVerdict:
     """Enumerate rulings and decide whether all of them are odd."""
-    # unpacking each row's report is quicker than reading fields by name
-    evidence = tuple(RulingEvidence(s, total, parity) for s, (_, total, parity)
-                     in _sorted_reports(diagram, budget))
-    witness = next((e.switches for e in evidence if e.parity == "even"),
-                   None)
-    if not evidence:
+    switches, fold_ids, reports = _sorted_reports(diagram, budget)
+    if not switches:
         return ObstructionVerdict(False, (), None, "no normal rulings at all")
+    # read per fold, then per ruling by fold id, all in C: tuple.__new__
+    # skips the NamedTuple's Python-level __new__
+    totals = [report.total for report in reports]
+    parity = list(map([r.parity for r in reports].__getitem__, fold_ids))
+    evidence = tuple(map(partial(tuple.__new__, RulingEvidence),
+                         zip(switches, map(totals.__getitem__, fold_ids),
+                             parity)))
+    witness = switches[parity.index("even")] if "even" in parity else None
     return ObstructionVerdict(witness is None, evidence, witness)
 
 

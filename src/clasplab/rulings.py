@@ -26,9 +26,9 @@ agree scan every suffix alike, so each event keeps one state per key, and
 a backward pass lists each state's suffixes, switch first, from the next
 event's lists.  A state subclass that counts something reports each
 step's ``tally``; the backward pass folds them per suffix, and the scan
-itself knows nothing of what they count.  A listed ruling is the
-increasing tuple of its switch ordinals until a public listing makes it
-a frozenset.
+itself knows nothing of what they count.  The listing is columns: the
+switch tuples (increasing, until a public listing makes them
+frozensets), fold ids, and the table of distinct folds the ids index.
 """
 
 from __future__ import annotations
@@ -201,10 +201,13 @@ class _FoldStep(dict):
 
 
 def _transfer(diagram: FrontDiagram, budget: Optional[int],
-              state: Optional[PairingState] = None) -> list:
+              state: Optional[PairingState] = None) -> tuple:
     """Every way to scan the word as given, switch first at each
-    crossing, which within each size is increasing order: (switches,
-    tallies) each, ``switches`` the increasing tuple of switch ordinals.
+    crossing, which within each size is increasing order, as columns
+    (switches, fold_ids, folds): the increasing tuples of switch ordinals
+    and per ruling the index in ``folds`` of its fold, the sorted (label,
+    sum) pairs the state's own ``tallies()`` would report.  ``folds``
+    holds once each fold the backward pass meets, listed or not.
 
     A transfer-matrix scan in two passes.  Forward, event by event, it
     keeps one representative state per ``key()`` (states with equal keys
@@ -215,11 +218,10 @@ def _transfer(diagram: FrontDiagram, budget: Optional[int],
     ordinal to every switch tuple, each edge maps the suffixes' fold ids
     through its tally's memo table (_FoldStep), and the switch edge's
     list comes before the plain edge's.  A node reaches the end exactly
-    when its list is non-empty.  A fold is the sorted (label, sum) pairs
-    the state's own ``tallies()`` would report.  Every prepend copies a
-    tuple, so a ruling with s switches costs s*s element copies, all of
-    them in C.  ``state`` (default the empty pairing) may be any
-    PairingState subclass.
+    when its list is non-empty.  Every prepend copies a tuple, so a
+    ruling with s switches costs s*s element copies, all of them in C.
+    ``state`` (default the empty pairing) may be any PairingState
+    subclass.
 
     Raises BudgetExceeded, before listing anything, once more than
     ``budget`` event steps would be taken by a backtracking search: the
@@ -285,8 +287,8 @@ def _transfer(diagram: FrontDiagram, budget: Optional[int],
                 sb, fb = list(map(prefix, sa)) + sb, fa + fb
             listed.append((sb, fb))
         suffixes = listed + [dead]
-    switches, fold = suffixes[0]
-    return list(zip(switches, map(folds.__getitem__, fold)))
+    switches, fold_ids = suffixes[0]
+    return switches, fold_ids, folds
 
 
 def _map_back(diagram: FrontDiagram, narrow: FrontDiagram, origins: tuple,
@@ -389,11 +391,13 @@ def _map_back(diagram: FrontDiagram, narrow: FrontDiagram, origins: tuple,
 
 
 def _enumerate(diagram: FrontDiagram, budget: Optional[int],
-               state: Optional[PairingState] = None) -> list:
-    """Every normal ruling as (switch tuple, tallies), sorted once by
-    size, then lexicographic: by length alone on ``diagram`` itself, which
-    the transfer scan lists in increasing order within each length, and
-    by (length, tuple) after mapping back, which changes the ordinals.
+               state: Optional[PairingState] = None) -> tuple:
+    """Every normal ruling as _transfer's columns, sorted once by size,
+    then lexicographic: on ``diagram`` itself, which the transfer scan
+    lists in increasing order within each length, by a stable sort of the
+    row indices on length alone (a C-level key); after mapping back, which
+    changes the ordinals, by (length, tuple), with fold ids assigned in
+    listing order.
 
     The number of scan states grows with the width (the most strands
     alive on one slice), so the word is first reordered by far
@@ -409,9 +413,9 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
     bounds the backtracking steps on the word actually scanned; it is
     checked before any ruling is listed.
 
-    The tallies are those ``state`` (default a bare pairing) adds when
-    run over ``diagram`` under the ruling: folded along the listing when
-    ``diagram`` is scanned, else read off one linear scan after the
+    The folds are the tallies ``state`` (default a bare pairing) adds
+    when run over ``diagram`` under the ruling: folded along the listing
+    when ``diagram`` is scanned, else read off one linear scan after the
     ruling is mapped back.  What a counting state counts on the reordered
     word is not proven equal to its count on ``diagram`` (a lone switch
     can pass to the other crossing of a ``tr`` hop), so the reordered
@@ -419,19 +423,23 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
     """
     reordered = far_commutation_order(diagram, max(diagram.walk.counts))
     if reordered is None:
-        found = _transfer(diagram, budget, state)
-        found.sort(key=lambda row: len(row[0]))
-    else:
-        narrow, origins = reordered
-        ordinals = diagram.walk.ordinals
-        found = []
-        for ruling, _ in _transfer(narrow, budget):
-            flags = _map_back(diagram, narrow, origins, ruling)
-            tallies = () if state is None else \
-                scan(diagram.events, flags, state.copy())[0].tallies()
-            found.append((tuple(compress(ordinals, flags)), tallies))
-        found.sort(key=lambda row: (len(row[0]), row[0]))
-    return found
+        switches, fold_ids, folds = _transfer(diagram, budget, state)
+        order = sorted(range(len(switches)),
+                       key=list(map(len, switches)).__getitem__)
+        return (list(map(switches.__getitem__, order)),
+                list(map(fold_ids.__getitem__, order)), folds)
+    narrow, origins = reordered
+    ordinals = diagram.walk.ordinals
+    rows = []
+    for ruling in _transfer(narrow, budget)[0]:
+        flags = _map_back(diagram, narrow, origins, ruling)
+        tallies = () if state is None else \
+            scan(diagram.events, flags, state.copy())[0].tallies()
+        rows.append((tuple(compress(ordinals, flags)), tallies))
+    rows.sort(key=lambda row: (len(row[0]), row[0]))
+    ids: dict = {}  # fold -> fold id, in listing order
+    fold_ids = [ids.setdefault(tallies, len(ids)) for _, tallies in rows]
+    return [switches for switches, _ in rows], fold_ids, list(ids)
 
 
 def enumerate_rulings(diagram: FrontDiagram, budget: Optional[int] = None) -> list:
@@ -443,7 +451,7 @@ def enumerate_rulings(diagram: FrontDiagram, budget: Optional[int] = None) -> li
     the steps a backtracking search would take on the word actually
     scanned; BudgetExceeded is raised before any ruling is listed.
     """
-    return [frozenset(r) for r, _ in _enumerate(diagram, budget)]
+    return list(map(frozenset, _enumerate(diagram, budget)[0]))
 
 
 def window_matches(entry: PairingState, old, old_flags,

@@ -7,9 +7,8 @@ from typing import Iterable, Optional
 import pytest
 from hypothesis import settings
 
-from clasplab import (EvennessViolation, FrontDiagram,
-                      InternalInvariantError, Move, NotApplicable,
-                      ScriptError, UnknownEye, apply_move, clasp_report,
+from clasplab import (ClaspLabError, EvennessViolation, FrontDiagram, Move,
+                      NotApplicable, ScriptError, apply_move, clasp_report,
                       generate_negative_braid_closure, generate_torus4,
                       generate_trefoil, generate_unknot, is_normal_ruling,
                       random_script, run_script)
@@ -18,6 +17,15 @@ from clasplab.diagram import (_DELTA, _RANK, CROSSING, LEFT_CUSP, RIGHT_CUSP,
 from clasplab.errors import BudgetExceeded, TransportFailure
 from clasplab.fillability import FillingCertificate
 from clasplab.rulings import PairingState, scan, switch_flags, window_matches
+
+
+class UnknownEye(ClaspLabError):
+    """The oracles were asked about an eye id the resolution lacks."""
+
+
+class InternalInvariantError(ClaspLabError):
+    """A resolution the oracles read breaks an invariant of the scan."""
+
 
 # Reproducible property tests for CI (--hypothesis-profile=ci): the same
 # examples on every run, no per-example deadline on a slow runner.
@@ -152,12 +160,13 @@ def backtrack_rulings(diagram, budget=None, state=None, steps=None) -> list:
     """Backtracking over the switch choices of the word as given.
 
     The test-only reference for rulings._transfer, with the same
-    arguments and results: (switches, state.tallies()) per ruling, where
-    ``switches`` is the increasing tuple of switched crossing ordinals.  Each
-    crossing branches on a copy (switch) and on the state itself
-    (non-switch), and dead states prune the subtree.  Raises
-    BudgetExceeded once more than ``budget`` event steps have been taken;
-    a list passed as ``steps`` receives the number taken.
+    arguments and results as rows (see as_rows): (switches,
+    state.tallies()) per ruling, where ``switches`` is the increasing
+    tuple of switched crossing ordinals.  Each crossing branches on a
+    copy (switch) and on the state itself (non-switch), and dead states
+    prune the subtree.  Raises BudgetExceeded once more than ``budget``
+    event steps have been taken; a list passed as ``steps`` receives the
+    number taken.
     """
     events = diagram.events
     ordinals = diagram.walk.ordinals
@@ -340,24 +349,40 @@ def hop_counts(origins) -> list:
             for t, i in enumerate(origins)]
 
 
-def reference_enumerate(diagram, budget, state=None, reordered=None) -> list:
+def as_rows(columns) -> list:
+    """The (switches, tallies) rows of _transfer's or _enumerate's
+    (switch tuples, fold ids, folds) columns."""
+    switches, fold_ids, folds = columns
+    return list(zip(switches, map(folds.__getitem__, fold_ids)))
+
+
+def as_columns(rows) -> tuple:
+    """The columns of (switches, tallies) rows, inverse of as_rows: fold
+    ids are given in listing order, one per distinct tallies."""
+    ids: dict = {}
+    return ([switches for switches, _ in rows],
+            [ids.setdefault(tallies, len(ids)) for _, tallies in rows],
+            list(ids))
+
+
+def reference_enumerate(diagram, budget, state=None, reordered=None) -> tuple:
     """rulings._enumerate on the slow paths: the windowed reorder and the
     swap-by-swap retrace, with the same arguments and results.
     ``reordered`` may pass in far_commutation_windows(diagram)."""
     from clasplab.rulings import _transfer
     narrow, windows = reordered or far_commutation_windows(diagram)
     if max(narrow.walk.counts) >= max(diagram.walk.counts):
-        found = _transfer(diagram, budget, state)
+        found = as_rows(_transfer(diagram, budget, state))
     else:
         found = []
-        for ruling, _ in _transfer(narrow, budget):
+        for ruling in _transfer(narrow, budget)[0]:
             flags = retrace(narrow, windows, ruling)
             tallies = () if state is None else \
                 scan(diagram.events, flags, state.copy())[0].tallies()
             found.append((tuple(o for o, f in zip(diagram.walk.ordinals,
                                                   flags) if f), tallies))
     found.sort(key=lambda row: (len(row[0]), row[0]))
-    return found
+    return as_columns(found)
 
 
 @pytest.fixture(scope="session")

@@ -7,20 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clasplab import rulings
-from clasplab import (BudgetExceeded, ClaspLabError, ClaspState,
-                      CrossingRecord, InternalInvariantError, InvalidRuling,
-                      UnknownEye, clasp_report, enumerate_rulings,
-                      generate_negative_braid_closure, generate_torus4,
-                      generate_trefoil, generate_unknot, is_normal_ruling,
-                      obstruction_verdict, resolve, ruling_reports, scan,
-                      switch_flags)
+from clasplab import (BudgetExceeded, ClaspState, CrossingRecord,
+                      FrontDiagram, InvalidRuling, clasp_report,
+                      enumerate_rulings, generate_negative_braid_closure,
+                      generate_torus4, generate_trefoil, generate_unknot,
+                      is_normal_ruling, lc, obstruction_verdict, rc,
+                      resolve, ruling_reports, scan, switch_flags)
 from clasplab.clasps import (ClaspReport, PairClasps, Resolution,
                              parity_of_total)
 from clasplab.diagram import far_commutation_order
 from clasplab.fillability import (ObstructionVerdict, RulingEvidence,
                                   random_script, run_script)
 from conftest import (DISJOINT, INTERLEAVED, LOWER, NESTED, UPPER,
-                      _pair_config, assert_value_contract, backtrack_rulings,
+                      InternalInvariantError, UnknownEye, _pair_config,
+                      assert_value_contract, backtrack_rulings,
                       brute_force_rulings, brute_pair_clasps, clasp_intervals,
                       disjoint_union, random_fillable, ruling_sort_key)
 
@@ -198,7 +198,6 @@ class TestInvariantErrors:
         with pytest.raises(InternalInvariantError,
                            match="crossing between non-adjacent strands"):
             clasp_intervals(res, 0, 1)
-        assert issubclass(InternalInvariantError, ClaspLabError)
 
 
 def reference_report(diagram, ruling):
@@ -271,6 +270,23 @@ class TestCountedInSearch:
             assert [r for r, _ in listed] == enumerate_rulings(d)
             for r, report in listed:
                 assert report == reference_report(d, r)
+
+    @pytest.mark.parametrize("d,parities", [
+        (FrontDiagram([lc(1), lc(1), rc(2), rc(1)]), set()),
+        *[(generate_torus4(n), {"odd"}) for n in range(4)],
+        (generate_negative_braid_closure(2, [1] * 10), {"odd", "even"})],
+        ids=["no_rulings", "torus4_0", "torus4_1", "torus4_2", "torus4_3",
+             "braid2_10"])
+    def test_verdict_by_fold_equals_the_reference(self, d, parities):
+        """No rulings (the note), all odd and mixed parities: the evidence
+        read per fold is what resolving each ruling gives.  A NamedTuple
+        equals a plain tuple, so the repr and the element types are
+        checked too."""
+        verdict, want = obstruction_verdict(d), reference_verdict(d)
+        assert verdict == want
+        assert repr(verdict) == repr(want)
+        assert all(type(e) is RulingEvidence for e in verdict.evidence)
+        assert {e.parity for e in verdict.evidence} == parities
 
     def test_listings_share_one_order(self, fillable_300):
         diagrams = [d for name in ("braid2", "braid4", "torus4")

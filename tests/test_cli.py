@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clasplab import (FrontDiagram, InternalInvariantError, InvalidDiagram,
+from clasplab import (EvennessViolation, FrontDiagram, InvalidDiagram,
                       clasps, validate)
 from clasplab.cli import main
 from clasplab.diagram import Event, generate_trefoil, serialize
@@ -155,16 +155,15 @@ class TestErrorsAndDeterminism:
 
     def test_internal_invariant_error_exit_1(self, capsys, monkeypatch):
         def broken(diagram, ruling):
-            raise InternalInvariantError("crossing between non-adjacent "
-                                         "strands")
+            raise EvennessViolation("odd clasp total on a certificate")
 
         monkeypatch.setattr(clasps, "clasp_report", broken)
         code, out, err = run(capsys, "clasps", "--generate", "trefoil",
                              "--ruling", "[1]")
         assert (code, out) == (1, "")
         assert json.loads(err) == {
-            "error": "InternalInvariantError",
-            "message": "crossing between non-adjacent strands"}
+            "error": "EvennessViolation",
+            "message": "odd clasp total on a certificate"}
 
     def test_memory_error_exit_1(self, capsys, monkeypatch):
         """An unbounded listing that exhausts memory ends in one JSON

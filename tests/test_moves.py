@@ -377,13 +377,6 @@ class TestLazyMenu:
             assert applicable_kinds(d) == [k for k in MOVE_KINDS
                                            if k in kinds]
 
-    def test_each_kind_is_the_filtered_menu(self, menu_diagrams):
-        for d in menu_diagrams:
-            menu = enumerate_applicable_moves(d)
-            for kind in MOVE_KINDS:
-                assert list(_menu(d, kind)) == [m for m in menu
-                                                if m.kind == kind]
-
     def test_window_kinds_are_both_present_and_absent(self, menu_diagrams):
         for kind in ("r1inv", "r2inv", "r3"):
             assert {kind in applicable_kinds(d) for d in menu_diagrams} \

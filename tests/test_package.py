@@ -73,13 +73,14 @@ print([m for m in sys.modules if m.startswith("clasplab.")])
 
 
 def test_removed_names_are_attribute_errors():
-    """Test oracles and helpers live in tests/conftest.py, and the
-    aliases and wrappers are gone: none of these resolves any more."""
+    """Test oracles, their errors and helpers live in tests/conftest.py,
+    and the aliases and wrappers are gone: none of these resolves any
+    more."""
     assert fresh("""
 import clasplab
-removed = ["EMPTY_RULING", "NormalRuling", "brute_force_rulings",
-           "brute_pair_clasps", "disjoint_union", "n_components",
-           "normalize", "stacked_union"]
+removed = ["EMPTY_RULING", "InternalInvariantError", "NormalRuling",
+           "UnknownEye", "brute_force_rulings", "brute_pair_clasps",
+           "disjoint_union", "n_components", "normalize", "stacked_union"]
 for name in removed:
     try:
         getattr(clasplab, name)
@@ -87,7 +88,7 @@ for name in removed:
         continue
     print(name)
 print(len(clasplab.__all__), sorted(set(removed) & set(clasplab.__all__)))
-""") == "60 []\n"
+""") == "58 []\n"
 
 
 def test_no_module_loads_dataclasses():

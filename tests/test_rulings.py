@@ -15,10 +15,10 @@ from clasplab.diagram import CROSSING, Event, far_commutation_order
 from clasplab.fillability import random_script, run_script
 from clasplab.rulings import (PairingState, _map_back, _transfer,
                               window_matches)
-from conftest import (backtrack_rulings, brute_force_rulings,
-                      far_commutation_windows, hop_counts, partition,
-                      reference_enumerate, retrace, ruling_sort_key,
-                      small_corpus, stacked_union)
+from conftest import (as_columns, as_rows, backtrack_rulings,
+                      brute_force_rulings, far_commutation_windows,
+                      hop_counts, partition, reference_enumerate, retrace,
+                      ruling_sort_key, small_corpus, stacked_union)
 
 
 def state_at(diagram, switches, event_index):
@@ -229,7 +229,7 @@ class TestTransferScan:
         steps = []
 
         def backtrack(word, budget, state=None):
-            return backtrack_rulings(word, budget, state, steps)
+            return as_columns(backtrack_rulings(word, budget, state, steps))
 
         with monkeypatch.context() as patched:
             patched.setattr(rulings, "_transfer", backtrack)
@@ -262,7 +262,7 @@ class TestTransferScan:
         for d in fillable_300[:100]:
             for state in (PairingState(), ClaspState()):
                 want = backtrack_rulings(d, None, state)
-                got = _transfer(d, None, state)
+                got = as_rows(_transfer(d, None, state))
                 for switches, _ in got:
                     assert type(switches) is tuple
                     assert all(a < b for a, b in zip(switches, switches[1:]))
@@ -274,21 +274,24 @@ class TestTransferScan:
         within each size that is increasing order, which _enumerate's
         size-only sort of the word as given rests on.  The wide torus4
         words are scanned as given up to torus4(2), and all of them as
-        _enumerate scans them, reordered."""
+        _enumerate scans them, reordered.  Each fold is listed once, so
+        rulings with equal tallies have one fold id."""
         words = [d for family, make in _KERNEL_FAMILIES.items()
                  if family != "torus4" for d in make()]
         torus = _KERNEL_FAMILIES["torus4"]()
         words += torus[:3] + [far_commutation_order(d)[0] for d in torus]
         for d in words + fillable_300:
             for state in (PairingState(), ClaspState()):
-                assert _transfer(d, None, state) == \
-                    backtrack_rulings(d, None, state)
+                columns = _transfer(d, None, state)
+                assert as_rows(columns) == backtrack_rulings(d, None, state)
+                folds = columns[2]
+                assert len(set(folds)) == len(folds)
 
     def test_long_word_lists_without_deep_recursion(self):
         # 1,500 disjoint unknots: 3,000 events, one ruling
         d = FrontDiagram(generate_unknot().events * 1500)
-        assert _transfer(d, None) == [((), ())]
-        assert _transfer(d, None, ClaspState()) == [((), ())]
+        assert _transfer(d, None) == ([()], [0], [()])
+        assert _transfer(d, None, ClaspState()) == ([()], [0], [()])
 
     def test_budget_raised_before_listing(self):
         d = generate_negative_braid_closure(2, [1] * 40)
@@ -338,7 +341,7 @@ class TestRetrace:
             narrow, windows = far_commutation_windows(d)
             fast, origins = far_commutation_order(d)
             assert fast == narrow
-            for ruling, _ in _transfer(narrow, None):
+            for ruling in _transfer(narrow, None)[0]:
                 flags = retrace(narrow, windows, ruling)
                 assert flags == \
                     retrace_matching_every_swap(narrow, windows, ruling,
@@ -419,7 +422,7 @@ def test_equals_the_slow_paths(family, monkeypatch):
         if max(narrow.walk.counts) < max(d.walk.counts):
             narrowed += 1
             searched = narrow
-            for ruling, _ in _transfer(narrow, None):
+            for ruling in _transfer(narrow, None)[0]:
                 assert _map_back(d, narrow, origins, ruling) == \
                     retrace(narrow, windows, ruling)
         steps = []
