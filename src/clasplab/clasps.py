@@ -32,7 +32,8 @@ from typing import Iterable, NamedTuple, Optional
 
 from .diagram import CROSSING, LEFT_CUSP, FrontDiagram
 from .errors import InvalidRuling
-from .rulings import PairingState, _enumerate, scan, switch_flags
+from .rulings import (PairingState, _cross, _enumerate, _switch_ok, scan,
+                      switch_flags)
 
 
 class CrossingRecord(NamedTuple):
@@ -139,12 +140,18 @@ class ClaspState(PairingState):
     numbered by birth), the clasp count of each eye pair that has met at
     a crossing, and for each pair inside an interleaved interval the
     strand pair of the crossing that opened it (its entering strands).
-    The eyes through slots p, p+1 interleave exactly when
-    ``switch_ok(p)`` fails, so reading it before and after an unswitched
-    crossing tells whether the crossing enters or leaves an interleaved
-    interval; a strand is the upper one of its eye when its mate lies
-    below it.  Each crossing's tally is (eye pair, clasps it closed).  No
-    records, slices or per-pair strand orders are built.
+    The eyes through slots p, p+1 interleave exactly when the switch test
+    fails there, so reading it before and after an unswitched crossing
+    tells whether the crossing enters or leaves an interleaved interval;
+    a strand is the upper one of its eye when its mate lies below it.
+    Each crossing's tally is (eye pair, clasps it closed).  No records,
+    slices or per-pair strand orders are built.
+
+    The key is all but the counts, which only add up: the mates, the eye
+    ids, the number of eyes born and the open intervals, so ``edges`` can
+    rebuild a state from it.  The mates and that number merge nothing the
+    eye ids alone would not: the eye ids fix the mates, and every state
+    of one layer has seen the same left cusps.
     """
 
     __slots__ = ("_eyes", "_born", "_open", "_counts", "tally")
@@ -165,11 +172,26 @@ class ClaspState(PairingState):
         return c
 
     def key(self) -> tuple:
-        # The eye ids pin the mates down; the counts only add up.
-        return tuple(self._eyes), frozenset(self._open.items())
+        return (tuple(self._m), tuple(self._eyes), self._born,
+                frozenset(self._open.items()))
 
     def tallies(self) -> tuple:
         return tuple(sorted(self._counts.items()))
+
+    @staticmethod
+    def edges(key: tuple, event) -> tuple:
+        """PairingState.edges on the state rebuilt from ``key``, stepped
+        with and then without the switch, as a switch step keeps the key."""
+        m, eyes, born, opened = key
+        state = PairingState.__new__(ClaspState)
+        state._m, state._eyes, state._born = list(m), list(eyes), born
+        state._open, state._counts = dict(opened), {}
+        switch = None
+        if event.kind == CROSSING and state.step(event, True) is None:
+            switch = key, state.tally
+        if state.step(event) is not None:
+            return switch, None
+        return switch, (state.key(), state.tally)
 
     def step(self, event, is_switch: bool = False):
         p = event.pos
@@ -185,7 +207,7 @@ class ClaspState(PairingState):
             return fail
         m, eyes = self._m, self._eyes
         a, b = eyes[p], eyes[p + 1]
-        if is_switch and a != b and self.switch_ok(p):
+        if is_switch and a != b and _switch_ok(m, p):
             pair = (a, b) if a < b else (b, a)
             self._counts.setdefault(pair, 0)
             self.tally = (pair, 0)
@@ -196,13 +218,13 @@ class ClaspState(PairingState):
         at_p, at_q = m[p] < p, m[p + 1] < p + 1
         pair, strands = ((a, b), (at_p, at_q)) if a < b else \
             ((b, a), (at_q, at_p))
-        leaves = not self.switch_ok(p)
-        self.cross(p)
+        leaves = not _switch_ok(m, p)
+        _cross(m, p)
         eyes[p], eyes[p + 1] = b, a
         clasp = 0
         if leaves:
             clasp = 1 if self._open.pop(pair, None) == strands else 0
-        elif not self.switch_ok(p):
+        elif not _switch_ok(m, p):
             self._open[pair] = strands
         self._counts[pair] = self._counts.get(pair, 0) + clasp
         self.tally = (pair, clasp)

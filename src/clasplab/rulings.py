@@ -12,8 +12,7 @@ slots into eyes; each event updates the pairing:
 * non-switch crossing at p: slots p, p+1 trade eyes -- pruned if both
   belong to one eye (that eye would self-intersect);
 * switch crossing at p: slots keep their eyes, but the two eyes must sit
-  in one of the three admissible configurations (see
-  PairingState.switch_ok);
+  in one of the three admissible configurations (see _switch_ok);
 * right cusp at p: slots p, p+1 must be the two slots of a single eye.
 
 A switch choice is carried as per-event flags (True at switched crossings,
@@ -22,10 +21,11 @@ over a word or a window of one.  Switch sets of crossing ordinals meet the
 flags only in switch_flags, switches_of and _enumerate.
 
 Rulings are listed by a transfer scan (_transfer): states whose ``key()``
-agree scan every suffix alike, so each event keeps one state per key, and
-a backward pass lists each state's suffixes, switch first, from the next
+agree scan every suffix alike, so its forward pass keeps only keys, one
+per distinct state, and steps each key by its class's ``edges``.  A
+backward pass lists each key's suffixes, switch first, from the next
 event's lists.  A state subclass that counts something reports each
-step's ``tally``; the backward pass folds them per suffix, and the scan
+edge's tally; the backward pass folds them per suffix, and the scan
 itself knows nothing of what they count.  The listing is columns: the
 switch tuples (increasing, until a public listing makes them
 frozensets), fold ids, and the table of distinct folds the ids index.
@@ -42,19 +42,58 @@ from .diagram import (CROSSING, LEFT_CUSP, Event, FrontDiagram,
 from .errors import BudgetExceeded, InvalidRuling, TransportFailure
 
 
+def _same_eye(m, p: int) -> bool:
+    """Slots p, p+1 of the mates ``m`` carry the two strands of one eye."""
+    return m[p] == p + 1
+
+
+def _switch_ok(m, p: int) -> bool:
+    """Normality at a switch between the eyes through slots p, p+1.
+
+    With a and b the mates of p and p+1, exactly three of the six mate
+    configurations are admissible: the two eyes vertically disjoint, or
+    nested with both mates above, or nested with both mates below.
+    Interleaved eyes never switch.
+    """
+    a, b = m[p], m[p + 1]
+    return (a < p and b > p + 1) or (p + 1 < b < a) or (b < a < p)
+
+
+def _born(m: list, p: int) -> None:
+    """A left cusp at p: a new eye on slots p, p+1, in place."""
+    for i in range(1, len(m)):
+        if m[i] >= p:
+            m[i] += 2
+    m[p:p] = (p + 1, p)
+
+
+def _died(m: list, p: int) -> None:
+    """A right cusp closes the eye on slots p, p+1, in place."""
+    del m[p:p + 2]
+    for i in range(1, len(m)):
+        if m[i] >= p + 2:
+            m[i] -= 2
+
+
+def _cross(m: list, p: int) -> None:
+    """Slots p, p+1 trade eyes, in place."""
+    a, b = m[p], m[p + 1]
+    m[a], m[b] = p + 1, p
+    m[p], m[p + 1] = b, a
+
+
 class PairingState:
     """Mutable pairing of live slots into eyes during a scan.
 
     ``_m[p]`` is the slot currently occupied by the other strand of the
-    eye through slot p, its mate.  The pairing alone decides every ruling
-    condition; eye identities are not needed here.
+    eye through slot p, its mate; slots are 1-based and ``_m[0]`` is 0.
+    The pairing alone decides every ruling condition; eye identities are
+    not needed here.  ``step`` updates the list in place; ``edges`` steps
+    the key, the mate tuple, by the same helpers (_same_eye, _switch_ok,
+    _born, _died, _cross).
     """
 
     __slots__ = ("_m",)
-
-    #: What the last step added to the run's tallies, as (label, amount),
-    #: or None; the bare pairing tallies nothing.
-    tally = None
 
     def __init__(self, mates: Optional[list] = None):
         self._m = [0] if mates is None else mates
@@ -71,40 +110,21 @@ class PairingState:
         """Every tally the run so far added, summed per label, sorted."""
         return ()
 
-    def birth(self, p: int) -> None:
-        m = self._m
-        for i in range(1, len(m)):
-            if m[i] >= p:
-                m[i] += 2
-        m[p:p] = [p + 1, p]
-
-    def death(self, p: int) -> None:
-        m = self._m
-        del m[p:p + 2]
-        for i in range(1, len(m)):
-            if m[i] >= p + 2:
-                m[i] -= 2
-
-    def same_eye(self, p: int) -> bool:
-        return self._m[p] == p + 1
-
-    def switch_ok(self, p: int) -> bool:
-        """Normality at a switch between the eyes through slots p, p+1.
-
-        With a and b the mates of p and p+1, exactly three of the six mate
-        configurations are admissible: the two eyes vertically disjoint, or
-        nested with both mates above, or nested with both mates below.
-        Interleaved eyes never switch.
-        """
-        m = self._m
-        a, b = m[p], m[p + 1]
-        return (a < p and b > p + 1) or (p + 1 < b < a) or (b < a < p)
-
-    def cross(self, p: int) -> None:
-        m = self._m
-        a, b = m[p], m[p + 1]
-        m[a], m[b] = p + 1, p
-        m[p], m[p + 1] = b, a
+    @staticmethod
+    def edges(m: tuple, event: Event) -> tuple:
+        """The switch step and the plain step of the state keyed ``m``
+        over ``event``, each as (next key, tally), or None where ``step``
+        would return a reason; the switch step is None off crossings.  A
+        switch keeps the pairing, so its key is ``m`` itself."""
+        p, kind = event.pos, event.kind
+        if kind != LEFT_CUSP and _same_eye(m, p) == (kind == CROSSING):
+            return None, None  # an eye crossing itself, or two eyes' cusp
+        mates = list(m)
+        if kind != CROSSING:
+            (_born if kind == LEFT_CUSP else _died)(mates, p)
+            return None, (tuple(mates), None)
+        _cross(mates, p)
+        return (m, None) if _switch_ok(m, p) else None, (tuple(mates), None)
 
     def step(self, event: Event, is_switch: bool = False) -> Optional[str]:
         """Advance over one event; return a failure reason or None.
@@ -112,23 +132,23 @@ class PairingState:
         The events are a FrontDiagram's, or a window of one, and so valid
         by construction; slot ranges are not rechecked.
         """
-        p = event.pos
+        p, m = event.pos, self._m
         if event.kind == LEFT_CUSP:
-            self.birth(p)
+            _born(m, p)
         elif event.kind == CROSSING:
-            if self.same_eye(p):
+            if _same_eye(m, p):
                 if is_switch:
                     return "switch between two strands of one eye"
                 return "eye self-intersects at an unswitched crossing"
             if is_switch:
-                if not self.switch_ok(p):
+                if not _switch_ok(m, p):
                     return "normality violated: eyes interleave at switch"
             else:
-                self.cross(p)
+                _cross(m, p)
         else:
-            if not self.same_eye(p):
+            if not _same_eye(m, p):
                 return "right cusp joins strands of two different eyes"
-            self.death(p)
+            _died(m, p)
         return None
 
 
@@ -210,24 +230,26 @@ def _transfer(diagram: FrontDiagram, budget: Optional[int],
     holds once each fold the backward pass meets, listed or not.
 
     A transfer-matrix scan in two passes.  Forward, event by event, it
-    keeps one representative state per ``key()`` (states with equal keys
-    scan every suffix alike) with its number of prefix paths; each edge
-    records the node it reaches and the ``tally`` its step added.
-    Backward, each node lists its suffixes, the paths from it to the end
-    of the word, from the next layer's lists: a switch edge prepends its
-    ordinal to every switch tuple, each edge maps the suffixes' fold ids
-    through its tally's memo table (_FoldStep), and the switch edge's
-    list comes before the plain edge's.  A node reaches the end exactly
-    when its list is non-empty.  Every prepend copies a tuple, so a
-    ruling with s switches costs s*s element copies, all of them in C.
-    ``state`` (default the empty pairing) may be any PairingState
-    subclass.
+    keeps only keys (states with equal ``key()`` scan every suffix alike)
+    and each key's number of prefix paths.  One loop serves every state
+    class: its ``edges(key, event)`` gives the key's switch step and plain
+    step, each as (next key, tally) or None for a dead end, and a switch
+    keeps the key, since it never changes the pairing.  Backward, each
+    node lists its suffixes, the paths from it to the end of the word,
+    from the next layer's lists: a switch edge prepends its ordinal to
+    every switch tuple, each edge maps the suffixes' fold ids through its
+    tally's memo table (_FoldStep), and the switch edge's list comes
+    before the plain edge's.  A node reaches the end exactly when its
+    list is non-empty.  Every prepend copies a tuple, so a ruling with s
+    switches costs s*s element copies, all of them in C.  ``state``
+    (default the empty pairing) may be any PairingState subclass.
 
     Raises BudgetExceeded, before listing anything, once more than
     ``budget`` event steps would be taken by a backtracking search: the
     sum of the path counts over every (event, key).
     """
-    reps, paths = [(state or PairingState()).copy()], [1]
+    state = state or PairingState()
+    edges, keys, paths = state.edges, [state.key()], [1]
     # Per event, two slots per node: the switch step, then the plain one.
     # nxt[slot] is the node it reaches in the next layer (-1 for none) and
     # tal[slot] its tally.  Flat lists keep the objects the garbage
@@ -240,25 +262,20 @@ def _transfer(diagram: FrontDiagram, budget: Optional[int],
             raise BudgetExceeded(
                 f"enumeration exceeded {budget} steps", nodes=budget + 1)
         index: dict = {}  # key -> node of the next layer
-        next_reps, next_paths, nxt, tal = [], [], [], []
-        crossing = e.kind == CROSSING
-        for s, n in zip(reps, paths):
-            branch = s.copy() if crossing else None
-            for t, switch in ((branch, True), (s, False)):
+        next_paths, nxt, tal = [], [], []
+        for key, n in zip(keys, paths):
+            for edge in edges(key, e):
                 k = -1
-                if t is not None and t.step(e, switch) is None:
-                    key = t.key()
-                    k = index.get(key)
-                    if k is None:
-                        k = index[key] = len(next_reps)
-                        next_reps.append(t)
+                if edge is not None:
+                    k = index.setdefault(edge[0], len(next_paths))
+                    if k == len(next_paths):
                         next_paths.append(n)
                     else:
                         next_paths[k] += n
                 nxt.append(k)
-                tal.append(None if k < 0 else t.tally)
+                tal.append(None if edge is None else edge[1])
         layers.append((nxt, tal))
-        reps, paths = next_reps, next_paths
+        keys, paths = list(index), next_paths
 
     # Backward: per node of the layer, its suffixes as parallel lists of
     # switch tuples and fold ids; index -1 reads the dead end's lists.
@@ -271,7 +288,7 @@ def _transfer(diagram: FrontDiagram, budget: Optional[int],
             table = tables[tally] = _FoldStep(tally, folds, fold_ids)
         return table.__getitem__
 
-    suffixes = [([()], [0])] * len(reps) + [dead]
+    suffixes = [([()], [0])] * len(keys) + [dead]
     for (nxt, tal), ordinal in zip(reversed(layers),
                                    reversed(diagram.walk.ordinals)):
         prefix = (ordinal,).__add__
@@ -306,7 +323,7 @@ def _map_back(diagram: FrontDiagram, narrow: FrontDiagram, origins: tuple,
     entering one crossing are mated with the two entering the other.  With
     one eye shared, the other one-switch choice crosses the other eye pair
     instead and leaves different exit mates; with none, neither crossing
-    can change the other's switch_ok.
+    can change the other's switch test (_switch_ok).
 
     A swap starts from the pairing on a cut of the dependency order: the
     reordered word before the moving crossing, then the events it has

@@ -7,8 +7,9 @@ from typing import Iterable, Optional
 import pytest
 from hypothesis import settings
 
-from clasplab import (ClaspLabError, EvennessViolation, FrontDiagram, Move,
-                      NotApplicable, ScriptError, apply_move, clasp_report,
+from clasplab import (ClaspLabError, ClaspState, EvennessViolation,
+                      FrontDiagram, Move, NotApplicable, ScriptError,
+                      apply_move, clasp_report,
                       generate_negative_braid_closure, generate_torus4,
                       generate_trefoil, generate_unknot, is_normal_ruling,
                       random_script, run_script)
@@ -16,7 +17,8 @@ from clasplab.diagram import (_DELTA, _RANK, CROSSING, LEFT_CUSP, RIGHT_CUSP,
                               Event, far_commutation_order)
 from clasplab.errors import BudgetExceeded, TransportFailure
 from clasplab.fillability import FillingCertificate
-from clasplab.rulings import PairingState, scan, switch_flags, window_matches
+from clasplab.rulings import (PairingState, _same_eye, _switch_ok, scan,
+                              switch_flags, window_matches)
 
 
 class UnknownEye(ClaspLabError):
@@ -141,6 +143,30 @@ def partition(state: PairingState) -> tuple:
     """Canonical snapshot of the pairing, for state comparison."""
     m = state._m
     return tuple((p, m[p]) for p in range(1, len(m)) if p < m[p])
+
+
+def same_eye(state: PairingState, p: int) -> bool:
+    """Slots p, p+1 carry the two strands of one eye."""
+    return _same_eye(state._m, p)
+
+
+def switch_ok(state: PairingState, p: int) -> bool:
+    """The switch test the scan runs at a crossing on slots p, p+1."""
+    return _switch_ok(state._m, p)
+
+
+def state_of_key(cls, key: tuple) -> PairingState:
+    """A fresh ``cls`` state whose key() is ``key``: the test-only
+    inverse of PairingState.key and ClaspState.key (counts start empty,
+    as they are not in the key)."""
+    if cls is PairingState:
+        return PairingState(list(key))
+    assert cls is ClaspState
+    state = ClaspState()
+    m, eyes, born, opened = key
+    state._m, state._eyes, state._born = list(m), list(eyes), born
+    state._open = dict(opened)
+    return state
 
 
 def brute_force_rulings(diagram: FrontDiagram) -> list:

@@ -18,7 +18,8 @@ from clasplab.rulings import (PairingState, _map_back, _transfer,
 from conftest import (as_columns, as_rows, backtrack_rulings,
                       brute_force_rulings, far_commutation_windows,
                       hop_counts, partition, reference_enumerate, retrace,
-                      ruling_sort_key, small_corpus, stacked_union)
+                      ruling_sort_key, same_eye, small_corpus, stacked_union,
+                      state_of_key, switch_ok)
 
 
 def state_at(diagram, switches, event_index):
@@ -34,20 +35,20 @@ class TestSwitchAllowed:
         # two stacked eyes, crossing slots (2,3): mates at 1 and 4
         state = state_at(generate_trefoil(), frozenset(), 2)
         assert partition(state) == ((1, 2), (3, 4))
-        assert state.switch_ok(2)
+        assert switch_ok(state, 2)
         assert state.step(x(2), True) is None
 
     def test_interleaved_eyes_forbid_switch(self):
         # after one unswitched crossing the trefoil eyes interleave
         state = state_at(generate_trefoil(), frozenset(), 3)
         assert partition(state) == ((1, 3), (2, 4))
-        assert not state.switch_ok(2)
+        assert not switch_ok(state, 2)
         assert state.step(x(2), True) == \
             "normality violated: eyes interleave at switch"
 
     def test_same_eye_raises(self):
         state = state_at(generate_unknot(), frozenset(), 1)
-        assert state.same_eye(1)
+        assert same_eye(state, 1)
         assert state.step(x(1), True) == \
             "switch between two strands of one eye"
 
@@ -55,7 +56,7 @@ class TestSwitchAllowed:
         d = FrontDiagram([lc(1), lc(2), x(1), rc(2), rc(1)])
         state = state_at(d, frozenset(), 2)
         assert partition(state) == ((1, 4), (2, 3))
-        assert state.switch_ok(1)
+        assert switch_ok(state, 1)
 
 
 class TestScanKernel:
@@ -286,6 +287,46 @@ class TestTransferScan:
                 assert as_rows(columns) == backtrack_rulings(d, None, state)
                 folds = columns[2]
                 assert len(set(folds)) == len(folds)
+
+    @pytest.mark.parametrize("cls", [PairingState, ClaspState],
+                             ids=["pairing", "clasp"])
+    def test_edges_equal_step_on_the_rebuilt_state(self, cls, fillable_300,
+                                                  monkeypatch):
+        """Every (key, event) the forward pass meets steps by ``edges`` as
+        ``step`` steps the state rebuilt from the key, one copy per edge:
+        the same next key and tally, and None exactly where ``step``
+        returns a reason.  The words are the kernel families (torus4 up
+        to torus4(2) as given), the narrow words of torus4(0..12) and the
+        fillables."""
+        met = {}
+        edges = cls.edges
+
+        def recorded(key, event):
+            met[key, event.kind, event.pos] = out = edges(key, event)
+            return out
+
+        monkeypatch.setattr(cls, "edges", staticmethod(recorded))
+        words = [d for family, make in _KERNEL_FAMILIES.items()
+                 if family != "torus4" for d in make()]
+        words += [generate_torus4(n) for n in range(3)]
+        words += [far_commutation_order(generate_torus4(n))[0]
+                  for n in range(13)]
+        for d in words + fillable_300:
+            _transfer(d, None, cls())
+        assert len(met) > 10_000
+        for (key, kind, pos), got in met.items():
+            state = state_of_key(cls, key)
+            assert state.key() == key
+            event = Event(kind, pos)
+            want = []
+            for switch in (True, False):
+                if switch and kind != CROSSING:
+                    want.append(None)
+                    continue
+                t = state.copy()
+                want.append(None if t.step(event, switch) is not None
+                            else (t.key(), getattr(t, "tally", None)))
+            assert got == tuple(want), (key, event)
 
     def test_long_word_lists_without_deep_recursion(self):
         # 1,500 disjoint unknots: 3,000 events, one ruling
