@@ -249,38 +249,40 @@ def trace_components(diagram: FrontDiagram) -> StrandTrace:
 # far commutation
 
 
-def _footprint_after(e: Event) -> tuple:
-    """Vertical extent an already-performed event occupies on the slice
-    to its right: newborn slots for lc, the closed gap for rc."""
-    if e.kind == RIGHT_CUSP:
-        return (e.pos - 0.5, e.pos - 0.5)
-    return (e.pos, e.pos + 1)
+#: Per kind, the slots an event needs on the slice to its left (_NEEDS)
+#: and fills on the slice to its right (_FILLS), as (low, high) offsets
+#: from twice its slot: a cusp's gap, the half slot below its slot, is -1.
+_NEEDS = {LEFT_CUSP: (-1, -1), RIGHT_CUSP: (0, 2), CROSSING: (0, 2)}
+_FILLS = {LEFT_CUSP: (0, 2), RIGHT_CUSP: (-1, -1), CROSSING: (0, 2)}
 
 
-def _footprint_before(e: Event) -> tuple:
-    """Vertical extent an upcoming event needs on the slice to its left."""
-    if e.kind == LEFT_CUSP:
-        return (e.pos - 0.5, e.pos - 0.5)
-    return (e.pos, e.pos + 1)
+def _side(first: Event, second: Event) -> int:
+    """Where the support of ``second`` lies against that of ``first`` on
+    the slice between the two adjacent events: 1 wholly above, -1 wholly
+    below, 0 when they meet (shared slots, or a birth/death aimed at the
+    same gap).  The two commute exactly when it is not 0."""
+    low, high = _FILLS[first.kind]
+    need_low, need_high = _NEEDS[second.kind]
+    d = 2 * (second.pos - first.pos)
+    if high < d + need_low:
+        return 1
+    if d + need_high < low:
+        return -1
+    return 0
 
 
 def transpose_events(first: Event, second: Event) -> Optional[tuple]:
     """Swap two adjacent events when their supports are disjoint.
 
     Returns the renumbered (second, first) pair, or None when the events
-    interact (shared slots, or a birth/death aimed at the same gap).
+    interact (see _side).
     """
-    fa = _footprint_after(first)
-    fb = _footprint_before(second)
-    if not (fa[1] < fb[0] or fb[1] < fa[0]):
-        return None
-    b_above = fb[0] > fa[1]
-    a_above = fa[0] > fb[1]
-    new_second = Event(second.kind,
-                       second.pos - (_DELTA[first.kind] if b_above else 0))
-    new_first = Event(first.kind,
-                      first.pos + (_DELTA[second.kind] if a_above else 0))
-    return new_second, new_first
+    side = _side(first, second)
+    if side > 0:
+        return Event(second.kind, second.pos - _DELTA[first.kind]), first
+    if side < 0:
+        return second, Event(first.kind, first.pos + _DELTA[second.kind])
+    return None
 
 
 _RANK = {RIGHT_CUSP: 0, CROSSING: 1, LEFT_CUSP: 2}

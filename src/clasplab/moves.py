@@ -34,7 +34,8 @@ from itertools import accumulate
 from typing import Iterable, Optional
 
 from .diagram import (CROSSING, LEFT_CUSP, RIGHT_CUSP, Event, FrontDiagram,
-                      _Frozen, ascii_number, lc, rc, transpose_events, x)
+                      _Frozen, _side, ascii_number, lc, rc, transpose_events,
+                      x)
 from .errors import InvalidDiagram, InvalidRuling, NotApplicable, \
     ParseError, TransportFailure
 from .rulings import (PairingState, scan, switch_flags, switches_of,
@@ -252,9 +253,11 @@ class RulingTransport(_Frozen):
     saddle raises TransportFailure on rulings it is incompatible with.
 
     Calling it on a switch set checks the ordinals and rescans the word
-    up to the window.  ``carry`` moves a caller's per-event flags and
-    entry pairings (the script runner's) across the move without a
-    rescan; ``window_flags`` is the boundary matching that both run.
+    up to the end of the window.  ``carry`` moves a caller's per-event
+    flags and entry pairings (the script runner's) across the move
+    without a rescan: the pairing after the old window is already the
+    entry of the event after it.  ``window_match`` is the boundary
+    matching that both run.
     """
 
     __slots__ = _fields = ("move", "source", "target", "_rewrite")
@@ -269,26 +272,29 @@ class RulingTransport(_Frozen):
 
     def __call__(self, ruling: Iterable) -> frozenset:
         rw = self._rewrite
+        i0, end = rw.i0, rw.i0 + rw.n_old
+        events = self.source.events
         flags = switch_flags(self.source, ruling)
-        entry, fail = scan(self.source.events, flags[:rw.i0])
+        entry, fail = scan(events, flags[:i0])
         if fail is not None:
             raise InvalidRuling(f"event {fail[0]}: {fail[1]}")
-        end = rw.i0 + rw.n_old
-        return switches_of(self.target, flags[:rw.i0]
-                           + self.window_flags(entry, flags[rw.i0:end])
-                           + flags[end:])
-
-    def window_flags(self, entry: PairingState, old_flags) -> list:
-        """The new window's switch flags, from the pairing entering the
-        window and the old window's flags.  Raises InvalidRuling when the
-        old window does not scan from ``entry``, TransportFailure unless
-        exactly one choice reaches its exit pairing."""
-        rw = self._rewrite
-        old = self.source.events[rw.i0:rw.i0 + rw.n_old]
-        matches = window_matches(entry, old, old_flags, rw.new_events)
-        if matches is None:
+        exit_state, fail = scan(events[i0:end], flags[i0:end], entry.copy())
+        if fail is not None:
             raise InvalidRuling(
                 "switch set is not a normal ruling of the source diagram")
+        window, _ = self.window_match(entry, exit_state._m, flags[i0:end])
+        return switches_of(self.target, flags[:i0] + window + flags[end:])
+
+    def window_match(self, entry: PairingState, exit_mates: list,
+                     old_flags) -> tuple:
+        """The new window's switch flags and the pairing after each of its
+        events, from the pairing entering the window, the mate list of
+        the one leaving the old window and the old window's flags.  Raises
+        TransportFailure unless exactly one choice reaches those mates."""
+        rw = self._rewrite
+        old = self.source.events[rw.i0:rw.i0 + rw.n_old]
+        matches = window_matches(entry, exit_mates, old, old_flags,
+                                 rw.new_events)
         if len(matches) != 1:
             if self.move.kind == "h1":
                 p = self.move.pos
@@ -303,17 +309,16 @@ class RulingTransport(_Frozen):
     def carry(self, flags: list, entries: list) -> None:
         """Carry a ruling across the move, in place: ``flags`` are the
         source word's per-event switch flags and ``entries[i]`` the
-        pairing before event i (and after the last).  Boundary matching
-        keeps the window's exit pairing, so the entries after it stay
-        valid.  A TransportFailure leaves both lists as they were."""
+        pairing before event i (and after the last).  The window is
+        matched against ``entries`` at its end, and the states built while
+        scanning the match become the entries inside the new window;
+        boundary matching keeps the window's exit pairing, so the entries
+        after it stay valid.  A TransportFailure leaves both lists as they
+        were."""
         rw = self._rewrite
         i0, end = rw.i0, rw.i0 + rw.n_old
-        window = self.window_flags(entries[i0], flags[i0:end])
-        state, after = entries[i0], []
-        for e, f in zip(rw.new_events, window):
-            state = state.copy()
-            state.step(e, f)
-            after.append(state)
+        window, after = self.window_match(entries[i0], entries[end]._m,
+                                          flags[i0:end])
         flags[i0:end] = window
         entries[i0 + 1:end + 1] = after
 
@@ -360,29 +365,44 @@ class _InsertionMenu(Sequence):
         return Move(self.kind, gap, slot + 1, self._variants[v])
 
 
-def _r2_moves(events, counts):
-    return (Move("r2", i, variant=v) for i, e in enumerate(events, 1)
+class _AnchorMenu(Sequence):
+    """One kind's moves at listed (anchor, variant) pairs, each built only
+    when indexed."""
+
+    def __init__(self, kind: str, at: list):
+        self.kind, self._at = kind, at
+
+    def __len__(self) -> int:
+        return len(self._at)
+
+    def __getitem__(self, i: int) -> Move:
+        anchor, variant = self._at[i]
+        return Move(self.kind, anchor, variant=variant)
+
+
+def _r2_anchors(events, counts):
+    return ((i, v) for i, e in enumerate(events, 1)
             for v in _r2_variants(e, counts[i - 1]))
 
 
-def _tr_moves(events):
-    return (Move("tr", i) for i, pair in enumerate(zip(events, events[1:]), 1)
-            if transpose_events(*pair) is not None)
+def _tr_anchors(events):
+    return ((i, "") for i, pair in enumerate(zip(events, events[1:]), 1)
+            if _side(*pair))
 
 
 def _menu(diagram: FrontDiagram, kind: str) -> Sequence:
-    """One kind's applicable moves by anchor, slot and variant: indexed
-    without building them for the insertion kinds, a list for the rest."""
+    """One kind's applicable moves by anchor, slot and variant, each built
+    only when indexed."""
     events, counts = diagram.events, diagram.walk.counts
     if kind in _INSERTION_KINDS:
         return _InsertionMenu(kind, counts)
     if kind == "r2":
-        return list(_r2_moves(events, counts))
+        return _AnchorMenu(kind, list(_r2_anchors(events, counts)))
     if kind == "tr":
-        return list(_tr_moves(events))
-    return [Move(kind, i) for i, w in
-            enumerate(zip(events, events[1:], events[2:]), 1)
-            if _window_kind(*w) == kind]
+        return _AnchorMenu(kind, list(_tr_anchors(events)))
+    return _AnchorMenu(kind, [
+        (i, "") for i, w in enumerate(zip(events, events[1:], events[2:]), 1)
+        if _window_kind(*w) == kind])
 
 
 def applicable_kinds(diagram: FrontDiagram) -> list:
@@ -397,8 +417,8 @@ def applicable_kinds(diagram: FrontDiagram) -> list:
     top = max(counts)
     present.update(k for k, ok in (
         ("h0", True), ("h1", top >= 2), ("r1", top >= 1),
-        ("r2", next(_r2_moves(events, counts), None) is not None),
-        ("tr", next(_tr_moves(events), None) is not None)) if ok)
+        ("r2", next(_r2_anchors(events, counts), None) is not None),
+        ("tr", next(_tr_anchors(events), None) is not None)) if ok)
     return [k for k in MOVE_KINDS if k in present]
 
 

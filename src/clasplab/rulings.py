@@ -393,14 +393,17 @@ def _map_back(diagram: FrontDiagram, narrow: FrontDiagram, origins: tuple,
                 mates = [0] * 5
                 for a, b in ((s1, mate1), (s2, mate2)):
                     mates[slot[a]], mates[slot[b]] = slot[b], slot[a]
-                xm, xo = Event(CROSSING, pm), Event(CROSSING, po)
-                matches = window_matches(PairingState(mates), (xm, xo),
-                                         (out[moving], out[c]), (xo, xm))
-                if matches is None or len(matches) != 1:
+                entry = PairingState(mates)
+                old = (Event(CROSSING, pm), Event(CROSSING, po))
+                old_flags = (out[moving], out[c])
+                exit_state, fail = scan(old, old_flags, entry.copy())
+                matches = [] if fail is not None else window_matches(
+                    entry, exit_state._m, old, old_flags, old[::-1])
+                if len(matches) != 1:
                     raise TransportFailure(
                         "no unique boundary-matching switch choice while "
                         "mapping a ruling back to the original word")
-                out[c], out[moving] = matches[0]
+                out[c], out[moving] = matches[0][0]
             if out[c]:  # the eyes turn: a mate on u1 goes on along u2
                 turn = {u1: u2, u2: u1}
                 mate1, mate2 = turn.get(mate1, mate1), turn.get(mate2, mate2)
@@ -471,24 +474,21 @@ def enumerate_rulings(diagram: FrontDiagram, budget: Optional[int] = None) -> li
     return list(map(frozenset, _enumerate(diagram, budget)[0]))
 
 
-def window_matches(entry: PairingState, old, old_flags,
-                   new) -> Optional[list]:
+def window_matches(entry: PairingState, exit_mates: list, old, old_flags,
+                   new) -> list:
     """Boundary matching for a rewrite of one window of the word.
 
-    Switch choices are per-event flag lists of their window.  Returns None
-    when ``old`` does not scan from ``entry`` under ``old_flags``;
-    otherwise every flag list of ``new`` that scans from ``entry`` to the
-    same exit pairing.  Windows with equal crossing counts only exchange
-    choices with equal switch counts: boundary matching alone cannot split
-    e.g. the one-switch and all-switch assignments of a triple point,
-    whose exit pairings coincide.
+    ``exit_mates`` is the mate list (``_m``) of the pairing that the old
+    window ``old`` reaches from ``entry`` under its switch flags
+    ``old_flags``.  Returns every switch choice of ``new`` that scans from
+    ``entry`` to the same pairing, each as (flags, states): its per-event
+    flag list and the pairing after each of its events, a new PairingState
+    per event, shared with neither ``entry`` nor another match.  Windows
+    with equal crossing counts only exchange choices with equal switch
+    counts: boundary matching alone cannot split e.g. the one-switch and
+    all-switch assignments of a triple point, whose exit pairings
+    coincide.
     """
-    exit_state, fail = scan(old, old_flags, entry.copy())
-    if fail is not None:
-        return None
-    # The mate list pins the pairing down without building pair tuples,
-    # which would crowd CPython's tuple free lists.
-    exit_mates = exit_state._m
     slots = [k for k, e in enumerate(new) if e.kind == CROSSING]
     if len(slots) == len([e for e in old if e.kind == CROSSING]):
         sizes = [sum(old_flags)]
@@ -498,7 +498,15 @@ def window_matches(entry: PairingState, old, old_flags,
     for size in sizes:
         for switched in combinations(slots, size):
             flags = [k in switched for k in range(len(new))]
-            st, fail = scan(new, flags, entry.copy())
-            if fail is None and st._m == exit_mates:
-                matches.append(flags)
+            state, states = entry, []
+            for e, f in zip(new, flags):
+                state = state.copy()
+                if state.step(e, f) is not None:
+                    break
+                states.append(state)
+            else:
+                # the mate list pins the pairing down without building
+                # pair tuples, which would crowd CPython's tuple free lists
+                if state._m == exit_mates:
+                    matches.append((flags, states))
     return matches

@@ -315,6 +315,17 @@ def normalize(diagram: FrontDiagram) -> tuple:
     return canon, moves
 
 
+def match_swap(entry: PairingState, old, old_flags, new) -> Optional[list]:
+    """Boundary matching of a swap from its entry pairing alone: None when
+    ``old`` does not scan from ``entry`` under ``old_flags``, else the
+    flag lists of every match of ``new`` (see rulings.window_matches)."""
+    exit_state, fail = scan(old, old_flags, entry.copy())
+    if fail is not None:
+        return None
+    return [flags for flags, _ in
+            window_matches(entry, exit_state._m, old, old_flags, new)]
+
+
 def retrace(narrow, windows: tuple, ruling: tuple) -> list:
     """Carry a ruling of ``narrow`` back to switch flags of the original word
     by replaying every swap through the wide intermediate words.
@@ -353,8 +364,7 @@ def retrace(narrow, windows: tuple, ruling: tuple) -> list:
             if f1 != f2 and first.kind == CROSSING == second.kind and (
                     second.pos <= m[first.pos] <= second.pos + 1 or
                     second.pos <= m[first.pos + 1] <= second.pos + 1):
-                matches = window_matches(state, (first, second), (f1, f2),
-                                         old)
+                matches = match_swap(state, (first, second), (f1, f2), old)
                 if matches is None or len(matches) != 1:
                     raise TransportFailure(
                         "no unique boundary-matching switch choice while "

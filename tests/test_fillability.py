@@ -88,14 +88,14 @@ class TestRandomScript:
             random_script(0, 1)
 
     def test_isotopy_transport_failure_propagates(self, monkeypatch):
-        real = RulingTransport.window_flags
+        real = RulingTransport.window_match
 
-        def broken(self, entry, old_flags):
+        def broken(self, entry, exit_mates, old_flags):
             if self.move.kind == "r1":
                 raise TransportFailure("broken r1 transport")
-            return real(self, entry, old_flags)
+            return real(self, entry, exit_mates, old_flags)
 
-        monkeypatch.setattr(RulingTransport, "window_flags", broken)
+        monkeypatch.setattr(RulingTransport, "window_match", broken)
         with pytest.raises(TransportFailure, match="broken r1"):
             random_script(25, 9)
 

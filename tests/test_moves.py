@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import operator
 import random
 
 from clasplab import (FrontDiagram, Move, NotApplicable, ParseError,
@@ -16,7 +17,7 @@ from clasplab.fillability import random_script
 from clasplab.moves import (MOVE_KINDS, RulingTransport, _match_r1inv,
                             _match_r2inv, _match_r3, _menu, _r2_variants,
                             applicable_kinds)
-from clasplab.rulings import scan, switch_flags
+from clasplab.rulings import PairingState, scan, switch_flags, switches_of
 from conftest import (assert_value_contract, normalize, partition,
                       random_fillable, ruling_sort_key)
 
@@ -399,6 +400,55 @@ class TestLazyMenu:
             length = 1 + seed % 25
             assert random_script(length, seed) == \
                 reference_random_script(length, seed), seed
+
+
+class TestCarry:
+    """RulingTransport.carry, which the script loops run, against fresh
+    scans: its flags are the transported ruling's and its entries the
+    pairings a scan of the new word passes, so no carried state may be
+    shared with the entry or with another state and then stepped."""
+
+    def test_carried_state_equals_a_fresh_scan(self):
+        carried = 0
+        for seed in range(300):
+            diagram, flags, entries = FrontDiagram(), [], [PairingState()]
+            for m in random_script(1 + seed % 25, seed):
+                ruling = switches_of(diagram, flags)
+                diagram, transport = apply_move(diagram, m)
+                transport.carry(flags, entries)
+                assert flags == switch_flags(diagram, transport(ruling))
+                assert len(entries) == len(diagram.events) + 1
+                fresh = PairingState()
+                for i, e in enumerate(diagram.events):
+                    assert entries[i].key() == fresh.key(), (seed, m, i)
+                    assert fresh.step(e, flags[i]) is None
+                assert entries[-1].key() == fresh.key()
+                carried += 1
+        assert carried > 3000
+
+    def test_saddle_failure_leaves_the_lists_as_they_were(self,
+                                                          menu_diagrams):
+        failed = 0
+        for d in menu_diagrams:
+            for ruling in enumerate_rulings(d)[:3]:
+                flags = switch_flags(d, ruling)
+                entries = [scan(d.events[:i], flags[:i])[0]
+                           for i in range(len(d.events) + 1)]
+                keys = [e.key() for e in entries]
+                for m in _menu(d, "h1"):
+                    _, transport = apply_move(d, m)
+                    kept_flags, kept_entries = list(flags), list(entries)
+                    try:
+                        transport.carry(flags, entries)
+                    except TransportFailure:
+                        failed += 1
+                        assert flags == kept_flags
+                        assert len(entries) == len(kept_entries)
+                        assert all(map(operator.is_, entries, kept_entries))
+                        assert [e.key() for e in entries] == keys
+                    else:
+                        flags, entries = kept_flags, kept_entries
+        assert failed  # incompatible saddles must actually occur
 
 
 class TestInvariance:

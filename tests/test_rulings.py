@@ -17,7 +17,8 @@ from clasplab.rulings import (PairingState, _map_back, _transfer,
                               window_matches)
 from conftest import (as_columns, as_rows, backtrack_rulings,
                       brute_force_rulings, far_commutation_windows,
-                      hop_counts, partition, reference_enumerate, retrace,
+                      hop_counts, match_swap, partition, reference_enumerate,
+                      retrace,
                       ruling_sort_key, same_eye, small_corpus, stacked_union,
                       state_of_key, switch_ok)
 
@@ -357,8 +358,7 @@ def retrace_matching_every_swap(narrow, windows, ruling, matched):
         for i, ((first, second), old) in enumerate(windows[t], start=t):
             f1, f2 = flags[i], flags[i + 1]
             if f1 != f2 and first.kind == CROSSING == second.kind:
-                matches = window_matches(state, (first, second), (f1, f2),
-                                         old)
+                matches = match_swap(state, (first, second), (f1, f2), old)
                 matched.append(i)
                 if matches is None or len(matches) != 1:
                     raise TransportFailure("no unique match")
