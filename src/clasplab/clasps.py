@@ -13,17 +13,17 @@ a single strand passing through both strands of the other eye and
 contributes nothing.  The parity of the total clasp count over all pairs
 is the quantity the filling obstruction runs on.
 
-Clasps are counted by ClaspState, the pairing scan extended with an eye
-id per live slot, a count per eye pair, and the strand pair that entered
-each interleaved pair's current interval.  clasp_report is one linear
-scan with it, and ruling_reports counts during the transfer scan that
-lists the rulings (each crossing's tally, its eye pair and the clasps it
-closed, is summed per suffix in the backward pass), so no ruling is
-scanned twice.  The scan yields each distinct count once, as a fold, so
-the listing behind both (_sorted_reports) builds one report per fold.
-resolve runs the same scan and keeps what it passes:
-the eyes, the slices, the crossing records and each clasp's interval
-(for rendering).
+Clasps are counted by ClaspState, the pairing scan's state class with an
+eye id per live slot and, per interleaved eye pair, the strand pair that
+entered its current interval, all in its key.  Each crossing's edge
+tallies its eye pair and the clasps it closed.  clasp_report is one
+linear scan with it, which sums the tallies per pair, and ruling_reports
+counts during the transfer scan that lists the rulings (the backward pass
+sums each suffix's tallies), so no ruling is scanned twice.  The scan
+yields each distinct count once, as a fold, so the listing behind both
+(_sorted_reports) builds one report per fold.  resolve steps the same
+keys and keeps what it passes: the eyes, the slices, the crossing records
+and each clasp's interval (for rendering).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .diagram import CROSSING, LEFT_CUSP, FrontDiagram
 from .errors import InvalidRuling
-from .rulings import (PairingState, _cross, _enumerate, _switch_ok, scan,
+from .rulings import (PairingState, _enumerate, _failure, _switch_ok, scan,
                       switch_flags)
 
 
@@ -67,43 +67,40 @@ class Resolution(NamedTuple):
 def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
     """Run one ClaspState scan, checking the ruling and building its eyes.
 
-    Eye ids and strand labels are the state's: a strand is upper (1)
-    where its mate lies below it, else lower (0).  Each crossing is
-    recorded just before it steps.  After an unswitched crossing, its
-    pair is open when it opened an interleaved interval, and its tally
-    counts 1 when it closed a clasp.
+    Eye ids and strand labels are the keys': a strand is upper (1) where
+    its mate lies below it, else lower (0).  Each crossing is recorded
+    from the key before it.  After an unswitched crossing, its pair is
+    open when it opened an interleaved interval, and its tally counts 1
+    when it closed a clasp.
     """
     flags = switch_flags(diagram, ruling)
-    state = ClaspState()
-    # the scan updates these in place
-    m, eyes, opens = state._m, state._eyes, state._open
+    edges, key = ClaspState.edges, ClaspState.start
     slices = [()]
     birth, death, records, clasps = [], [], [], []
-    opened: dict = {}  # eye pair -> event index entering its interval
+    entered: dict = {}  # eye pair -> event index entering its interval
     for i, (e, switch, ordinal) in enumerate(
             zip(diagram.events, flags, diagram.walk.ordinals), start=1):
+        m, eyes, _, opened = key
+        edge = edges(key, e)[not switch]
+        if edge is None:
+            raise InvalidRuling(f"event {i}: {_failure(key, e, switch)}")
+        key, tally = edge
         p = e.pos
-        if e.kind == CROSSING:
-            (ea, sa), (eb, sb) = sorted(((eyes[p], int(m[p] < p)),
-                                         (eyes[p + 1], int(m[p + 1] < p + 1))))
-        elif e.kind != LEFT_CUSP:
-            dying = eyes[p]
-        fail = state.step(e, switch)
-        if fail is not None:
-            raise InvalidRuling(f"event {i}: {fail}")
         if e.kind == LEFT_CUSP:
             birth.append(i)
             death.append(0)
         elif e.kind == CROSSING:
+            (ea, sa), (eb, sb) = sorted(((eyes[p], int(m[p] < p)),
+                                         (eyes[p + 1], int(m[p + 1] < p + 1))))
             records.append(CrossingRecord(
                 ordinal, i, ea, sa, eb, sb, switch=switch))
-            if not switch:
-                if (ea, eb) in opens:
-                    opened[ea, eb] = i
-                elif state.tally[1]:
-                    clasps.append((ea, eb, opened[ea, eb], i))
+            if len(key[3]) > len(opened):  # it opened an interval
+                entered[ea, eb] = i
+            elif tally[1]:
+                clasps.append((ea, eb, entered[ea, eb], i))
         else:
-            death[dying] = i
+            death[eyes[p]] = i
+        m, eyes = key[:2]
         slices.append(tuple((eyes[q], int(m[q] < q))
                             for q in range(1, len(m))))
     return Resolution(len(birth), tuple(birth), tuple(death), tuple(slices),
@@ -133,102 +130,54 @@ def parity_of_total(total: int) -> str:
     return "odd" if total % 2 else "even"
 
 
-class ClaspState(PairingState):
-    """The pairing scan, counting clasps as it goes.
+class ClaspState:
+    """The pairing scan's state class extended to count clasps.
 
-    Besides the mates it keeps the eye id of each live slot (eyes are
-    numbered by birth), the clasp count of each eye pair that has met at
-    a crossing, and for each pair inside an interleaved interval the
-    strand pair of the crossing that opened it (its entering strands).
-    The eyes through slots p, p+1 interleave exactly when the switch test
+    A key is (mates, eyes, born, opened): the mates as in PairingState,
+    the eye id of each live slot (eyes are numbered by birth; index 0 is
+    None, as the mates' is 0), the number of eyes born, and a frozenset of
+    (eye pair, entering strands) for each pair inside an interleaved
+    interval, with the strand pair of the crossing that opened it.  The
+    eyes through slots p, p+1 interleave exactly when the switch test
     fails there, so reading it before and after an unswitched crossing
     tells whether the crossing enters or leaves an interleaved interval;
-    a strand is the upper one of its eye when its mate lies below it.
-    Each crossing's tally is (eye pair, clasps it closed).  No records,
-    slices or per-pair strand orders are built.
-
-    The key is all but the counts, which only add up: the mates, the eye
-    ids, the number of eyes born and the open intervals, so ``edges`` can
-    rebuild a state from it.  The mates and that number merge nothing the
-    eye ids alone would not: the eye ids fix the mates, and every state
-    of one layer has seen the same left cusps.
+    a strand is the upper one of its eye (True) when its mate lies below
+    it.  Each crossing's tally is (eye pair, clasps it closed), which the
+    scans sum per pair.  No records, slices or per-pair strand orders are
+    built.  The mates and the number born merge nothing the eye ids alone
+    would not: the eye ids fix the mates, and every state of one layer
+    has seen the same left cusps.
     """
 
-    __slots__ = ("_eyes", "_born", "_open", "_counts", "tally")
-
-    def __init__(self):
-        super().__init__()
-        self._eyes = [None]  # eye id per slot; index 0 unused, as in _m
-        self._born = 0
-        self._open: dict = {}  # interleaved (eye_a, eye_b) -> entering
-        self._counts: dict = {}  # (eye_a, eye_b) -> clasp count
-        self.tally = None
-
-    def copy(self) -> "ClaspState":
-        c = PairingState.__new__(ClaspState)
-        c._m, c._eyes, c._born = self._m[:], self._eyes[:], self._born
-        c._open, c._counts = self._open.copy(), self._counts.copy()
-        c.tally = self.tally
-        return c
-
-    def key(self) -> tuple:
-        return (tuple(self._m), tuple(self._eyes), self._born,
-                frozenset(self._open.items()))
-
-    def tallies(self) -> tuple:
-        return tuple(sorted(self._counts.items()))
+    start = ((0,), (None,), 0, frozenset())
 
     @staticmethod
     def edges(key: tuple, event) -> tuple:
-        """PairingState.edges on the state rebuilt from ``key``, stepped
-        with and then without the switch, as a switch step keeps the key."""
+        """PairingState.edges on the mates, with the eye ids, the open
+        intervals and each crossing's tally stepped alongside."""
         m, eyes, born, opened = key
-        state = PairingState.__new__(ClaspState)
-        state._m, state._eyes, state._born = list(m), list(eyes), born
-        state._open, state._counts = dict(opened), {}
-        switch = None
-        if event.kind == CROSSING and state.step(event, True) is None:
-            switch = key, state.tally
-        if state.step(event) is not None:
-            return switch, None
-        return switch, (state.key(), state.tally)
-
-    def step(self, event, is_switch: bool = False):
-        p = event.pos
+        switch, plain = PairingState.edges(m, event)
+        if plain is None:
+            return None, None
+        p, mates = event.pos, plain[0]
+        if event.kind == LEFT_CUSP:
+            eyes = eyes[:p] + (born, born) + eyes[p:]
+            return None, ((mates, eyes, born + 1, opened), None)
         if event.kind != CROSSING:
-            fail = PairingState.step(self, event)
-            if fail is None:
-                self.tally = None
-                if event.kind == LEFT_CUSP:
-                    self._eyes[p:p] = (self._born, self._born)
-                    self._born += 1
-                else:
-                    del self._eyes[p:p + 2]
-            return fail
-        m, eyes = self._m, self._eyes
+            return None, ((mates, eyes[:p] + eyes[p + 2:], born, opened), None)
         a, b = eyes[p], eyes[p + 1]
-        if is_switch and a != b and _switch_ok(m, p):
-            pair = (a, b) if a < b else (b, a)
-            self._counts.setdefault(pair, 0)
-            self.tally = (pair, 0)
-            return None
-        if is_switch or a == b:  # a failure; the pairing step names it
-            return PairingState.step(self, event, is_switch)
-        # strand labels: True (upper) where the strand's mate lies below it
         at_p, at_q = m[p] < p, m[p + 1] < p + 1
         pair, strands = ((a, b), (at_p, at_q)) if a < b else \
             ((b, a), (at_q, at_p))
-        leaves = not _switch_ok(m, p)
-        _cross(m, p)
-        eyes[p], eyes[p + 1] = b, a
-        clasp = 0
-        if leaves:
-            clasp = 1 if self._open.pop(pair, None) == strands else 0
-        elif not _switch_ok(m, p):
-            self._open[pair] = strands
-        self._counts[pair] = self._counts.get(pair, 0) + clasp
-        self.tally = (pair, clasp)
-        return None
+        if switch is None:  # the pair interleaves, and the crossing leaves
+            clasp = int((pair, strands) in opened)
+            opened = frozenset(o for o in opened if o[0] != pair)
+        else:
+            switch, clasp = (key, (pair, 0)), 0
+            if not _switch_ok(mates, p):  # the crossing enters an interval
+                opened = opened | {(pair, strands)}
+        eyes = eyes[:p] + (b, a) + eyes[p + 2:]
+        return switch, ((mates, eyes, born, opened), (pair, clasp))
 
 
 def report_of(tallies: tuple) -> ClaspReport:
@@ -247,11 +196,11 @@ def clasp_report(diagram: FrontDiagram, ruling: Iterable) -> ClaspReport:
     count is 0 by definition); the total and parity cover all pairs
     either way.
     """
-    state, fail = scan(diagram.events, switch_flags(diagram, ruling),
-                       ClaspState())
+    _, tallies, fail = scan(diagram.events, switch_flags(diagram, ruling),
+                            ClaspState)
     if fail is not None:
         raise InvalidRuling(f"event {fail[0]}: {fail[1]}")
-    return report_of(state.tallies())
+    return report_of(tallies)
 
 
 def _sorted_reports(diagram: FrontDiagram, budget: Optional[int]) -> tuple:
@@ -259,7 +208,7 @@ def _sorted_reports(diagram: FrontDiagram, budget: Optional[int]) -> tuple:
     lexicographic: _enumerate's columns, counting clasps during the
     transfer scan, with one ClaspReport per fold, so rulings with equal
     counts share one report (``reports[fold_ids[i]]`` is the i-th's)."""
-    switches, fold_ids, folds = _enumerate(diagram, budget, ClaspState())
+    switches, fold_ids, folds = _enumerate(diagram, budget, ClaspState)
     return switches, fold_ids, list(map(report_of, folds))
 
 

@@ -74,6 +74,8 @@ class Event(_Frozen):
     def __init__(self, kind: str, pos: int):
         if kind not in _KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
+        if type(pos) is not int:  # bool included: str() must parse back
+            raise ValueError(f"event position {pos!r} is not an int")
         if pos < 1:
             raise ValueError("event positions are 1-based")
         object.__setattr__(self, "kind", kind)

@@ -51,7 +51,7 @@ def run_script(script: Iterable) -> FillingCertificate:
     from .moves import apply_move
     diagram = FrontDiagram()
     flags: list = []
-    entries = [PairingState()]
+    entries = [PairingState.start]
     script = tuple(script)
     for i, move in enumerate(script, start=1):
         try:
@@ -195,7 +195,7 @@ def random_script(length: int, seed: int) -> list:
     rng = random.Random(seed)
     diagram = FrontDiagram()
     flags: list = []
-    entries = [PairingState()]
+    entries = [PairingState.start]
     script: list = []
     while len(script) < length:
         kinds = applicable_kinds(diagram)

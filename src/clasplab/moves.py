@@ -38,8 +38,7 @@ from .diagram import (CROSSING, LEFT_CUSP, RIGHT_CUSP, Event, FrontDiagram,
                       x)
 from .errors import InvalidDiagram, InvalidRuling, NotApplicable, \
     ParseError, TransportFailure
-from .rulings import (PairingState, scan, switch_flags, switches_of,
-                      window_matches)
+from .rulings import scan, switch_flags, switches_of, window_matches
 
 MOVE_KINDS = ("h0", "h1", "r1", "r1inv", "r2", "r2inv", "r3", "tr")
 _INSERTION_KINDS = ("h0", "h1", "r1")
@@ -71,6 +70,8 @@ class Move(_Frozen):
                 raise ValueError(f"{kind} takes no {what}")
         if anchor is None and kind not in _INSERTION_KINDS:
             raise ValueError(f"{kind} needs an anchor")
+        if type(pos) is not int or type(anchor) not in (int, type(None)):
+            raise ValueError("positions and anchors are ints")
         if pos < 0 or (anchor or 0) < 0:
             raise ValueError("positions and anchors are never negative")
         object.__setattr__(self, "kind", kind)
@@ -252,12 +253,11 @@ class RulingTransport(_Frozen):
     a bijection between the full ruling sets of source and target; a
     saddle raises TransportFailure on rulings it is incompatible with.
 
-    Calling it on a switch set checks the ordinals and rescans the word
-    up to the end of the window.  ``carry`` moves a caller's per-event
-    flags and entry pairings (the script runner's) across the move
-    without a rescan: the pairing after the old window is already the
-    entry of the event after it.  ``window_match`` is the boundary
-    matching that both run.
+    Calling it on a switch set checks the ordinals and rescans the whole
+    source word.  ``carry`` moves a caller's per-event flags and entry
+    pairings (the script runner's keys) across the move without a rescan:
+    the pairing after the old window is already the entry of the event
+    after it.  ``window_match`` is the boundary matching that both run.
     """
 
     __slots__ = _fields = ("move", "source", "target", "_rewrite")
@@ -275,25 +275,28 @@ class RulingTransport(_Frozen):
         i0, end = rw.i0, rw.i0 + rw.n_old
         events = self.source.events
         flags = switch_flags(self.source, ruling)
-        entry, fail = scan(events, flags[:i0])
+        entry, _, fail = scan(events, flags[:i0])
         if fail is not None:
             raise InvalidRuling(f"event {fail[0]}: {fail[1]}")
-        exit_state, fail = scan(events[i0:end], flags[i0:end], entry.copy())
+        exit_key, _, fail = scan(events[i0:end], flags[i0:end], key=entry)
         if fail is not None:
             raise InvalidRuling(
                 "switch set is not a normal ruling of the source diagram")
-        window, _ = self.window_match(entry, exit_state._m, flags[i0:end])
+        _, _, fail = scan(events[end:], flags[end:], key=exit_key)
+        if fail is not None:
+            raise InvalidRuling(f"event {end + fail[0]}: {fail[1]}")
+        window, _ = self.window_match(entry, exit_key, flags[i0:end])
         return switches_of(self.target, flags[:i0] + window + flags[end:])
 
-    def window_match(self, entry: PairingState, exit_mates: list,
+    def window_match(self, entry: tuple, exit_key: tuple,
                      old_flags) -> tuple:
         """The new window's switch flags and the pairing after each of its
-        events, from the pairing entering the window, the mate list of
-        the one leaving the old window and the old window's flags.  Raises
-        TransportFailure unless exactly one choice reaches those mates."""
+        events, from the pairings entering and leaving the old window and
+        the old window's flags.  Raises TransportFailure unless exactly
+        one choice reaches the same exit pairing."""
         rw = self._rewrite
         old = self.source.events[rw.i0:rw.i0 + rw.n_old]
-        matches = window_matches(entry, exit_mates, old, old_flags,
+        matches = window_matches(entry, exit_key, old, old_flags,
                                  rw.new_events)
         if len(matches) != 1:
             if self.move.kind == "h1":
@@ -309,15 +312,15 @@ class RulingTransport(_Frozen):
     def carry(self, flags: list, entries: list) -> None:
         """Carry a ruling across the move, in place: ``flags`` are the
         source word's per-event switch flags and ``entries[i]`` the
-        pairing before event i (and after the last).  The window is
-        matched against ``entries`` at its end, and the states built while
-        scanning the match become the entries inside the new window;
-        boundary matching keeps the window's exit pairing, so the entries
-        after it stay valid.  A TransportFailure leaves both lists as they
-        were."""
+        pairing before event i (and after the last), as a PairingState
+        key.  The window is matched against ``entries`` at its end, and
+        the keys passed while scanning the match become the entries inside
+        the new window; boundary matching keeps the window's exit pairing,
+        so the entries after it stay valid.  A TransportFailure leaves
+        both lists as they were."""
         rw = self._rewrite
         i0, end = rw.i0, rw.i0 + rw.n_old
-        window, after = self.window_match(entries[i0], entries[end]._m,
+        window, after = self.window_match(entries[i0], entries[end],
                                           flags[i0:end])
         flags[i0:end] = window
         entries[i0 + 1:end + 1] = after

@@ -15,20 +15,26 @@ slots into eyes; each event updates the pairing:
   in one of the three admissible configurations (see _switch_ok);
 * right cusp at p: slots p, p+1 must be the two slots of a single eye.
 
-A switch choice is carried as per-event flags (True at switched crossings,
-False everywhere else), and ``scan`` is the one loop that runs the state
-over a word or a window of one.  Switch sets of crossing ordinals meet the
-flags only in switch_flags, switches_of and _enumerate.
+A scan state is its key, an immutable tuple: for the bare pairing
+(PairingState), the mates.  Each state class has a start key and one
+transition, ``edges(key, event)``, which gives the key's switch step and
+plain step, each as (next key, tally) or None for a dead end.  A class
+that counts something (clasps.ClaspState) reports each edge's tally, and
+the scans sum them per label without knowing what they count.
 
-Rulings are listed by a transfer scan (_transfer): states whose ``key()``
-agree scan every suffix alike, so its forward pass keeps only keys, one
-per distinct state, and steps each key by its class's ``edges``.  A
-backward pass lists each key's suffixes, switch first, from the next
-event's lists.  A state subclass that counts something reports each
-edge's tally; the backward pass folds them per suffix, and the scan
-itself knows nothing of what they count.  The listing is columns: the
-switch tuples (increasing, until a public listing makes them
-frozensets), fold ids, and the table of distinct folds the ids index.
+A switch choice is carried as per-event flags (True at switched crossings,
+False everywhere else), and ``scan`` is the one loop that runs a class
+over a word or a window of one, taking each event's edge by its flag.
+Switch sets of crossing ordinals meet the flags only in switch_flags,
+switches_of and _enumerate.
+
+Rulings are listed by a transfer scan (_transfer): equal keys scan every
+suffix alike, so its forward pass keeps each distinct key once and steps
+it by its class's ``edges``.  A backward pass lists each key's suffixes,
+switch first, from the next event's lists, and folds the tallies per
+suffix.  The listing is columns: the switch tuples (increasing, until a
+public listing makes them frozensets), fold ids, and the table of
+distinct folds the ids index.
 """
 
 from __future__ import annotations
@@ -83,38 +89,21 @@ def _cross(m: list, p: int) -> None:
 
 
 class PairingState:
-    """Mutable pairing of live slots into eyes during a scan.
-
-    ``_m[p]`` is the slot currently occupied by the other strand of the
-    eye through slot p, its mate; slots are 1-based and ``_m[0]`` is 0.
-    The pairing alone decides every ruling condition; eye identities are
-    not needed here.  ``step`` updates the list in place; ``edges`` steps
-    the key, the mate tuple, by the same helpers (_same_eye, _switch_ok,
-    _born, _died, _cross).
+    """The pairing scan's state class.  A state is its key, the tuple of
+    mates: ``m[p]`` is the slot currently occupied by the other strand of
+    the eye through slot p; slots are 1-based and ``m[0]`` is 0.  The
+    pairing alone decides every ruling condition; eye identities are not
+    needed here.  ``start`` is the empty pairing, and ``edges`` is the one
+    transition, built from _same_eye, _switch_ok, _born, _died and _cross.
     """
 
-    __slots__ = ("_m",)
-
-    def __init__(self, mates: Optional[list] = None):
-        self._m = [0] if mates is None else mates
-
-    def copy(self) -> "PairingState":
-        return PairingState(list(self._m))
-
-    def key(self) -> tuple:
-        """Everything later steps depend on: states with equal keys scan
-        every suffix alike and add the same tallies."""
-        return tuple(self._m)
-
-    def tallies(self) -> tuple:
-        """Every tally the run so far added, summed per label, sorted."""
-        return ()
+    start = (0,)
 
     @staticmethod
     def edges(m: tuple, event: Event) -> tuple:
         """The switch step and the plain step of the state keyed ``m``
-        over ``event``, each as (next key, tally), or None where ``step``
-        would return a reason; the switch step is None off crossings.  A
+        over ``event``, each as (next key, tally), or None for a dead end
+        (_failure names it); the switch step is None off crossings.  A
         switch keeps the pairing, so its key is ``m`` itself."""
         p, kind = event.pos, event.kind
         if kind != LEFT_CUSP and _same_eye(m, p) == (kind == CROSSING):
@@ -126,48 +115,45 @@ class PairingState:
         _cross(mates, p)
         return (m, None) if _switch_ok(m, p) else None, (tuple(mates), None)
 
-    def step(self, event: Event, is_switch: bool = False) -> Optional[str]:
-        """Advance over one event; return a failure reason or None.
 
-        The events are a FrontDiagram's, or a window of one, and so valid
-        by construction; slot ranges are not rechecked.
-        """
-        p, m = event.pos, self._m
-        if event.kind == LEFT_CUSP:
-            _born(m, p)
-        elif event.kind == CROSSING:
-            if _same_eye(m, p):
-                if is_switch:
-                    return "switch between two strands of one eye"
-                return "eye self-intersects at an unswitched crossing"
-            if is_switch:
-                if not _switch_ok(m, p):
-                    return "normality violated: eyes interleave at switch"
-            else:
-                _cross(m, p)
-        else:
-            if not _same_eye(m, p):
-                return "right cusp joins strands of two different eyes"
-            _died(m, p)
-        return None
+def _failure(key: tuple, event: Event, is_switch: bool) -> str:
+    """Why the edge over ``event`` from ``key`` is dead, read off the mates
+    (a counting state's key leads with them)."""
+    m = key if isinstance(key[0], int) else key[0]
+    if event.kind != CROSSING:
+        return "right cusp joins strands of two different eyes"
+    if not _same_eye(m, event.pos):
+        return "normality violated: eyes interleave at switch"
+    if is_switch:
+        return "switch between two strands of one eye"
+    return "eye self-intersects at an unswitched crossing"
 
 
-def scan(events, flags, state: Optional[PairingState] = None) -> tuple:
-    """Run the pairing scan over ``events`` with per-event switch flags.
+def scan(events, flags, cls=PairingState,
+         key: Optional[tuple] = None) -> tuple:
+    """Run a state class's scan over ``events`` with per-event switch flags.
 
-    Starts from ``state``, advanced in place, or from the empty pairing,
-    and stops at the end of the shorter of ``events`` and ``flags``.
-    Returns (state, None) when every event scans, else (state, (i, reason))
-    with i the 1-based index of the first failing event.
+    Starts from ``key``, or from ``cls.start``, and stops at the end of
+    the shorter of ``events`` and ``flags``.  Each event takes the switch
+    or the plain edge of ``cls.edges`` by its flag, and the edges' tallies
+    are summed per label.  Returns (key, tallies, fail): the key reached,
+    the sorted (label, sum) pairs, and None when every event scans, else
+    (i, reason) with i the 1-based index of the first failing event and
+    ``key`` the state before it.
     """
-    if state is None:
-        state = PairingState()
-    step = state.step
+    if key is None:
+        key = cls.start
+    edges, sums, fail = cls.edges, {}, None
     for i, (e, f) in enumerate(zip(events, flags), start=1):
-        fail = step(e, f)
-        if fail is not None:
-            return state, (i, fail)
-    return state, None
+        edge = edges(key, e)[not f]
+        if edge is None:
+            fail = i, _failure(key, e, f)
+            break
+        key, tally = edge
+        if tally is not None:
+            label, amount = tally
+            sums[label] = sums.get(label, 0) + amount
+    return key, tuple(sorted(sums.items())), fail
 
 
 def switch_flags(diagram: FrontDiagram, switches: Iterable) -> list:
@@ -193,7 +179,7 @@ class RulingCheck(NamedTuple):
 
 def is_normal_ruling(diagram: FrontDiagram, switches: Iterable) -> RulingCheck:
     """Run the scan with the given switch set and report the outcome."""
-    _, fail = scan(diagram.events, switch_flags(diagram, switches))
+    _, _, fail = scan(diagram.events, switch_flags(diagram, switches))
     if fail is None:
         return RulingCheck(True)
     return RulingCheck(False, fail[1], fail[0])
@@ -221,35 +207,33 @@ class _FoldStep(dict):
 
 
 def _transfer(diagram: FrontDiagram, budget: Optional[int],
-              state: Optional[PairingState] = None) -> tuple:
+              cls=PairingState) -> tuple:
     """Every way to scan the word as given, switch first at each
     crossing, which within each size is increasing order, as columns
     (switches, fold_ids, folds): the increasing tuples of switch ordinals
     and per ruling the index in ``folds`` of its fold, the sorted (label,
-    sum) pairs the state's own ``tallies()`` would report.  ``folds``
-    holds once each fold the backward pass meets, listed or not.
+    sum) pairs ``scan`` would report for it.  ``folds`` holds once each
+    fold the backward pass meets, listed or not.
 
     A transfer-matrix scan in two passes.  Forward, event by event, it
-    keeps only keys (states with equal ``key()`` scan every suffix alike)
-    and each key's number of prefix paths.  One loop serves every state
-    class: its ``edges(key, event)`` gives the key's switch step and plain
-    step, each as (next key, tally) or None for a dead end, and a switch
-    keeps the key, since it never changes the pairing.  Backward, each
-    node lists its suffixes, the paths from it to the end of the word,
-    from the next layer's lists: a switch edge prepends its ordinal to
+    keeps only keys (states with equal keys scan every suffix alike) and
+    each key's number of prefix paths.  One loop serves every state class
+    ``cls``: its ``edges(key, event)`` gives the key's switch step and
+    plain step, each as (next key, tally) or None for a dead end, and a
+    switch keeps the key, since it never changes the pairing.  Backward,
+    each node lists its suffixes, the paths from it to the end of the
+    word, from the next layer's lists: a switch edge prepends its ordinal to
     every switch tuple, each edge maps the suffixes' fold ids through its
     tally's memo table (_FoldStep), and the switch edge's list comes
     before the plain edge's.  A node reaches the end exactly when its
     list is non-empty.  Every prepend copies a tuple, so a ruling with s
-    switches costs s*s element copies, all of them in C.  ``state``
-    (default the empty pairing) may be any PairingState subclass.
+    switches costs s*s element copies, all of them in C.
 
     Raises BudgetExceeded, before listing anything, once more than
     ``budget`` event steps would be taken by a backtracking search: the
     sum of the path counts over every (event, key).
     """
-    state = state or PairingState()
-    edges, keys, paths = state.edges, [state.key()], [1]
+    edges, keys, paths = cls.edges, [cls.start], [1]
     # Per event, two slots per node: the switch step, then the plain one.
     # nxt[slot] is the node it reaches in the next layer (-1 for none) and
     # tal[slot] its tally.  Flat lists keep the objects the garbage
@@ -354,19 +338,21 @@ def _map_back(diagram: FrontDiagram, narrow: FrontDiagram, origins: tuple,
     # Per crossing of the reordered word: its strands, their mates on
     # the slice before it, and whether its lower strand is the lower arc.
     flags = switch_flags(narrow, ruling)
-    state, stack, walks = PairingState(), [], []
-    m = state._m
+    m, stack, walks = [0], [], []  # the mates, stepped in place
     for t, e in enumerate(narrow.events):
         p = e.pos
         if e.kind == LEFT_CUSP:
             stack[p - 1:p - 1] = (2 * origins[t], 2 * origins[t] + 1)
+            _born(m, p)
         elif e.kind == CROSSING:
             walks.append((t, stack[p - 1], stack[p], stack[m[p] - 1],
                           stack[m[p + 1] - 1], m[p] > p))
             stack[p - 1], stack[p] = stack[p], stack[p - 1]
+            if not flags[t]:
+                _cross(m, p)
         else:
             del stack[p - 1:p + 1]
-        state.step(e, flags[t])
+            _died(m, p)
 
     out = [False] * len(origins)
     for t, f in enumerate(flags):
@@ -393,12 +379,12 @@ def _map_back(diagram: FrontDiagram, narrow: FrontDiagram, origins: tuple,
                 mates = [0] * 5
                 for a, b in ((s1, mate1), (s2, mate2)):
                     mates[slot[a]], mates[slot[b]] = slot[b], slot[a]
-                entry = PairingState(mates)
+                entry = tuple(mates)
                 old = (Event(CROSSING, pm), Event(CROSSING, po))
                 old_flags = (out[moving], out[c])
-                exit_state, fail = scan(old, old_flags, entry.copy())
+                exit_key, _, fail = scan(old, old_flags, key=entry)
                 matches = [] if fail is not None else window_matches(
-                    entry, exit_state._m, old, old_flags, old[::-1])
+                    entry, exit_key, old, old_flags, old[::-1])
                 if len(matches) != 1:
                     raise TransportFailure(
                         "no unique boundary-matching switch choice while "
@@ -411,7 +397,7 @@ def _map_back(diagram: FrontDiagram, narrow: FrontDiagram, origins: tuple,
 
 
 def _enumerate(diagram: FrontDiagram, budget: Optional[int],
-               state: Optional[PairingState] = None) -> tuple:
+               cls=PairingState) -> tuple:
     """Every normal ruling as _transfer's columns, sorted once by size,
     then lexicographic: on ``diagram`` itself, which the transfer scan
     lists in increasing order within each length, by a stable sort of the
@@ -433,17 +419,17 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
     bounds the backtracking steps on the word actually scanned; it is
     checked before any ruling is listed.
 
-    The folds are the tallies ``state`` (default a bare pairing) adds
-    when run over ``diagram`` under the ruling: folded along the listing
-    when ``diagram`` is scanned, else read off one linear scan after the
-    ruling is mapped back.  What a counting state counts on the reordered
-    word is not proven equal to its count on ``diagram`` (a lone switch
-    can pass to the other crossing of a ``tr`` hop), so the reordered
-    scan runs on a bare pairing.
+    The folds are the tallies the state class ``cls`` (default the bare
+    pairing) adds when run over ``diagram`` under the ruling: folded along
+    the listing when ``diagram`` is scanned, else read off one linear scan
+    after the ruling is mapped back.  What a counting class counts on the
+    reordered word is not proven equal to its count on ``diagram`` (a
+    lone switch can pass to the other crossing of a ``tr`` hop), so the
+    reordered scan runs on a bare pairing.
     """
     reordered = far_commutation_order(diagram, max(diagram.walk.counts))
     if reordered is None:
-        switches, fold_ids, folds = _transfer(diagram, budget, state)
+        switches, fold_ids, folds = _transfer(diagram, budget, cls)
         order = sorted(range(len(switches)),
                        key=list(map(len, switches)).__getitem__)
         return (list(map(switches.__getitem__, order)),
@@ -453,8 +439,8 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
     rows = []
     for ruling in _transfer(narrow, budget)[0]:
         flags = _map_back(diagram, narrow, origins, ruling)
-        tallies = () if state is None else \
-            scan(diagram.events, flags, state.copy())[0].tallies()
+        tallies = () if cls is PairingState else \
+            scan(diagram.events, flags, cls)[1]
         rows.append((tuple(compress(ordinals, flags)), tallies))
     rows.sort(key=lambda row: (len(row[0]), row[0]))
     ids: dict = {}  # fold -> fold id, in listing order
@@ -474,39 +460,36 @@ def enumerate_rulings(diagram: FrontDiagram, budget: Optional[int] = None) -> li
     return list(map(frozenset, _enumerate(diagram, budget)[0]))
 
 
-def window_matches(entry: PairingState, exit_mates: list, old, old_flags,
+def window_matches(entry: tuple, exit_key: tuple, old, old_flags,
                    new) -> list:
     """Boundary matching for a rewrite of one window of the word.
 
-    ``exit_mates`` is the mate list (``_m``) of the pairing that the old
-    window ``old`` reaches from ``entry`` under its switch flags
-    ``old_flags``.  Returns every switch choice of ``new`` that scans from
-    ``entry`` to the same pairing, each as (flags, states): its per-event
-    flag list and the pairing after each of its events, a new PairingState
-    per event, shared with neither ``entry`` nor another match.  Windows
-    with equal crossing counts only exchange choices with equal switch
-    counts: boundary matching alone cannot split e.g. the one-switch and
-    all-switch assignments of a triple point, whose exit pairings
-    coincide.
+    ``exit_key`` is the pairing that the old window ``old`` reaches from
+    the pairing ``entry`` under its switch flags ``old_flags``.  Returns
+    every switch choice of ``new`` that scans from ``entry`` to the same
+    pairing, each as (flags, keys): its per-event flag list and the
+    pairing after each of its events.  Windows with equal crossing counts
+    only exchange choices with equal switch counts: boundary matching
+    alone cannot split e.g. the one-switch and all-switch assignments of
+    a triple point, whose exit pairings coincide.
     """
     slots = [k for k, e in enumerate(new) if e.kind == CROSSING]
     if len(slots) == len([e for e in old if e.kind == CROSSING]):
         sizes = [sum(old_flags)]
     else:
         sizes = range(len(slots) + 1)
-    matches = []
+    edges, matches = PairingState.edges, []
     for size in sizes:
         for switched in combinations(slots, size):
             flags = [k in switched for k in range(len(new))]
-            state, states = entry, []
+            key, keys = entry, []
             for e, f in zip(new, flags):
-                state = state.copy()
-                if state.step(e, f) is not None:
+                edge = edges(key, e)[not f]
+                if edge is None:
                     break
-                states.append(state)
+                key = edge[0]
+                keys.append(key)
             else:
-                # the mate list pins the pairing down without building
-                # pair tuples, which would crowd CPython's tuple free lists
-                if state._m == exit_mates:
-                    matches.append((flags, states))
+                if key == exit_key:
+                    matches.append((flags, keys))
     return matches

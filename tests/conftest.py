@@ -7,7 +7,7 @@ from typing import Iterable, Optional
 import pytest
 from hypothesis import settings
 
-from clasplab import (ClaspLabError, ClaspState, EvennessViolation,
+from clasplab import (ClaspLabError, EvennessViolation,
                       FrontDiagram, Move, NotApplicable, ScriptError,
                       apply_move, clasp_report,
                       generate_negative_braid_closure, generate_torus4,
@@ -17,8 +17,8 @@ from clasplab.diagram import (_DELTA, _RANK, CROSSING, LEFT_CUSP, RIGHT_CUSP,
                               Event, far_commutation_order)
 from clasplab.errors import BudgetExceeded, TransportFailure
 from clasplab.fillability import FillingCertificate
-from clasplab.rulings import (PairingState, _same_eye, _switch_ok, scan,
-                              switch_flags, window_matches)
+from clasplab.rulings import (PairingState, scan, switch_flags,
+                              window_matches)
 
 
 class UnknownEye(ClaspLabError):
@@ -139,34 +139,16 @@ def ruling_sort_key(ruling: Iterable) -> tuple:
     return (len(t), t)
 
 
-def partition(state: PairingState) -> tuple:
-    """Canonical snapshot of the pairing, for state comparison."""
-    m = state._m
+def partition(m: tuple) -> tuple:
+    """The eyes of the pairing keyed ``m`` (its mates), as slot pairs."""
     return tuple((p, m[p]) for p in range(1, len(m)) if p < m[p])
 
 
-def same_eye(state: PairingState, p: int) -> bool:
-    """Slots p, p+1 carry the two strands of one eye."""
-    return _same_eye(state._m, p)
-
-
-def switch_ok(state: PairingState, p: int) -> bool:
-    """The switch test the scan runs at a crossing on slots p, p+1."""
-    return _switch_ok(state._m, p)
-
-
-def state_of_key(cls, key: tuple) -> PairingState:
-    """A fresh ``cls`` state whose key() is ``key``: the test-only
-    inverse of PairingState.key and ClaspState.key (counts start empty,
-    as they are not in the key)."""
-    if cls is PairingState:
-        return PairingState(list(key))
-    assert cls is ClaspState
-    state = ClaspState()
-    m, eyes, born, opened = key
-    state._m, state._eyes, state._born = list(m), list(eyes), born
-    state._open = dict(opened)
-    return state
+def step(key: tuple, event: Event, is_switch: bool = False) -> tuple:
+    """The pairing after one event, which must scan from ``key``."""
+    key, _, fail = scan((event,), (is_switch,), key=key)
+    assert fail is None, (key, event, fail)
+    return key
 
 
 def brute_force_rulings(diagram: FrontDiagram) -> list:
@@ -182,47 +164,47 @@ def brute_force_rulings(diagram: FrontDiagram) -> list:
             if is_normal_ruling(diagram, combo).ok]
 
 
-def backtrack_rulings(diagram, budget=None, state=None, steps=None) -> list:
+def backtrack_rulings(diagram, budget=None, cls=PairingState,
+                      steps=None) -> list:
     """Backtracking over the switch choices of the word as given.
 
     The test-only reference for rulings._transfer, with the same
-    arguments and results as rows (see as_rows): (switches,
-    state.tallies()) per ruling, where ``switches`` is the increasing
-    tuple of switched crossing ordinals.  Each crossing branches on a
-    copy (switch) and on the state itself (non-switch), and dead states
-    prune the subtree.  Raises BudgetExceeded once more than ``budget``
-    event steps have been taken; a list passed as ``steps`` receives the
-    number taken.
+    arguments and results as rows (see as_rows): (switches, tallies) per
+    ruling, where ``switches`` is the increasing tuple of switched
+    crossing ordinals and ``tallies`` the sorted (label, sum) pairs of
+    the edges' tallies.  Each crossing branches on the switch edge, then
+    the plain edge of ``cls.edges``, and dead edges prune the subtree.
+    Raises BudgetExceeded once more than ``budget`` event steps have been
+    taken; a list passed as ``steps`` receives the number taken.
     """
     events = diagram.events
     ordinals = diagram.walk.ordinals
     found: list = []
     nodes = 0
 
-    def walk(i: int, state: PairingState, switched: list) -> None:
+    def walk(i: int, key: tuple, switched: list, tallies: list) -> None:
         nonlocal nodes
         while i < len(events):
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(
                     f"enumeration exceeded {budget} steps", nodes=nodes)
-            e = events[i]
-            if e.kind != CROSSING:
-                if state.step(e) is not None:
-                    return
-                i += 1
-                continue
-            branch = state.copy()
-            if branch.step(e, is_switch=True) is None:
-                switched.append(ordinals[i])
-                walk(i + 1, branch, switched)
-                switched.pop()
-            if state.step(e, is_switch=False) is not None:
+            switch, plain = cls.edges(key, events[i])
+            if switch is not None:
+                walk(i + 1, switch[0], switched + [ordinals[i]],
+                     tallies + [switch[1]])
+            if plain is None:
                 return
+            key, tally = plain
+            tallies = tallies + [tally]
             i += 1
-        found.append((tuple(switched), state.tallies()))
+        sums: dict = {}
+        for tally in tallies:
+            if tally is not None:
+                sums[tally[0]] = sums.get(tally[0], 0) + tally[1]
+        found.append((tuple(switched), tuple(sorted(sums.items()))))
 
-    walk(0, (state or PairingState()).copy(), [])
+    walk(0, cls.start, [], [])
     if steps is not None:
         steps.append(nodes)
     return found
@@ -315,15 +297,15 @@ def normalize(diagram: FrontDiagram) -> tuple:
     return canon, moves
 
 
-def match_swap(entry: PairingState, old, old_flags, new) -> Optional[list]:
+def match_swap(entry: tuple, old, old_flags, new) -> Optional[list]:
     """Boundary matching of a swap from its entry pairing alone: None when
     ``old`` does not scan from ``entry`` under ``old_flags``, else the
     flag lists of every match of ``new`` (see rulings.window_matches)."""
-    exit_state, fail = scan(old, old_flags, entry.copy())
+    exit_key, _, fail = scan(old, old_flags, key=entry)
     if fail is not None:
         return None
     return [flags for flags, _ in
-            window_matches(entry, exit_state._m, old, old_flags, new)]
+            window_matches(entry, exit_key, old, old_flags, new)]
 
 
 def retrace(narrow, windows: tuple, ruling: tuple) -> list:
@@ -337,8 +319,8 @@ def retrace(narrow, windows: tuple, ruling: tuple) -> list:
     boundary-matching switch choice, which does not always follow crossing
     identity: when the two crossings involve the same two eyes, a lone
     switch can pass to the other crossing.  Undoing the swaps of event t
-    only touches word indices >= t, so their entry state is the reordered
-    word's prefix state at t.
+    only touches word indices >= t, so their entry pairing is the
+    reordered word's prefix pairing at t.
 
     Boundary matching runs only when the two crossings, at p and q, share
     an eye: when the mate of p or p+1 is q or q+1 on entry.  Otherwise
@@ -350,21 +332,18 @@ def retrace(narrow, windows: tuple, ruling: tuple) -> list:
     leaves different exit mates, so it does not match.
     """
     flags = switch_flags(narrow, ruling)
-    hopped = [t for t, swaps in enumerate(windows) if swaps]
-    entries = {}
-    state, done = PairingState(), 0
-    for t in hopped:
-        scan(narrow.events[done:t], flags[done:t], state)
-        entries[t], done = state.copy(), t
-    for t in reversed(hopped):
-        state = entries[t]
-        m = state._m
+    entries, m, done = {}, PairingState.start, 0
+    for t in [t for t, swaps in enumerate(windows) if swaps]:
+        m = entries[t] = scan(narrow.events[done:t], flags[done:t], key=m)[0]
+        done = t
+    for t in reversed(list(entries)):
+        m = entries[t]
         for i, ((first, second), old) in enumerate(windows[t], start=t):
             f1, f2 = flags[i], flags[i + 1]
             if f1 != f2 and first.kind == CROSSING == second.kind and (
                     second.pos <= m[first.pos] <= second.pos + 1 or
                     second.pos <= m[first.pos + 1] <= second.pos + 1):
-                matches = match_swap(state, (first, second), (f1, f2), old)
+                matches = match_swap(m, (first, second), (f1, f2), old)
                 if matches is None or len(matches) != 1:
                     raise TransportFailure(
                         "no unique boundary-matching switch choice while "
@@ -373,7 +352,7 @@ def retrace(narrow, windows: tuple, ruling: tuple) -> list:
             # flags travel with their events, unless boundary matching
             # moved a lone switch to the other crossing
             flags[i], flags[i + 1] = f2, f1
-            state.step(old[0], f2)
+            m = step(m, old[0], f2)
     return flags
 
 
@@ -401,20 +380,20 @@ def as_columns(rows) -> tuple:
             list(ids))
 
 
-def reference_enumerate(diagram, budget, state=None, reordered=None) -> tuple:
+def reference_enumerate(diagram, budget, cls=PairingState,
+                        reordered=None) -> tuple:
     """rulings._enumerate on the slow paths: the windowed reorder and the
     swap-by-swap retrace, with the same arguments and results.
     ``reordered`` may pass in far_commutation_windows(diagram)."""
     from clasplab.rulings import _transfer
     narrow, windows = reordered or far_commutation_windows(diagram)
     if max(narrow.walk.counts) >= max(diagram.walk.counts):
-        found = as_rows(_transfer(diagram, budget, state))
+        found = as_rows(_transfer(diagram, budget, cls))
     else:
         found = []
         for ruling in _transfer(narrow, budget)[0]:
             flags = retrace(narrow, windows, ruling)
-            tallies = () if state is None else \
-                scan(diagram.events, flags, state.copy())[0].tallies()
+            tallies = scan(diagram.events, flags, cls)[1]
             found.append((tuple(o for o, f in zip(diagram.walk.ordinals,
                                                   flags) if f), tallies))
     found.sort(key=lambda row: (len(row[0]), row[0]))
@@ -591,3 +570,48 @@ def brute_pair_clasps(diagram: FrontDiagram, ruling: Iterable,
         if enter == leave:
             clasps += 1
     return clasps
+
+
+# ---------------------------------------------------------------------------
+# independent normality oracle: strand labels by slice position, no mates
+
+def slice_normality(diagram: FrontDiagram, switches: Iterable) -> tuple:
+    """Decide a switch set by the positions of (eye, strand) labels.
+
+    The test-only reference for the pairing scan (is_normal_ruling): each
+    slice lists the live strands bottom to top as (eye, strand) labels,
+    and each condition reads the labels themselves.  A crossing on two
+    strands of one eye fails, so does a right cusp on strands of two
+    eyes, and at a switch the two eyes' four strands, in slice order,
+    must not interleave (_pair_config).
+    Returns (True, None, None), else (False, reason, i) with i the
+    1-based index of the first failing event.
+    """
+    switches = frozenset(switches)
+    slots: list = []
+    next_eye = ordinal = 0
+    for i, e in enumerate(diagram.events, start=1):
+        p = e.pos
+        if e.kind == LEFT_CUSP:
+            slots[p - 1:p - 1] = [(next_eye, LOWER), (next_eye, UPPER)]
+            next_eye += 1
+            continue
+        lo, hi = slots[p - 1][0], slots[p][0]
+        if e.kind == RIGHT_CUSP:
+            if lo != hi:
+                return False, "right cusp joins strands of two different " \
+                    "eyes", i
+            del slots[p - 1:p + 1]
+            continue
+        ordinal += 1
+        switched = ordinal in switches
+        if lo == hi:
+            return False, ("switch between two strands of one eye"
+                           if switched else
+                           "eye self-intersects at an unswitched crossing"), i
+        if not switched:
+            slots[p - 1], slots[p] = slots[p], slots[p - 1]
+        elif _pair_config(tuple(s for s in slots
+                                if s[0] in (lo, hi))) == INTERLEAVED:
+            return False, "normality violated: eyes interleave at switch", i
+    return True, None, None

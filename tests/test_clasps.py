@@ -127,9 +127,9 @@ class TestOracle:
         """Record scan, slice oracle, one linear ClaspState scan and the
         clasps resolve lists agree."""
         res = resolve(d, ruling)
-        state, fail = scan(d.events, switch_flags(d, ruling), ClaspState())
+        _, tallies, fail = scan(d.events, switch_flags(d, ruling), ClaspState)
         assert fail is None
-        counted = dict(state.tallies())
+        counted = dict(tallies)
         assert set(counted) == {(r.eye_a, r.eye_b) for r in res.records}
         for a in range(res.n_eyes):
             for b in range(a + 1, res.n_eyes):

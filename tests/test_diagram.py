@@ -114,7 +114,10 @@ class TestValueTypes:
 
     @pytest.mark.parametrize("kind, pos, message", [
         ("q", 1, "unknown event kind 'q'"),
-        ("x", 0, "event positions are 1-based")])
+        ("x", 0, "event positions are 1-based"),
+        ("x", 1.0, "event position 1.0 is not an int"),
+        ("lc", True, "event position True is not an int"),
+        ("rc", "1", "event position '1' is not an int")])
     def test_event_refuses_bad_fields(self, kind, pos, message):
         with pytest.raises(ValueError, match=message):
             Event(kind, pos)

@@ -90,10 +90,10 @@ class TestRandomScript:
     def test_isotopy_transport_failure_propagates(self, monkeypatch):
         real = RulingTransport.window_match
 
-        def broken(self, entry, exit_mates, old_flags):
+        def broken(self, entry, exit_key, old_flags):
             if self.move.kind == "r1":
                 raise TransportFailure("broken r1 transport")
-            return real(self, entry, exit_mates, old_flags)
+            return real(self, entry, exit_key, old_flags)
 
         monkeypatch.setattr(RulingTransport, "window_match", broken)
         with pytest.raises(TransportFailure, match="broken r1"):

@@ -5,21 +5,23 @@ from hypothesis import given, settings, strategies as st
 
 import operator
 import random
+from itertools import combinations
 
-from clasplab import (FrontDiagram, Move, NotApplicable, ParseError,
-                      TransportFailure, apply_move, clasp_report,
+from clasplab import (FrontDiagram, InvalidRuling, Move, NotApplicable,
+                      ParseError, TransportFailure, apply_move, clasp_report,
                       enumerate_applicable_moves, enumerate_rulings,
                       generate_negative_braid_closure, generate_torus4,
-                      generate_trefoil, generate_unknot, lc,
-                      obstruction_verdict, parse, parse_script, rc, resolve,
-                      serialize_script, transpose_events, validate, x)
+                      generate_trefoil, generate_unknot, is_normal_ruling,
+                      lc, obstruction_verdict, parse, parse_script, rc,
+                      resolve, serialize_script, transpose_events, validate,
+                      x)
 from clasplab.fillability import random_script
 from clasplab.moves import (MOVE_KINDS, RulingTransport, _match_r1inv,
                             _match_r2inv, _match_r3, _menu, _r2_variants,
                             applicable_kinds)
 from clasplab.rulings import PairingState, scan, switch_flags, switches_of
 from conftest import (assert_value_contract, normalize, partition,
-                      random_fillable, ruling_sort_key)
+                      random_fillable, ruling_sort_key, step)
 
 EMPTY = frozenset()
 
@@ -48,6 +50,24 @@ class TestHandles:
         assert validate(d2).ok
         with pytest.raises(TransportFailure, match="two different eyes"):
             t(EMPTY)
+
+    def test_call_refuses_every_non_ruling(self, corpus):
+        # {1, 3} fails at event 5 of the trefoil, after the birth's window
+        d = corpus["trefoil"]
+        assert is_normal_ruling(d, {1, 3}).event_index == 5
+        _, t = apply_move(d, Move("h0", 1, 1))
+        with pytest.raises(InvalidRuling, match="^event 5: normality"):
+            t({1, 3})
+        for d in (corpus["trefoil"], corpus["braid3"]):
+            c = d.n_crossings
+            non_rulings = [s for k in range(c + 1)
+                           for s in combinations(range(1, c + 1), k)
+                           if not is_normal_ruling(d, s).ok]
+            for m in enumerate_applicable_moves(d):
+                _, t = apply_move(d, m)
+                for s in non_rulings:
+                    with pytest.raises(InvalidRuling):
+                        t(s)
 
     def test_handles_keep_switch_ordinals(self):
         d = generate_trefoil()
@@ -318,7 +338,7 @@ class TestMenuAndHandlesAgainstReference:
                 _, transport = apply_move(d, m)
                 for r in rulings:
                     flags = switch_flags(d, r)[:m.anchor - 1]
-                    entry, _ = scan(d.events, flags)
+                    entry, _, _ = scan(d.events, flags)
                     if m.kind == "h0" \
                             or (m.pos, m.pos + 1) in partition(entry):
                         assert transport(r) == r
@@ -405,24 +425,23 @@ class TestLazyMenu:
 class TestCarry:
     """RulingTransport.carry, which the script loops run, against fresh
     scans: its flags are the transported ruling's and its entries the
-    pairings a scan of the new word passes, so no carried state may be
-    shared with the entry or with another state and then stepped."""
+    pairings a scan of the new word passes."""
 
     def test_carried_state_equals_a_fresh_scan(self):
         carried = 0
         for seed in range(300):
-            diagram, flags, entries = FrontDiagram(), [], [PairingState()]
+            diagram, flags, entries = FrontDiagram(), [], [PairingState.start]
             for m in random_script(1 + seed % 25, seed):
                 ruling = switches_of(diagram, flags)
                 diagram, transport = apply_move(diagram, m)
                 transport.carry(flags, entries)
                 assert flags == switch_flags(diagram, transport(ruling))
                 assert len(entries) == len(diagram.events) + 1
-                fresh = PairingState()
+                fresh = PairingState.start
                 for i, e in enumerate(diagram.events):
-                    assert entries[i].key() == fresh.key(), (seed, m, i)
-                    assert fresh.step(e, flags[i]) is None
-                assert entries[-1].key() == fresh.key()
+                    assert entries[i] == fresh, (seed, m, i)
+                    fresh = step(fresh, e, flags[i])
+                assert entries[-1] == fresh
                 carried += 1
         assert carried > 3000
 
@@ -434,7 +453,6 @@ class TestCarry:
                 flags = switch_flags(d, ruling)
                 entries = [scan(d.events[:i], flags[:i])[0]
                            for i in range(len(d.events) + 1)]
-                keys = [e.key() for e in entries]
                 for m in _menu(d, "h1"):
                     _, transport = apply_move(d, m)
                     kept_flags, kept_entries = list(flags), list(entries)
@@ -445,7 +463,6 @@ class TestCarry:
                         assert flags == kept_flags
                         assert len(entries) == len(kept_entries)
                         assert all(map(operator.is_, entries, kept_entries))
-                        assert [e.key() for e in entries] == keys
                     else:
                         flags, entries = kept_flags, kept_entries
         assert failed  # incompatible saddles must actually occur
@@ -625,6 +642,8 @@ class TestMoveTokens:
         ("r3", 1, 5), ("tr", 2, 1), ("r2", 1, 2, "up"),
         ("r3", 1, 0, "up"), ("h0", 1, 1, "down"), ("r1inv", None),
         ("h0", 1, -1), ("r3", -2), ("zz", 1), ("r1", 1, 1, "left"),
+        ("h0", 1, 1.5), ("h0", 1.0, 1), ("r3", True), ("h1", 2, True),
+        ("tr", "1"),
     ])
     def test_tokens_the_kind_does_not_take_are_refused(self, args):
         # str() would drop the token or print what parse_move refuses
@@ -632,8 +651,10 @@ class TestMoveTokens:
             Move(*args)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(MOVE_KINDS), st.none() | st.integers(-1, 10**6),
-           st.sampled_from([0, 1]) | st.integers(-1, 10**6),
+    @given(st.sampled_from(MOVE_KINDS),
+           st.none() | st.integers(-1, 10**6) | st.booleans() | st.floats(),
+           st.sampled_from([0, 1]) | st.integers(-1, 10**6) | st.booleans()
+           | st.floats(),
            st.sampled_from(["", "up", "down"]))
     def test_every_constructible_move_round_trips(self, kind, anchor, pos,
                                                   variant):

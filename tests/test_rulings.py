@@ -1,5 +1,7 @@
 """Normal ruling decision procedure and enumeration."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,51 +15,56 @@ from clasplab import clasps, rulings
 from clasplab import diagram as diagram_mod
 from clasplab.diagram import CROSSING, Event, far_commutation_order
 from clasplab.fillability import random_script, run_script
-from clasplab.rulings import (PairingState, _map_back, _transfer,
-                              window_matches)
+from clasplab.rulings import (PairingState, _map_back, _same_eye,
+                              _switch_ok, _transfer, window_matches)
 from conftest import (as_columns, as_rows, backtrack_rulings,
                       brute_force_rulings, far_commutation_windows,
                       hop_counts, match_swap, partition, reference_enumerate,
-                      retrace,
-                      ruling_sort_key, same_eye, small_corpus, stacked_union,
-                      state_of_key, switch_ok)
+                      retrace, ruling_sort_key, slice_normality,
+                      small_corpus, stacked_union, step)
 
 
 def state_at(diagram, switches, event_index):
-    """Pairing state after the first ``event_index`` events."""
+    """Pairing key after the first ``event_index`` events."""
     flags = switch_flags(diagram, switches)
-    state, fail = scan(diagram.events[:event_index], flags[:event_index])
+    key, _, fail = scan(diagram.events[:event_index], flags[:event_index])
     assert fail is None
-    return state
+    return key
+
+
+def switch_fail(key, event):
+    """The reason a switch at ``event`` fails from ``key``, or None."""
+    fail = scan((event,), (True,), key=key)[2]
+    return fail and fail[1]
 
 
 class TestSwitchAllowed:
     def test_disjoint_eyes_allow_switch(self):
         # two stacked eyes, crossing slots (2,3): mates at 1 and 4
-        state = state_at(generate_trefoil(), frozenset(), 2)
-        assert partition(state) == ((1, 2), (3, 4))
-        assert switch_ok(state, 2)
-        assert state.step(x(2), True) is None
+        key = state_at(generate_trefoil(), frozenset(), 2)
+        assert partition(key) == ((1, 2), (3, 4))
+        assert _switch_ok(key, 2)
+        assert switch_fail(key, x(2)) is None
 
     def test_interleaved_eyes_forbid_switch(self):
         # after one unswitched crossing the trefoil eyes interleave
-        state = state_at(generate_trefoil(), frozenset(), 3)
-        assert partition(state) == ((1, 3), (2, 4))
-        assert not switch_ok(state, 2)
-        assert state.step(x(2), True) == \
+        key = state_at(generate_trefoil(), frozenset(), 3)
+        assert partition(key) == ((1, 3), (2, 4))
+        assert not _switch_ok(key, 2)
+        assert switch_fail(key, x(2)) == \
             "normality violated: eyes interleave at switch"
 
     def test_same_eye_raises(self):
-        state = state_at(generate_unknot(), frozenset(), 1)
-        assert same_eye(state, 1)
-        assert state.step(x(1), True) == \
+        key = state_at(generate_unknot(), frozenset(), 1)
+        assert _same_eye(key, 1)
+        assert switch_fail(key, x(1)) == \
             "switch between two strands of one eye"
 
     def test_nested_eyes_allow_switch(self):
         d = FrontDiagram([lc(1), lc(2), x(1), rc(2), rc(1)])
-        state = state_at(d, frozenset(), 2)
-        assert partition(state) == ((1, 4), (2, 3))
-        assert switch_ok(state, 1)
+        key = state_at(d, frozenset(), 2)
+        assert partition(key) == ((1, 4), (2, 3))
+        assert _switch_ok(key, 1)
 
 
 class TestScanKernel:
@@ -76,7 +83,7 @@ class TestScanKernel:
 
     def test_failure_index_is_one_based(self):
         d = generate_trefoil()
-        _, fail = scan(d.events, switch_flags(d, {2}))
+        _, _, fail = scan(d.events, switch_flags(d, {2}))
         assert fail == (4, "normality violated: eyes interleave at switch")
         check = is_normal_ruling(d, {2})
         assert (check.event_index, check.reason) == fail
@@ -86,11 +93,11 @@ class TestScanKernel:
             for r in enumerate_rulings(d):
                 flags = switch_flags(d, r)
                 half = len(d) // 2
-                state, fail = scan(d.events[:half], flags[:half])
+                key, _, fail = scan(d.events[:half], flags[:half])
                 assert fail is None
-                resumed, fail = scan(d.events[half:], flags[half:], state)
-                assert fail is None and resumed is state
-                assert state.key() == (0,)
+                resumed, _, fail = scan(d.events[half:], flags[half:],
+                                        key=key)
+                assert fail is None and resumed == PairingState.start
 
 
 class TestIsNormalRuling:
@@ -109,6 +116,22 @@ class TestIsNormalRuling:
         for d in corpus.values():
             for r in enumerate_rulings(d):
                 assert is_normal_ruling(d, r).ok
+
+    def test_equals_the_slice_oracle(self, corpus, fillable_300):
+        """Every switch set of every diagram with at most 12 crossings
+        gets the verdict, reason and event of conftest.slice_normality,
+        which reads strand labels, not mates."""
+        reasons = set()
+        for d in list(corpus.values()) + fillable_300:
+            c = d.n_crossings
+            if c > 12:
+                continue
+            for size in range(c + 1):
+                for switches in combinations(range(1, c + 1), size):
+                    want = slice_normality(d, switches)
+                    assert tuple(is_normal_ruling(d, switches)) == want
+                    reasons.add(want[1])
+        assert len(reasons) == 5  # each failure, and None
 
 
 class TestEnumerate:
@@ -230,8 +253,8 @@ class TestTransferScan:
     def _check(self, d, monkeypatch):
         steps = []
 
-        def backtrack(word, budget, state=None):
-            return as_columns(backtrack_rulings(word, budget, state, steps))
+        def backtrack(word, budget, cls=PairingState):
+            return as_columns(backtrack_rulings(word, budget, cls, steps))
 
         with monkeypatch.context() as patched:
             patched.setattr(rulings, "_transfer", backtrack)
@@ -262,9 +285,9 @@ class TestTransferScan:
 
     def test_equals_backtracking_on_the_word_as_given(self, fillable_300):
         for d in fillable_300[:100]:
-            for state in (PairingState(), ClaspState()):
-                want = backtrack_rulings(d, None, state)
-                got = as_rows(_transfer(d, None, state))
+            for cls in (PairingState, ClaspState):
+                want = backtrack_rulings(d, None, cls)
+                got = as_rows(_transfer(d, None, cls))
                 for switches, _ in got:
                     assert type(switches) is tuple
                     assert all(a < b for a, b in zip(switches, switches[1:]))
@@ -283,57 +306,17 @@ class TestTransferScan:
         torus = _KERNEL_FAMILIES["torus4"]()
         words += torus[:3] + [far_commutation_order(d)[0] for d in torus]
         for d in words + fillable_300:
-            for state in (PairingState(), ClaspState()):
-                columns = _transfer(d, None, state)
-                assert as_rows(columns) == backtrack_rulings(d, None, state)
+            for cls in (PairingState, ClaspState):
+                columns = _transfer(d, None, cls)
+                assert as_rows(columns) == backtrack_rulings(d, None, cls)
                 folds = columns[2]
                 assert len(set(folds)) == len(folds)
-
-    @pytest.mark.parametrize("cls", [PairingState, ClaspState],
-                             ids=["pairing", "clasp"])
-    def test_edges_equal_step_on_the_rebuilt_state(self, cls, fillable_300,
-                                                  monkeypatch):
-        """Every (key, event) the forward pass meets steps by ``edges`` as
-        ``step`` steps the state rebuilt from the key, one copy per edge:
-        the same next key and tally, and None exactly where ``step``
-        returns a reason.  The words are the kernel families (torus4 up
-        to torus4(2) as given), the narrow words of torus4(0..12) and the
-        fillables."""
-        met = {}
-        edges = cls.edges
-
-        def recorded(key, event):
-            met[key, event.kind, event.pos] = out = edges(key, event)
-            return out
-
-        monkeypatch.setattr(cls, "edges", staticmethod(recorded))
-        words = [d for family, make in _KERNEL_FAMILIES.items()
-                 if family != "torus4" for d in make()]
-        words += [generate_torus4(n) for n in range(3)]
-        words += [far_commutation_order(generate_torus4(n))[0]
-                  for n in range(13)]
-        for d in words + fillable_300:
-            _transfer(d, None, cls())
-        assert len(met) > 10_000
-        for (key, kind, pos), got in met.items():
-            state = state_of_key(cls, key)
-            assert state.key() == key
-            event = Event(kind, pos)
-            want = []
-            for switch in (True, False):
-                if switch and kind != CROSSING:
-                    want.append(None)
-                    continue
-                t = state.copy()
-                want.append(None if t.step(event, switch) is not None
-                            else (t.key(), getattr(t, "tally", None)))
-            assert got == tuple(want), (key, event)
 
     def test_long_word_lists_without_deep_recursion(self):
         # 1,500 disjoint unknots: 3,000 events, one ruling
         d = FrontDiagram(generate_unknot().events * 1500)
         assert _transfer(d, None) == ([()], [0], [()])
-        assert _transfer(d, None, ClaspState()) == ([()], [0], [()])
+        assert _transfer(d, None, ClaspState) == ([()], [0], [()])
 
     def test_budget_raised_before_listing(self):
         d = generate_negative_braid_closure(2, [1] * 40)
@@ -347,24 +330,18 @@ def retrace_matching_every_swap(narrow, windows, ruling, matched):
     every two-crossing swap whose flags differ, each one appended to
     ``matched``."""
     flags = switch_flags(narrow, ruling)
-    hopped = [t for t, swaps in enumerate(windows) if swaps]
-    entries = {}
-    state, done = PairingState(), 0
-    for t in hopped:
-        scan(narrow.events[done:t], flags[done:t], state)
-        entries[t], done = state.copy(), t
-    for t in reversed(hopped):
-        state = entries[t]
+    for t in reversed([t for t, swaps in enumerate(windows) if swaps]):
+        key = scan(narrow.events[:t], flags[:t])[0]
         for i, ((first, second), old) in enumerate(windows[t], start=t):
             f1, f2 = flags[i], flags[i + 1]
             if f1 != f2 and first.kind == CROSSING == second.kind:
-                matches = match_swap(state, (first, second), (f1, f2), old)
+                matches = match_swap(key, (first, second), (f1, f2), old)
                 matched.append(i)
                 if matches is None or len(matches) != 1:
                     raise TransportFailure("no unique match")
                 f2, f1 = matches[0]
             flags[i], flags[i + 1] = f2, f1
-            state.step(old[0], f2)
+            key = step(key, old[0], f2)
     return flags
 
 
@@ -440,8 +417,8 @@ def test_equals_the_slow_paths(family, monkeypatch):
     narrow word, hop counts, flags, listings, verdicts and budget
     outcomes."""
     def reference_outcomes(d, threshold, reordered):
-        def slow(diagram, budget, state=None):
-            return reference_enumerate(diagram, budget, state, reordered)
+        def slow(diagram, budget, cls=PairingState):
+            return reference_enumerate(diagram, budget, cls, reordered)
 
         with monkeypatch.context() as patched:
             patched.setattr(rulings, "_enumerate", slow)
