@@ -17,7 +17,8 @@ from functools import partial
 from typing import Iterable, NamedTuple, Optional
 
 from .clasps import ClaspReport, _sorted_reports, clasp_report
-from .diagram import LEFT_CUSP, RIGHT_CUSP, FrontDiagram, serialize
+from .diagram import (LEFT_CUSP, RIGHT_CUSP, FrontDiagram, serialize,
+                      transpose_events)
 from .errors import (BudgetExceeded, EvennessViolation, NotApplicable,
                      ScriptError, TransportFailure)
 from .rulings import PairingState, enumerate_rulings, switches_of
@@ -242,41 +243,39 @@ class SearchResult(NamedTuple):
 def _backward_steps(diagram: FrontDiagram):
     """Yield (parent, forward_move) pairs, in deterministic order.
 
-    Each forward move recreates the diagram from the parent; every pair
-    is verified by reapplying before being yielded.  Only simplifying and
-    lateral rewrites are explored, so the search is best effort.
+    Each forward move recreates the diagram from the parent: a handle
+    whose eye or saddle is deleted, the redo move of a window that
+    moves._undo reads, or the transposition that swaps two events back.
+    Every pair is verified by reapplying before being yielded.  Only
+    simplifying and lateral rewrites are explored, so the search is best
+    effort.
     """
-    from .moves import Move, _match_r1inv, _match_r2inv, _menu, apply_move
+    from .moves import Move, _undo, apply_move
     events = diagram.events
     candidates = []
-    for i in range(len(events) - 1):
-        a, b = events[i], events[i + 1]
-        if a.kind == LEFT_CUSP and b.kind == RIGHT_CUSP and a.pos == b.pos:
-            parent = FrontDiagram(events[:i] + events[i + 2:])
-            candidates.append((parent, Move("h0", i + 1, a.pos)))
-        if a.kind == RIGHT_CUSP and b.kind == LEFT_CUSP and a.pos == b.pos:
-            parent = FrontDiagram(events[:i] + events[i + 2:])
-            candidates.append((parent, Move("h1", i + 1, a.pos)))
-    for kind, fwd in (("r1inv", "r1"), ("r2inv", "r2"), ("r3", "r3"),
-                      ("tr", "tr")):
-        for undo in _menu(diagram, kind):
-            parent, _ = apply_move(diagram, undo)
-            i = undo.anchor - 1
-            if fwd == "r1":
-                q, variant = _match_r1inv(events, i)
-                move = Move("r1", i + 1, q, variant)
-            elif fwd == "r2":
-                _, variant = _match_r2inv(events, i)
-                move = Move("r2", i + 1, variant=variant)
-            else:
-                move = Move(fwd, i + 1)
-            candidates.append((parent, move))
-    for parent, move in candidates:
+    for i, (a, b) in enumerate(zip(events, events[1:])):
+        if a.pos == b.pos and {a.kind, b.kind} == {LEFT_CUSP, RIGHT_CUSP}:
+            handle = "h0" if a.kind == LEFT_CUSP else "h1"
+            candidates.append((events[:i] + events[i + 2:],
+                               Move(handle, i + 1, a.pos)))
+    undos = [_undo(events, i) for i in range(len(events))]
+    for kind in ("r1inv", "r2inv", "r3"):
+        for i, undo in enumerate(undos):
+            if undo is not None and undo[0] == kind:
+                candidates.append((events[:i] + undo[1] + events[i + 3:],
+                                   undo[2]))
+    for i, (a, b) in enumerate(zip(events, events[1:])):
+        swapped = transpose_events(a, b)
+        if swapped is not None:
+            candidates.append((events[:i] + swapped + events[i + 2:],
+                               Move("tr", i + 1)))
+    for parent_events, move in candidates:
+        parent = FrontDiagram(parent_events)
         try:
             redone, _ = apply_move(parent, move)
         except NotApplicable:
             continue
-        if redone.events == diagram.events:
+        if redone.events == events:
             yield parent, move
 
 

@@ -14,6 +14,12 @@ The calculus consists of
 * ``tr`` -- transposition of two adjacent events with disjoint vertical
   support (renumbering slots as needed).
 
+The three window kinds (r1inv, r2inv, r3) are read in one place,
+``_undo``: for a window it gives the events the window move leaves and
+the r1, r2 or r3 move that rewrites those back.  The forward rewrite of a
+window move and the backward search's redo moves
+(fillability._backward_steps) both come from it.
+
 Every rewrite carries a transport of normal rulings by one rule: switch
 choices outside the rewritten window are kept, and the window is assigned
 the unique local switch choice that scans validly and reproduces the same
@@ -114,21 +120,6 @@ def _window_kind(a: Event, b: Event, c: Event) -> Optional[str]:
     return None
 
 
-def _window(events, i0: int, kind: str) -> Optional[tuple]:
-    """events[i0:i0+3] when they are a window of ``kind``, else None."""
-    w = events[i0:i0 + 3]
-    return w if len(w) == 3 and _window_kind(*w) == kind else None
-
-
-def _match_r1inv(events, i0: int) -> Optional[tuple]:
-    """Return (q, variant) when events[i0:i0+3] is a tongue window."""
-    w = _window(events, i0, "r1inv")
-    if w is None:
-        return None
-    a, b = w[0].pos, w[1].pos
-    return (b, "up") if b < a else (a, "down")
-
-
 def _r2_target(cusp: Event, variant: str) -> list:
     p = cusp.pos
     if cusp.kind == LEFT_CUSP:
@@ -151,39 +142,38 @@ def _r2_variants(cusp: Event, s: int) -> list:
     return variants
 
 
-def _match_r2inv(events, i0: int) -> Optional[tuple]:
-    """Return (cusp_event, variant) when the window undoes an r2."""
-    w = _window(events, i0, "r2inv")
-    if w is None:
-        return None
-    a, b = w[0].pos, w[1].pos
-    cusp = lc(b) if w[0].kind == LEFT_CUSP else rc(b)
-    return cusp, "up" if b < a else "down"
+#: Why a window move does not apply, by kind.
+_NOT_A_WINDOW = {"r1inv": "window is not a tongue",
+                 "r2inv": "window does not undo an r2",
+                 "r3": "window is not a triple point"}
 
 
-def _match_r3(events, i0: int) -> Optional[list]:
-    w = _window(events, i0, "r3")
-    if w is None:
+def _undo(events, i0: int) -> Optional[tuple]:
+    """(kind, replacement, redo) for the window events[i0:i0+3], or None
+    when those are no window: the window move ``kind`` (r1inv, r2inv or
+    r3) rewrites the window to the replacement events, and the ``redo``
+    move (r1, r2 or r3, anchored at the window) rewrites them back."""
+    w = events[i0:i0 + 3]
+    kind = _window_kind(*w) if len(w) == 3 else None
+    if kind is None:
         return None
-    q, r = w[0].pos, w[1].pos
-    return [x(r), x(q), x(r)]
+    a, b, _ = w
+    anchor = i0 + 1
+    variant = "up" if b.pos < a.pos else "down"
+    if kind == "r1inv":
+        return kind, (), Move("r1", anchor, min(a.pos, b.pos), variant)
+    if kind == "r2inv":
+        cusp = lc(b.pos) if a.kind == LEFT_CUSP else rc(b.pos)
+        return kind, (cusp,), Move("r2", anchor, variant=variant)
+    return kind, (x(b.pos), x(a.pos), x(b.pos)), Move("r3", anchor)
 
 
 # ---------------------------------------------------------------------------
 # rewrites
 
-class _Rewrite(_Frozen):
-    """Replace events[i0:i0+n_old] with new_events (0-based i0)."""
-
-    __slots__ = _fields = ("i0", "n_old", "new_events")
-
-    def __init__(self, i0: int, n_old: int, new_events: tuple):
-        object.__setattr__(self, "i0", i0)
-        object.__setattr__(self, "n_old", n_old)
-        object.__setattr__(self, "new_events", new_events)
-
-
-def _resolve(diagram: FrontDiagram, move: Move) -> _Rewrite:
+def _resolve(diagram: FrontDiagram, move: Move) -> tuple:
+    """The move's rewrite (i0, n_old, new_events): replace
+    events[i0:i0+n_old] (0-based i0) with new_events."""
     events = diagram.events
     counts = diagram.walk.counts
     kind = move.kind
@@ -196,50 +186,39 @@ def _resolve(diagram: FrontDiagram, move: Move) -> _Rewrite:
         if kind == "h0":
             if not 1 <= p <= s + 1:
                 raise NotApplicable(f"h0 at {p} needs 1..{s + 1}")
-            return _Rewrite(gap - 1, 0, (lc(p), rc(p)))
+            return gap - 1, 0, (lc(p), rc(p))
         if kind == "h1":
             if not 1 <= p <= s - 1:
                 raise NotApplicable(
                     f"h1 at {p} needs two strands at {p},{p + 1}")
-            return _Rewrite(gap - 1, 0, (rc(p), lc(p)))
+            return gap - 1, 0, (rc(p), lc(p))
         variant = move.variant or "up"
         if not 1 <= p <= s:
             raise NotApplicable(f"r1 needs a strand at {p}")
-        return _Rewrite(gap - 1, 0, tuple(_r1_window(p, variant)))
+        return gap - 1, 0, tuple(_r1_window(p, variant))
 
     i0 = move.anchor - 1
     if not 0 <= i0 < len(events):
         raise NotApplicable(f"anchor {move.anchor} outside the word")
 
-    if kind == "r1inv":
-        m = _match_r1inv(events, i0)
-        if m is None:
-            raise NotApplicable("window is not a tongue")
-        return _Rewrite(i0, 3, ())
+    if kind in _NOT_A_WINDOW:
+        undo = _undo(events, i0)
+        if undo is None or undo[0] != kind:
+            raise NotApplicable(_NOT_A_WINDOW[kind])
+        return i0, 3, undo[1]
     if kind == "r2":
         e = events[i0]
         variant = move.variant or "up"
         if variant not in _r2_variants(e, counts[i0]):
             raise NotApplicable("r2 needs a cusp with a neighbouring strand")
-        return _Rewrite(i0, 1, tuple(_r2_target(e, variant)))
-    if kind == "r2inv":
-        m = _match_r2inv(events, i0)
-        if m is None:
-            raise NotApplicable("window does not undo an r2")
-        cusp, _ = m
-        return _Rewrite(i0, 3, (cusp,))
-    if kind == "r3":
-        target = _match_r3(events, i0)
-        if target is None:
-            raise NotApplicable("window is not a triple point")
-        return _Rewrite(i0, 3, tuple(target))
+        return i0, 1, tuple(_r2_target(e, variant))
     # tr
     if i0 + 1 >= len(events):
         raise NotApplicable("transposition needs two events")
     swapped = transpose_events(events[i0], events[i0 + 1])
     if swapped is None:
         raise NotApplicable("events share vertical support")
-    return _Rewrite(i0, 2, tuple(swapped))
+    return i0, 2, tuple(swapped)
 
 
 # ---------------------------------------------------------------------------
@@ -253,38 +232,35 @@ class RulingTransport(_Frozen):
     a bijection between the full ruling sets of source and target; a
     saddle raises TransportFailure on rulings it is incompatible with.
 
-    Calling it on a switch set checks the ordinals and rescans the whole
-    source word.  ``carry`` moves a caller's per-event flags and entry
-    pairings (the script runner's keys) across the move without a rescan:
-    the pairing after the old window is already the entry of the event
-    after it.  ``window_match`` is the boundary matching that both run.
+    Calling it on a switch set checks the ordinals, then the ruling with
+    one scan of the whole source word, which refuses a non-ruling as
+    "event i: reason", as is_normal_ruling reports it.  ``carry`` moves a
+    caller's per-event flags and entry pairings (the script runner's keys)
+    across the move without a rescan: the pairing after the old window is
+    already the entry of the event after it.  ``window_match`` is the
+    boundary matching that both run.
     """
 
     __slots__ = _fields = ("move", "source", "target", "_rewrite")
     _hidden = ("_rewrite",)
 
     def __init__(self, move: Move, source: FrontDiagram,
-                 target: FrontDiagram, _rewrite: _Rewrite):
+                 target: FrontDiagram, _rewrite: tuple):
         object.__setattr__(self, "move", move)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "_rewrite", _rewrite)
 
     def __call__(self, ruling: Iterable) -> frozenset:
-        rw = self._rewrite
-        i0, end = rw.i0, rw.i0 + rw.n_old
+        i0, n_old, _ = self._rewrite
+        end = i0 + n_old
         events = self.source.events
         flags = switch_flags(self.source, ruling)
-        entry, _, fail = scan(events, flags[:i0])
+        _, _, fail = scan(events, flags)
         if fail is not None:
             raise InvalidRuling(f"event {fail[0]}: {fail[1]}")
-        exit_key, _, fail = scan(events[i0:end], flags[i0:end], key=entry)
-        if fail is not None:
-            raise InvalidRuling(
-                "switch set is not a normal ruling of the source diagram")
-        _, _, fail = scan(events[end:], flags[end:], key=exit_key)
-        if fail is not None:
-            raise InvalidRuling(f"event {end + fail[0]}: {fail[1]}")
+        entry = scan(events, flags[:i0])[0]
+        exit_key = scan(events[i0:end], flags[i0:end], key=entry)[0]
         window, _ = self.window_match(entry, exit_key, flags[i0:end])
         return switches_of(self.target, flags[:i0] + window + flags[end:])
 
@@ -294,10 +270,9 @@ class RulingTransport(_Frozen):
         events, from the pairings entering and leaving the old window and
         the old window's flags.  Raises TransportFailure unless exactly
         one choice reaches the same exit pairing."""
-        rw = self._rewrite
-        old = self.source.events[rw.i0:rw.i0 + rw.n_old]
-        matches = window_matches(entry, exit_key, old, old_flags,
-                                 rw.new_events)
+        i0, n_old, new_events = self._rewrite
+        old = self.source.events[i0:i0 + n_old]
+        matches = window_matches(entry, exit_key, old, old_flags, new_events)
         if len(matches) != 1:
             if self.move.kind == "h1":
                 p = self.move.pos
@@ -318,8 +293,8 @@ class RulingTransport(_Frozen):
         the new window; boundary matching keeps the window's exit pairing,
         so the entries after it stay valid.  A TransportFailure leaves
         both lists as they were."""
-        rw = self._rewrite
-        i0, end = rw.i0, rw.i0 + rw.n_old
+        i0, n_old, _ = self._rewrite
+        end = i0 + n_old
         window, after = self.window_match(entries[i0], entries[end],
                                           flags[i0:end])
         flags[i0:end] = window
@@ -329,8 +304,9 @@ class RulingTransport(_Frozen):
 def apply_move(diagram: FrontDiagram, move: Move) -> tuple:
     """Rewrite the diagram and return (new diagram, ruling transport)."""
     rw = _resolve(diagram, move)
+    i0, n_old, new_events = rw
     events = list(diagram.events)
-    events[rw.i0:rw.i0 + rw.n_old] = rw.new_events
+    events[i0:i0 + n_old] = new_events
     try:
         target = FrontDiagram(events)
     except InvalidDiagram as exc:

@@ -292,13 +292,13 @@ def _transfer(diagram: FrontDiagram, budget: Optional[int],
     return switches, fold_ids, folds
 
 
-def _map_back(diagram: FrontDiagram, narrow: FrontDiagram, origins: tuple,
-              ruling: tuple) -> list:
+def _map_back(narrow: FrontDiagram, origins: tuple, ruling: tuple) -> list:
     """Carry a ruling of ``narrow``, far_commutation_order's reordering of
-    ``diagram``, back to switch flags of ``diagram``.
+    a word, back to switch flags of that word, ``origins[t]`` being the
+    word's index of the t-th event of ``narrow``.
 
     Undoing the reordering moves each emitted event back past the events
-    emitted after it that precede it in ``diagram``, last emitted first;
+    emitted after it that precede it in the word, last emitted first;
     each swap is a ``tr`` move.  A swap past a cusp, or of two crossings
     with equal flags, keeps every switch on its crossing, so the flags
     travel by the permutation ``origins``.  A swap of two crossings with
@@ -313,41 +313,33 @@ def _map_back(diagram: FrontDiagram, narrow: FrontDiagram, origins: tuple,
     reordered word before the moving crossing, then the events it has
     passed.  Those never touch its strands, and a mate changes strand
     only at a switch on that mate, so the walk visits only crossings on
-    the two mated strands (named by their left cusp's index in
-    ``diagram``).  The moving crossing lies below the other one when its
-    lower strand is the lower arc of its eye, which no ``tr`` move
-    changes, so a match runs on the four strands of the swap alone.
+    the two mated strands (named by their left cusp's index in the
+    word).  Crossings on one strand never commute, so they come in the
+    same order in both words, and one walk of the reordered word lists
+    each strand's crossings.  The moving crossing lies below the other one
+    when its lower strand is the lower arc of its eye, which no ``tr``
+    move changes, so a match runs on the four strands of the swap alone.
     """
-    time = [0] * len(origins)
-    for t, i in enumerate(origins):
-        time[i] = t
-    stack, strands, on = [], {}, {}
-    for i, e in enumerate(diagram.events):
-        p = e.pos
-        if e.kind == LEFT_CUSP:
-            stack[p - 1:p - 1] = (2 * i, 2 * i + 1)
-            on[2 * i], on[2 * i + 1] = [], []
-        elif e.kind == CROSSING:
-            a, b = strands[i] = stack[p - 1], stack[p]
-            on[a].append(i)
-            on[b].append(i)
-            stack[p - 1], stack[p] = b, a
-        else:
-            del stack[p - 1:p + 1]
-
     # Per crossing of the reordered word: its strands, their mates on
-    # the slice before it, and whether its lower strand is the lower arc.
+    # the slice before it, and whether its lower strand is the lower arc;
+    # per strand, the times of its crossings in the reordered word.
     flags = switch_flags(narrow, ruling)
     m, stack, walks = [0], [], []  # the mates, stepped in place
+    strands, on = {}, {}
     for t, e in enumerate(narrow.events):
         p = e.pos
         if e.kind == LEFT_CUSP:
-            stack[p - 1:p - 1] = (2 * origins[t], 2 * origins[t] + 1)
+            lower = 2 * origins[t]
+            stack[p - 1:p - 1] = (lower, lower + 1)
+            on[lower], on[lower + 1] = [], []
             _born(m, p)
         elif e.kind == CROSSING:
-            walks.append((t, stack[p - 1], stack[p], stack[m[p] - 1],
-                          stack[m[p + 1] - 1], m[p] > p))
-            stack[p - 1], stack[p] = stack[p], stack[p - 1]
+            a, b = strands[origins[t]] = stack[p - 1], stack[p]
+            on[a].append(t)
+            on[b].append(t)
+            walks.append((t, a, b, stack[m[p] - 1], stack[m[p + 1] - 1],
+                          m[p] > p))
+            stack[p - 1], stack[p] = b, a
             if not flags[t]:
                 _cross(m, p)
         else:
@@ -362,13 +354,13 @@ def _map_back(diagram: FrontDiagram, narrow: FrontDiagram, origins: tuple,
         c = -1
         while True:
             # the next crossing on a mated strand that the moving one
-            # passes: after c, emitted after t, and before it in diagram
+            # passes: after c, emitted after t, and before it in the word
             passed = []
             for cs in (on[mate1], on[mate2]):
-                k = max(bisect_right(cs, c),
-                        bisect_right(cs, t, key=time.__getitem__))
-                if k < len(cs) and cs[k] < moving:
-                    passed.append(cs[k])
+                k = max(bisect_right(cs, c, key=origins.__getitem__),
+                        bisect_right(cs, t))
+                if k < len(cs) and origins[cs[k]] < moving:
+                    passed.append(origins[cs[k]])
             if not passed:
                 break
             c = min(passed)
@@ -438,7 +430,7 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
     ordinals = diagram.walk.ordinals
     rows = []
     for ruling in _transfer(narrow, budget)[0]:
-        flags = _map_back(diagram, narrow, origins, ruling)
+        flags = _map_back(narrow, origins, ruling)
         tallies = () if cls is PairingState else \
             scan(diagram.events, flags, cls)[1]
         rows.append((tuple(compress(ordinals, flags)), tallies))

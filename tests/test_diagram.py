@@ -298,6 +298,26 @@ class TestFarCommutationOrder:
             assert max(d.walk.counts) == 2 * (2 * n + 5)
             assert max(narrow.walk.counts) == 10
 
+    def test_crossings_keep_their_order_along_each_strand(self,
+                                                          fillable_300):
+        """Crossings on one strand never commute, so the reorder emits
+        them in word order; rulings._map_back reads a strand's crossings
+        off the reordered word alone."""
+        diagrams = [generate_torus4(n) for n in range(15)]
+        diagrams += [generate_negative_braid_closure(4, [1, 2, 3] * k)
+                     for k in range(1, 5)]
+        for d in diagrams + fillable_300:
+            _, origins = far_commutation_order(d)
+            time = {i: t for t, i in enumerate(origins)}
+            slices = trace_components(d).slices
+            on = {}  # strand segment -> emission times of its crossings
+            for i, e in enumerate(d.events):
+                if e.kind == CROSSING:
+                    for strand in slices[i][e.pos - 1:e.pos + 1]:
+                        on.setdefault(strand, []).append(time[i])
+            for times in on.values():
+                assert times == sorted(times), d
+
     def test_no_narrower_order(self):
         for d in (generate_trefoil(), generate_torus4(0),
                   generate_negative_braid_closure(2, [1] * 16)):

@@ -3,14 +3,15 @@
 import pytest
 
 from clasplab import (EvennessViolation, FrontDiagram, Move, ScriptError,
-                      TransportFailure, cobordism_parity_check,
+                      TransportFailure, apply_move, cobordism_parity_check,
+                      enumerate_applicable_moves,
                       generate_negative_braid_closure, generate_torus4,
                       generate_trefoil, generate_unknot, lc,
                       obstruction_verdict, random_script, rc, run_script,
                       search_filling)
 from clasplab.fillability import (CobordismParity, FillingCertificate,
                                   ObstructionVerdict, RulingEvidence,
-                                  SearchResult)
+                                  SearchResult, _backward_steps)
 from clasplab.moves import RulingTransport
 from conftest import assert_value_contract, reference_run_script
 
@@ -245,6 +246,19 @@ class TestCobordismParity:
 
 
 class TestSearch:
+    def test_backward_steps_are_listed_moves(self):
+        """Every (parent, move) the backward search takes is a move the
+        parent's menu lists, and it rebuilds the diagram."""
+        pairs = 0
+        for seed in range(600):
+            d = run_script(random_script(1 + seed % 12, seed)).diagram
+            for parent, move in _backward_steps(d):
+                assert move in enumerate_applicable_moves(parent), (seed,
+                                                                    move)
+                assert apply_move(parent, move)[0].events == d.events
+                pairs += 1
+        assert pairs > 3000
+
     def test_unknot_found(self):
         result = search_filling(generate_unknot())
         assert result.status == "found"

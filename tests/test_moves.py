@@ -16,9 +16,8 @@ from clasplab import (FrontDiagram, InvalidRuling, Move, NotApplicable,
                       resolve, serialize_script, transpose_events, validate,
                       x)
 from clasplab.fillability import random_script
-from clasplab.moves import (MOVE_KINDS, RulingTransport, _match_r1inv,
-                            _match_r2inv, _match_r3, _menu, _r2_variants,
-                            applicable_kinds)
+from clasplab.moves import (MOVE_KINDS, RulingTransport, _menu,
+                            _r2_variants, _undo, applicable_kinds)
 from clasplab.rulings import PairingState, scan, switch_flags, switches_of
 from conftest import (assert_value_contract, normalize, partition,
                       random_fillable, ruling_sort_key, step)
@@ -51,23 +50,36 @@ class TestHandles:
         with pytest.raises(TransportFailure, match="two different eyes"):
             t(EMPTY)
 
-    def test_call_refuses_every_non_ruling(self, corpus):
+    def test_call_refuses_every_non_ruling(self, corpus, fillable_small):
+        """A transport refuses a switch set that is no ruling of its source
+        as is_normal_ruling reports it, "event i: reason", wherever event
+        i lies against the move's window."""
         # {1, 3} fails at event 5 of the trefoil, after the birth's window
         d = corpus["trefoil"]
         assert is_normal_ruling(d, {1, 3}).event_index == 5
         _, t = apply_move(d, Move("h0", 1, 1))
         with pytest.raises(InvalidRuling, match="^event 5: normality"):
             t({1, 3})
-        for d in (corpus["trefoil"], corpus["braid3"]):
+        inside = 0
+        for d in list(corpus.values()) + fillable_small:
             c = d.n_crossings
-            non_rulings = [s for k in range(c + 1)
-                           for s in combinations(range(1, c + 1), k)
-                           if not is_normal_ruling(d, s).ok]
+            if c > 4:
+                continue
+            checks = [(s, is_normal_ruling(d, s))
+                      for r in range(c + 1)
+                      for s in combinations(range(1, c + 1), r)]
             for m in enumerate_applicable_moves(d):
                 _, t = apply_move(d, m)
-                for s in non_rulings:
-                    with pytest.raises(InvalidRuling):
+                i0, n_old, _ = t._rewrite
+                for s, check in checks:
+                    if check.ok:
+                        continue
+                    with pytest.raises(InvalidRuling) as exc:
                         t(s)
+                    assert str(exc.value) == \
+                        f"event {check.event_index}: {check.reason}"
+                    inside += i0 < check.event_index <= i0 + n_old
+        assert inside  # refusals inside a window must actually occur
 
     def test_handles_keep_switch_ordinals(self):
         d = generate_trefoil()
@@ -253,7 +265,8 @@ class TestEnumerateApplicable:
 
 def reference_menu(diagram):
     """The move menu as it used to be built: gap by gap, then anchor by
-    anchor, then sorted by kind, anchor, slot and variant."""
+    anchor (a window by the kind _undo reads), then sorted by kind,
+    anchor, slot and variant."""
     events = diagram.events
     counts = diagram.walk.counts
     out = []
@@ -267,12 +280,9 @@ def reference_menu(diagram):
         anchor = i + 1
         out += [Move("r2", anchor, variant=v)
                 for v in _r2_variants(e, counts[i])]
-        if _match_r1inv(events, i) is not None:
-            out.append(Move("r1inv", anchor))
-        if _match_r2inv(events, i) is not None:
-            out.append(Move("r2inv", anchor))
-        if _match_r3(events, i) is not None:
-            out.append(Move("r3", anchor))
+        undo = _undo(events, i)
+        if undo is not None:
+            out.append(Move(undo[0], anchor))
         if i + 1 < len(events) \
                 and transpose_events(events[i], events[i + 1]) is not None:
             out.append(Move("tr", anchor))
@@ -667,28 +677,31 @@ class TestMoveTokens:
 
 class TestInverseComposition:
     def test_transports_round_trip(self, fillable_small):
-        """Inverse rewrites compose with their forward move to the
-        identity, on diagrams and on transported rulings alike."""
-        from clasplab.moves import _match_r1inv, _match_r2inv
-
+        """A window move and the redo move _undo reads off its window, and
+        an r1, r2 or r3 and the window move at its anchor, compose to the
+        identity, on diagrams and on transported rulings alike.  The
+        window a forward move leaves reads back as that very move, with
+        the events it replaced."""
+        inverse = {"r1": "r1inv", "r2": "r2inv", "r3": "r3"}
+        replaced = {"r1": 0, "r2": 1, "r3": 3}
         pairs_checked = 0
         for d in fillable_small:
             rulings = enumerate_rulings(d)
             for m in enumerate_applicable_moves(d):
-                if m.kind == "r1inv":
-                    q, variant = _match_r1inv(d.events, m.anchor - 1)
-                    fwd = Move("r1", m.anchor, q, variant)
-                elif m.kind == "r2inv":
-                    _, variant = _match_r2inv(d.events, m.anchor - 1)
-                    fwd = Move("r2", m.anchor, variant=variant)
-                elif m.kind in ("r3", "r1", "r2"):
-                    fwd = {"r3": m,
-                           "r1": Move("r1inv", m.anchor),
-                           "r2": Move("r2inv", m.anchor)}[m.kind]
+                i = m.anchor - 1
+                if m.kind in inverse:
+                    d2, t = apply_move(d, m)
+                    assert _undo(d2.events, i) == (
+                        inverse[m.kind], d.events[i:i + replaced[m.kind]], m)
+                    back_move = Move(inverse[m.kind], m.anchor)
+                elif m.kind in inverse.values():
+                    kind, new, back_move = _undo(d.events, i)
+                    d2, t = apply_move(d, m)
+                    assert kind == m.kind
+                    assert d2.events == d.events[:i] + new + d.events[i + 3:]
                 else:
                     continue
-                d2, t = apply_move(d, m)
-                back, t_back = apply_move(d2, fwd)
+                back, t_back = apply_move(d2, back_move)
                 assert back.events == d.events
                 for r in rulings:
                     assert t_back(t(r)) == r

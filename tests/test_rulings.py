@@ -364,7 +364,7 @@ class TestRetrace:
                 assert flags == \
                     retrace_matching_every_swap(narrow, windows, ruling,
                                                 matched)
-                assert _map_back(d, narrow, origins, ruling) == flags
+                assert _map_back(narrow, origins, ruling) == flags
                 checked += 1
         assert checked > 300
         # the two-shared-eye test skips some matches, not all
@@ -441,7 +441,7 @@ def test_equals_the_slow_paths(family, monkeypatch):
             narrowed += 1
             searched = narrow
             for ruling in _transfer(narrow, None)[0]:
-                assert _map_back(d, narrow, origins, ruling) == \
+                assert _map_back(narrow, origins, ruling) == \
                     retrace(narrow, windows, ruling)
         steps = []
         backtrack_rulings(searched, steps=steps)
