@@ -20,8 +20,9 @@ tallies its eye pair and the clasps it closed.  clasp_report is one
 linear scan with it, which sums the tallies per pair, and ruling_reports
 counts during the transfer scan that lists the rulings (the backward pass
 sums each suffix's tallies), so no ruling is scanned twice.  The scan
-yields each distinct count once, as a fold, so the listing behind both
-(_sorted_reports) builds one report per fold.  resolve steps the same
+yields each distinct count once, as a fold, and its rulings already by
+size, then lexicographic, so the listing behind both (_sorted_reports)
+builds one report per fold and sorts nothing.  resolve steps the same
 keys and keeps what it passes: the eyes, the slices, the crossing records
 and each clasp's interval (for rendering).
 """

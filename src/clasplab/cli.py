@@ -59,7 +59,7 @@ def _read_source(path: str) -> str:
             return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, UnicodeError) as exc:
+    except (OSError, ValueError) as exc:  # a NUL in the path, or not UTF-8
         raise _UsageError(f"cannot read {path}: {exc}") from None
 
 
@@ -126,7 +126,7 @@ def _emit(args, payload: str) -> None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(payload)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise _UsageError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(payload)

@@ -30,17 +30,17 @@ switches_of and _enumerate.
 
 Rulings are listed by a transfer scan (_transfer): equal keys scan every
 suffix alike, so its forward pass keeps each distinct key once and steps
-it by its class's ``edges``.  A backward pass lists each key's suffixes,
-switch first, from the next event's lists, and folds the tallies per
-suffix.  The listing is columns: the switch tuples (increasing, until a
-public listing makes them frozensets), fold ids, and the table of
-distinct folds the ids index.
+it by its class's ``edges``.  A backward pass lists each key's suffixes
+by switch count from the next event's lists, already in final order,
+and folds the tallies per suffix.  The listing is columns: the switch
+tuples (increasing, until a public listing makes them frozensets), fold
+ids, and the table of distinct folds the ids index.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import combinations, compress
+from itertools import chain, combinations, compress, zip_longest
 from typing import Iterable, NamedTuple, Optional
 
 from .diagram import (CROSSING, LEFT_CUSP, Event, FrontDiagram,
@@ -208,12 +208,11 @@ class _FoldStep(dict):
 
 def _transfer(diagram: FrontDiagram, budget: Optional[int],
               cls=PairingState) -> tuple:
-    """Every way to scan the word as given, switch first at each
-    crossing, which within each size is increasing order, as columns
-    (switches, fold_ids, folds): the increasing tuples of switch ordinals
-    and per ruling the index in ``folds`` of its fold, the sorted (label,
-    sum) pairs ``scan`` would report for it.  ``folds`` holds once each
-    fold the backward pass meets, listed or not.
+    """Every way to scan the word as given, by size, then lexicographic,
+    as columns (switches, fold_ids, folds): the increasing tuples of
+    switch ordinals and per ruling the index in ``folds`` of its fold,
+    the sorted (label, sum) pairs ``scan`` would report for it.
+    ``folds`` holds once each fold the backward pass meets, listed or not.
 
     A transfer-matrix scan in two passes.  Forward, event by event, it
     keeps only keys (states with equal keys scan every suffix alike) and
@@ -222,11 +221,14 @@ def _transfer(diagram: FrontDiagram, budget: Optional[int],
     plain step, each as (next key, tally) or None for a dead end, and a
     switch keeps the key, since it never changes the pairing.  Backward,
     each node lists its suffixes, the paths from it to the end of the
-    word, from the next layer's lists: a switch edge prepends its ordinal to
-    every switch tuple, each edge maps the suffixes' fold ids through its
-    tally's memo table (_FoldStep), and the switch edge's list comes
-    before the plain edge's.  A node reaches the end exactly when its
-    list is non-empty.  Every prepend copies a tuple, so a ruling with s
+    word, in buckets by switch count, from the next layer's: a switch
+    edge prepends its ordinal to every switch tuple and moves each bucket
+    up by one, and each size lists the switch edge's first, so the start
+    key's buckets, in count order, are the listing.  Each edge maps the
+    fold ids through its tally's memo table (_FoldStep), unless it adds 0
+    to a label that every fold holds (the child's such labels plus the
+    edge's, and at a join those of both).  A node reaches the end exactly
+    when it has buckets.  Every prepend copies a tuple, so a ruling with s
     switches costs s*s element copies, all of them in C.
 
     Raises BudgetExceeded, before listing anything, once more than
@@ -261,35 +263,48 @@ def _transfer(diagram: FrontDiagram, budget: Optional[int],
         layers.append((nxt, tal))
         keys, paths = list(index), next_paths
 
-    # Backward: per node of the layer, its suffixes as parallel lists of
-    # switch tuples and fold ids; index -1 reads the dead end's lists.
-    dead, folds, fold_ids = ([], []), [()], {(): 0}
-    tables: dict = {}
+    # Backward: per node, its suffixes by switch count as (switch tuple
+    # lists, fold id lists, labels all its folds hold); -1 is a dead end.
+    dead, folds, fold_ids, tables = ([], [], None), [()], {(): 0}, {}
 
-    def fold_step(tally: tuple):
-        table = tables.get(tally)
-        if table is None:
-            table = tables[tally] = _FoldStep(tally, folds, fold_ids)
-        return table.__getitem__
+    def tallied(suffixes: tuple, tally: tuple) -> tuple:
+        """Suffixes after a tally, unchanged if it adds 0 to a held label."""
+        switches, ids, held = suffixes
+        if not tally[1] and tally[0] in held:
+            return suffixes
+        if tally not in tables:
+            tables[tally] = _FoldStep(tally, folds, fold_ids)
+        step = tables[tally].__getitem__
+        return switches, [list(map(step, f)) for f in ids], held | {tally[0]}
 
-    suffixes = [([()], [0])] * len(keys) + [dead]
+    suffixes = [([[()]], [[0]], frozenset())] * len(keys) + [dead]
     for (nxt, tal), ordinal in zip(reversed(layers),
                                    reversed(diagram.walk.ordinals)):
         prefix = (ordinal,).__add__
         listed = []
         for j in range(0, len(nxt), 2):
-            sb, fb = suffixes[nxt[j + 1]]
-            if fb and tal[j + 1] is not None:
-                fb = list(map(fold_step(tal[j + 1]), fb))
-            sa, fa = suffixes[nxt[j]]
-            if sa:
+            plain = suffixes[nxt[j + 1]]
+            if plain[0] and tal[j + 1] is not None:
+                plain = tallied(plain, tal[j + 1])
+            switch = suffixes[nxt[j]]
+            if switch[0]:
                 if tal[j] is not None:
-                    fa = list(map(fold_step(tal[j]), fa))
-                sb, fb = list(map(prefix, sa)) + sb, fa + fb
-            listed.append((sb, fb))
+                    switch = tallied(switch, tal[j])
+                sa, fa, held = switch
+                sb, fb, also = plain
+                # the switch edge's bucket i lists first in bucket i + 1;
+                # f is empty exactly when s is
+                ss, ff = sb[:1] or [[]], fb[:1] or [[]]
+                for s, f, t, g in zip_longest(sa, fa, sb[1:], fb[1:],
+                                              fillvalue=[]):
+                    ss.append([*map(prefix, s), *t] if s else t)
+                    ff.append(f + g if f and g else f or g)
+                plain = ss, ff, held & also if sb else held
+            listed.append(plain)
         suffixes = listed + [dead]
-    switches, fold_ids = suffixes[0]
-    return switches, fold_ids, folds
+    switches, ids, _ = suffixes[0]
+    return (list(chain.from_iterable(switches)),
+            list(chain.from_iterable(ids)), folds)
 
 
 def _map_back(narrow: FrontDiagram, origins: tuple, ruling: tuple) -> list:
@@ -390,12 +405,10 @@ def _map_back(narrow: FrontDiagram, origins: tuple, ruling: tuple) -> list:
 
 def _enumerate(diagram: FrontDiagram, budget: Optional[int],
                cls=PairingState) -> tuple:
-    """Every normal ruling as _transfer's columns, sorted once by size,
-    then lexicographic: on ``diagram`` itself, which the transfer scan
-    lists in increasing order within each length, by a stable sort of the
-    row indices on length alone (a C-level key); after mapping back, which
-    changes the ordinals, by (length, tuple), with fold ids assigned in
-    listing order.
+    """Every normal ruling as _transfer's columns, by size, then
+    lexicographic: on ``diagram`` itself, as the transfer scan lists them;
+    after mapping back, which changes the ordinals, sorted by (length,
+    tuple), with fold ids assigned in listing order.
 
     The number of scan states grows with the width (the most strands
     alive on one slice), so the word is first reordered by far
@@ -421,11 +434,7 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
     """
     reordered = far_commutation_order(diagram, max(diagram.walk.counts))
     if reordered is None:
-        switches, fold_ids, folds = _transfer(diagram, budget, cls)
-        order = sorted(range(len(switches)),
-                       key=list(map(len, switches)).__getitem__)
-        return (list(map(switches.__getitem__, order)),
-                list(map(fold_ids.__getitem__, order)), folds)
+        return _transfer(diagram, budget, cls)
     narrow, origins = reordered
     ordinals = diagram.walk.ordinals
     rows = []

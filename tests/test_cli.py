@@ -340,6 +340,14 @@ class TestErrorsAndDeterminism:
          "cannot write"),
         (("rulings", "--generate", "unknot", "--out", "{tmp}"),
          "cannot write"),
+        (("rulings", "--input", "a\x00b"),
+         "cannot read a\x00b: embedded null byte"),
+        (("apply-script", "--script", "a\x00b"),
+         "cannot read a\x00b: embedded null byte"),
+        (("cobordism", "--generate", "unknot", "--upper", "a\x00b"),
+         "cannot read a\x00b: embedded null byte"),
+        (("rulings", "--generate", "unknot", "--out", "a\x00b"),
+         "cannot write a\x00b: embedded null byte"),
         (("obstruct", "--generate", "torus4", "--n", "-1"),
          "--n must be >= 0, got -1"),
         (("search", "--generate", "unknot", "--depth", "-1"),
@@ -360,7 +368,8 @@ class TestErrorsAndDeterminism:
           for command in ("clasps", "parity", "render")),
     ], ids=["missing-input", "directory-input", "missing-script",
             "missing-upper", "non-utf8-input", "out-in-missing-dir",
-            "out-is-directory", "negative-n", "negative-depth",
+            "out-is-directory", "nul-in-input", "nul-in-script",
+            "nul-in-upper", "nul-in-out", "negative-n", "negative-depth",
             "non-integer-word", "upper-without-upper-n",
             "negative-upper-n", "upper-and-generate-upper",
             "deeply-nested-ruling-clasps",
