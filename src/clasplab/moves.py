@@ -234,11 +234,11 @@ class RulingTransport(_Frozen):
 
     Calling it on a switch set checks the ordinals, then the ruling with
     one scan of the whole source word, which refuses a non-ruling as
-    "event i: reason", as is_normal_ruling reports it.  ``carry`` moves a
-    caller's per-event flags and entry pairings (the script runner's keys)
-    across the move without a rescan: the pairing after the old window is
-    already the entry of the event after it.  ``window_match`` is the
-    boundary matching that both run.
+    "event i: reason", as is_normal_ruling reports it, and hands the
+    scan's keys to ``carry``, the one transport routine.  The script
+    runner keeps its flags and keys across moves and calls ``carry``
+    itself, without a rescan: the pairing after the old window is already
+    the entry of the event after it.
     """
 
     __slots__ = _fields = ("move", "source", "target", "_rewrite")
@@ -252,27 +252,27 @@ class RulingTransport(_Frozen):
         object.__setattr__(self, "_rewrite", _rewrite)
 
     def __call__(self, ruling: Iterable) -> frozenset:
-        i0, n_old, _ = self._rewrite
-        end = i0 + n_old
-        events = self.source.events
         flags = switch_flags(self.source, ruling)
-        _, _, fail = scan(events, flags)
+        keys, _, fail = scan(self.source.events, flags)
         if fail is not None:
             raise InvalidRuling(f"event {fail[0]}: {fail[1]}")
-        entry = scan(events, flags[:i0])[0]
-        exit_key = scan(events[i0:end], flags[i0:end], key=entry)[0]
-        window, _ = self.window_match(entry, exit_key, flags[i0:end])
-        return switches_of(self.target, flags[:i0] + window + flags[end:])
+        self.carry(flags, keys)
+        return switches_of(self.target, flags)
 
-    def window_match(self, entry: tuple, exit_key: tuple,
-                     old_flags) -> tuple:
-        """The new window's switch flags and the pairing after each of its
-        events, from the pairings entering and leaving the old window and
-        the old window's flags.  Raises TransportFailure unless exactly
-        one choice reaches the same exit pairing."""
+    def carry(self, flags: list, entries: list) -> None:
+        """Carry a ruling across the move, in place: ``flags`` are the
+        source word's per-event switch flags and ``entries[i]`` the
+        pairing before event i (and after the last), as a PairingState
+        key.  The new window takes the one switch choice that scans from
+        the pairing entering the old window to the one leaving it, and the
+        keys passed while scanning it become the entries inside the new
+        window; the entries after it stay valid.  Raises TransportFailure,
+        leaving both lists as they were, unless exactly one choice does."""
         i0, n_old, new_events = self._rewrite
-        old = self.source.events[i0:i0 + n_old]
-        matches = window_matches(entry, exit_key, old, old_flags, new_events)
+        end = i0 + n_old
+        matches = window_matches(entries[i0], entries[end],
+                                 self.source.events[i0:end], flags[i0:end],
+                                 new_events)
         if len(matches) != 1:
             if self.move.kind == "h1":
                 p = self.move.pos
@@ -282,23 +282,7 @@ class RulingTransport(_Frozen):
             raise TransportFailure(
                 f"{'no' if not matches else 'ambiguous'} boundary-matching "
                 f"switch choice for {self.move}")
-        return matches[0]
-
-    def carry(self, flags: list, entries: list) -> None:
-        """Carry a ruling across the move, in place: ``flags`` are the
-        source word's per-event switch flags and ``entries[i]`` the
-        pairing before event i (and after the last), as a PairingState
-        key.  The window is matched against ``entries`` at its end, and
-        the keys passed while scanning the match become the entries inside
-        the new window; boundary matching keeps the window's exit pairing,
-        so the entries after it stay valid.  A TransportFailure leaves
-        both lists as they were."""
-        i0, n_old, _ = self._rewrite
-        end = i0 + n_old
-        window, after = self.window_match(entries[i0], entries[end],
-                                          flags[i0:end])
-        flags[i0:end] = window
-        entries[i0 + 1:end + 1] = after
+        flags[i0:end], entries[i0 + 1:end + 1] = matches[0]
 
 
 def apply_move(diagram: FrontDiagram, move: Move) -> tuple:

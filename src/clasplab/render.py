@@ -93,35 +93,20 @@ def svg_render(diagram: FrontDiagram, ruling: Optional[Iterable] = None) -> str:
              f'width="{width:.0f}" height="{total_h:.0f}" '
              f'viewBox="0 0 {width:.0f} {total_h:.0f}">']
 
+    marks = []
     if ruling is None:
         trace = trace_components(diagram)
-        paths = _paths_from_slices(trace.slices)
+        slices = trace.slices
+        paths = _paths_from_slices(slices)
         color_of = {key: _color(trace.component_of_strand[key])
                     for key in paths}
-        births = {}
-        deaths = {}
-        for i, e in enumerate(diagram.events, start=1):
-            if e.kind == LEFT_CUSP:
-                pair = (trace.slices[i][e.pos - 1], trace.slices[i][e.pos])
-                births[pair] = (i, e.pos)
-            elif e.kind != CROSSING:
-                pair = (trace.slices[i - 1][e.pos - 1],
-                        trace.slices[i - 1][e.pos])
-                deaths[pair] = (i, e.pos)
-        marks = []
     else:
         # only a ruling needs clasps, so plain fronts do not load it
         from .clasps import resolve
         res = resolve(diagram, ruling)
-        paths = _paths_from_slices(res.slices)
+        slices = res.slices
+        paths = _paths_from_slices(slices)
         color_of = {key: _color(key[0]) for key in paths}
-        births = {((eye, 0), (eye, 1)):
-                  (i, diagram.events[i - 1].pos)
-                  for eye, i in enumerate(res.birth)}
-        deaths = {((eye, 0), (eye, 1)):
-                  (i, diagram.events[i - 1].pos)
-                  for eye, i in enumerate(res.death)}
-        marks = []
         for r in res.records:
             if r.switch:
                 px = _X0 + _DX * (r.event_index - 0.5)
@@ -133,7 +118,7 @@ def svg_render(diagram: FrontDiagram, ruling: Optional[Iterable] = None) -> str:
                              f'stroke-width="1" stroke-dasharray="2 2"/>')
         for a, b, enter, leave in sorted(res.clasps):
             j = (enter + leave - 1) // 2
-            heights = [h for h, key in enumerate(res.slices[j], start=1)
+            heights = [h for h, key in enumerate(slices[j], start=1)
                        if key[0] in (a, b)]
             px = _X0 + _DX * j
             y_lo = _xy(j, min(heights), height)[1]
@@ -141,6 +126,14 @@ def svg_render(diagram: FrontDiagram, ruling: Optional[Iterable] = None) -> str:
             marks.append(f'<line x1="{px:.1f}" y1="{y_hi:.1f}" '
                          f'x2="{px:.1f}" y2="{y_lo:.1f}" stroke="#c00" '
                          f'stroke-width="1.5" stroke-dasharray="5 3"/>')
+
+    # each cusp's two strands, read off the slice where they are alive
+    births, deaths = {}, {}
+    for i, e in enumerate(diagram.events, start=1):
+        if e.kind == LEFT_CUSP:
+            births[slices[i][e.pos - 1], slices[i][e.pos]] = (i, e.pos)
+        elif e.kind != CROSSING:
+            deaths[slices[i - 1][e.pos - 1], slices[i - 1][e.pos]] = (i, e.pos)
 
     for key in sorted(paths):
         pts = [_xy(j, h, height) for j, h in paths[key]]

@@ -23,8 +23,10 @@ that counts something (clasps.ClaspState) reports each edge's tally, and
 the scans sum them per label without knowing what they count.
 
 A switch choice is carried as per-event flags (True at switched crossings,
-False everywhere else), and ``scan`` is the one loop that runs a class
-over a word or a window of one, taking each event's edge by its flag.
+False everywhere else), and ``scan`` runs a class over a word or a window
+of one, taking each event's edge by its flag and listing the keys it
+passes.  Four loops step keys themselves: _transfer's forward pass,
+window_matches, _map_back and clasps.resolve.
 Switch sets of crossing ordinals meet the flags only in switch_flags,
 switches_of and _enumerate.
 
@@ -136,24 +138,26 @@ def scan(events, flags, cls=PairingState,
     Starts from ``key``, or from ``cls.start``, and stops at the end of
     the shorter of ``events`` and ``flags``.  Each event takes the switch
     or the plain edge of ``cls.edges`` by its flag, and the edges' tallies
-    are summed per label.  Returns (key, tallies, fail): the key reached,
-    the sorted (label, sum) pairs, and None when every event scans, else
-    (i, reason) with i the 1-based index of the first failing event and
-    ``key`` the state before it.
+    are summed per label.  Returns (keys, tallies, fail): the keys passed,
+    ``keys[i]`` the one before ``events[i]`` and ``keys[-1]`` the last
+    reached; the sorted (label, sum) pairs; and None when every event
+    scans, else (i, reason) with i the 1-based index of the first failing
+    event, so ``keys[-1]`` is the state before it and ``len(keys) == i``.
     """
     if key is None:
         key = cls.start
-    edges, sums, fail = cls.edges, {}, None
+    keys, edges, sums, fail = [key], cls.edges, {}, None
     for i, (e, f) in enumerate(zip(events, flags), start=1):
         edge = edges(key, e)[not f]
         if edge is None:
             fail = i, _failure(key, e, f)
             break
         key, tally = edge
+        keys.append(key)
         if tally is not None:
             label, amount = tally
             sums[label] = sums.get(label, 0) + amount
-    return key, tuple(sorted(sums.items())), fail
+    return keys, tuple(sorted(sums.items())), fail
 
 
 def switch_flags(diagram: FrontDiagram, switches: Iterable) -> list:
@@ -161,6 +165,8 @@ def switch_flags(diagram: FrontDiagram, switches: Iterable) -> list:
     switches = frozenset(switches)
     c = diagram.n_crossings
     for o in switches:
+        if type(o) is not int:
+            raise InvalidRuling(f"switch ordinal {o!r} is not an int")
         if not 1 <= o <= c:
             raise InvalidRuling(f"switch ordinal {o} outside 1..{c}")
     return [o in switches for o in diagram.walk.ordinals]
@@ -339,6 +345,7 @@ def _map_back(narrow: FrontDiagram, origins: tuple, ruling: tuple) -> list:
     # the slice before it, and whether its lower strand is the lower arc;
     # per strand, the times of its crossings in the reordered word.
     flags = switch_flags(narrow, ruling)
+    # reading the mates off scan's keys made this ~30% slower on torus4(3)
     m, stack, walks = [0], [], []  # the mates, stepped in place
     strands, on = {}, {}
     for t, e in enumerate(narrow.events):
@@ -389,9 +396,9 @@ def _map_back(narrow: FrontDiagram, origins: tuple, ruling: tuple) -> list:
                 entry = tuple(mates)
                 old = (Event(CROSSING, pm), Event(CROSSING, po))
                 old_flags = (out[moving], out[c])
-                exit_key, _, fail = scan(old, old_flags, key=entry)
+                keys, _, fail = scan(old, old_flags, key=entry)
                 matches = [] if fail is not None else window_matches(
-                    entry, exit_key, old, old_flags, old[::-1])
+                    entry, keys[-1], old, old_flags, old[::-1])
                 if len(matches) != 1:
                     raise TransportFailure(
                         "no unique boundary-matching switch choice while "
@@ -479,6 +486,7 @@ def window_matches(entry: tuple, exit_key: tuple, old, old_flags,
         sizes = [sum(old_flags)]
     else:
         sizes = range(len(slots) + 1)
+    # keys stepped by hand: through scan, random scripts ran ~6% slower
     edges, matches = PairingState.edges, []
     for size in sizes:
         for switched in combinations(slots, size):

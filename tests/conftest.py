@@ -146,9 +146,9 @@ def partition(m: tuple) -> tuple:
 
 def step(key: tuple, event: Event, is_switch: bool = False) -> tuple:
     """The pairing after one event, which must scan from ``key``."""
-    key, _, fail = scan((event,), (is_switch,), key=key)
+    keys, _, fail = scan((event,), (is_switch,), key=key)
     assert fail is None, (key, event, fail)
-    return key
+    return keys[-1]
 
 
 def brute_force_rulings(diagram: FrontDiagram) -> list:
@@ -301,11 +301,11 @@ def match_swap(entry: tuple, old, old_flags, new) -> Optional[list]:
     """Boundary matching of a swap from its entry pairing alone: None when
     ``old`` does not scan from ``entry`` under ``old_flags``, else the
     flag lists of every match of ``new`` (see rulings.window_matches)."""
-    exit_key, _, fail = scan(old, old_flags, key=entry)
+    keys, _, fail = scan(old, old_flags, key=entry)
     if fail is not None:
         return None
     return [flags for flags, _ in
-            window_matches(entry, exit_key, old, old_flags, new)]
+            window_matches(entry, keys[-1], old, old_flags, new)]
 
 
 def retrace(narrow, windows: tuple, ruling: tuple) -> list:
@@ -332,11 +332,8 @@ def retrace(narrow, windows: tuple, ruling: tuple) -> list:
     leaves different exit mates, so it does not match.
     """
     flags = switch_flags(narrow, ruling)
-    entries, m, done = {}, PairingState.start, 0
-    for t in [t for t, swaps in enumerate(windows) if swaps]:
-        m = entries[t] = scan(narrow.events[done:t], flags[done:t], key=m)[0]
-        done = t
-    for t in reversed(list(entries)):
+    entries = scan(narrow.events, flags)[0]
+    for t in reversed([t for t, swaps in enumerate(windows) if swaps]):
         m = entries[t]
         for i, ((first, second), old) in enumerate(windows[t], start=t):
             f1, f2 = flags[i], flags[i + 1]

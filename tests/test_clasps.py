@@ -359,8 +359,9 @@ class TestCountedInSearch:
                         reference_report(d, switches)
                     continue
                 failures += 1
-                with pytest.raises(InvalidRuling) as info:
-                    clasp_report(d, switches)
-                assert str(info.value) == \
-                    f"event {check.event_index}: {check.reason}"
+                for report in (clasp_report, resolve):
+                    with pytest.raises(InvalidRuling) as info:
+                        report(d, switches)
+                    assert str(info.value) == \
+                        f"event {check.event_index}: {check.reason}"
         assert failures > 100

@@ -89,14 +89,14 @@ class TestRandomScript:
             random_script(0, 1)
 
     def test_isotopy_transport_failure_propagates(self, monkeypatch):
-        real = RulingTransport.window_match
+        real = RulingTransport.carry
 
-        def broken(self, entry, exit_key, old_flags):
+        def broken(self, flags, entries):
             if self.move.kind == "r1":
                 raise TransportFailure("broken r1 transport")
-            return real(self, entry, exit_key, old_flags)
+            return real(self, flags, entries)
 
-        monkeypatch.setattr(RulingTransport, "window_match", broken)
+        monkeypatch.setattr(RulingTransport, "carry", broken)
         with pytest.raises(TransportFailure, match="broken r1"):
             random_script(25, 9)
 

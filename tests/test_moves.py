@@ -347,8 +347,7 @@ class TestMenuAndHandlesAgainstReference:
                     continue
                 _, transport = apply_move(d, m)
                 for r in rulings:
-                    flags = switch_flags(d, r)[:m.anchor - 1]
-                    entry, _, _ = scan(d.events, flags)
+                    entry = scan(d.events, switch_flags(d, r))[0][m.anchor - 1]
                     if m.kind == "h0" \
                             or (m.pos, m.pos + 1) in partition(entry):
                         assert transport(r) == r
@@ -461,8 +460,7 @@ class TestCarry:
         for d in menu_diagrams:
             for ruling in enumerate_rulings(d)[:3]:
                 flags = switch_flags(d, ruling)
-                entries = [scan(d.events[:i], flags[:i])[0]
-                           for i in range(len(d.events) + 1)]
+                entries = scan(d.events, flags)[0]
                 for m in _menu(d, "h1"):
                     _, transport = apply_move(d, m)
                     kept_flags, kept_entries = list(flags), list(entries)

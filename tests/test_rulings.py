@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clasplab import (BudgetExceeded, ClaspState, FrontDiagram, InvalidRuling,
-                      TransportFailure, clasp_report, enumerate_rulings,
+                      TransportFailure, apply_move, clasp_report,
+                      enumerate_applicable_moves, enumerate_rulings,
                       generate_negative_braid_closure, generate_torus4,
                       generate_trefoil, generate_unknot, is_normal_ruling, lc,
-                      obstruction_verdict, rc, ruling_reports, scan,
+                      obstruction_verdict, rc, resolve, ruling_reports, scan,
                       switch_flags, switches_of, x)
 from clasplab import clasps, rulings
 from clasplab import diagram as diagram_mod
@@ -25,11 +26,11 @@ from conftest import (as_columns, as_rows, backtrack_rulings,
 
 
 def state_at(diagram, switches, event_index):
-    """Pairing key after the first ``event_index`` events."""
-    flags = switch_flags(diagram, switches)
-    key, _, fail = scan(diagram.events[:event_index], flags[:event_index])
-    assert fail is None
-    return key
+    """Pairing key after the first ``event_index`` events, which must
+    scan."""
+    keys, _, _ = scan(diagram.events, switch_flags(diagram, switches))
+    assert len(keys) > event_index
+    return keys[event_index]
 
 
 def switch_fail(key, event):
@@ -81,6 +82,37 @@ class TestScanKernel:
         with pytest.raises(InvalidRuling):
             switch_flags(generate_trefoil(), {0})
 
+    @pytest.mark.parametrize("check", [
+        lambda d: clasp_report(d, {1, 1.5}),
+        lambda d: apply_move(d, enumerate_applicable_moves(d)[0])[1]({1, 2.5}),
+        lambda d: is_normal_ruling(d, {True}),
+        lambda d: is_normal_ruling(d, ["1"]),
+        lambda d: resolve(d, {1.0}),
+    ], ids=["report_float", "transport_float", "check_bool", "check_str",
+            "resolve_float"])
+    def test_flags_reject_ordinals_that_are_not_ints(self, check):
+        with pytest.raises(InvalidRuling, match="is not an int"):
+            check(generate_trefoil())
+
+    def test_keys_are_the_prefix_scans_last_keys(self, corpus,
+                                                 fillable_small):
+        """keys[i] is where a scan of the first i events ends, and a
+        failing scan lists the keys up to the event that fails."""
+        failures = 0
+        for d in list(corpus.values()) + fillable_small:
+            c = d.n_crossings
+            for r in enumerate_rulings(d)[:4] + [range(1, c + 1),
+                                                 range(1, c + 1, 2)]:
+                flags = switch_flags(d, r)
+                for cls in (PairingState, ClaspState):
+                    keys, _, fail = scan(d.events, flags, cls)
+                    assert len(keys) == (len(d) + 1 if fail is None
+                                         else fail[0])
+                    failures += fail is not None
+                    for i, key in enumerate(keys):
+                        assert key == scan(d.events[:i], flags[:i], cls)[0][-1]
+        assert failures > 20
+
     def test_failure_index_is_one_based(self):
         d = generate_trefoil()
         _, _, fail = scan(d.events, switch_flags(d, {2}))
@@ -93,11 +125,11 @@ class TestScanKernel:
             for r in enumerate_rulings(d):
                 flags = switch_flags(d, r)
                 half = len(d) // 2
-                key, _, fail = scan(d.events[:half], flags[:half])
+                keys, _, fail = scan(d.events[:half], flags[:half])
                 assert fail is None
                 resumed, _, fail = scan(d.events[half:], flags[half:],
-                                        key=key)
-                assert fail is None and resumed == PairingState.start
+                                        key=keys[-1])
+                assert fail is None and resumed[-1] == PairingState.start
 
 
 class TestIsNormalRuling:
@@ -338,8 +370,9 @@ def retrace_matching_every_swap(narrow, windows, ruling, matched):
     every two-crossing swap whose flags differ, each one appended to
     ``matched``."""
     flags = switch_flags(narrow, ruling)
+    keys = scan(narrow.events, flags)[0]
     for t in reversed([t for t, swaps in enumerate(windows) if swaps]):
-        key = scan(narrow.events[:t], flags[:t])[0]
+        key = keys[t]
         for i, ((first, second), old) in enumerate(windows[t], start=t):
             f1, f2 = flags[i], flags[i + 1]
             if f1 != f2 and first.kind == CROSSING == second.kind:
