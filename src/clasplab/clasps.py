@@ -13,18 +13,21 @@ a single strand passing through both strands of the other eye and
 contributes nothing.  The parity of the total clasp count over all pairs
 is the quantity the filling obstruction runs on.
 
-Clasps are counted by ClaspState, the pairing scan's state class with an
-eye id per live slot and, per interleaved eye pair, the strand pair that
-entered its current interval, all in its key.  Each crossing's edge
-tallies its eye pair and the clasps it closed.  clasp_report is one
+Clasps are counted by ClaspState, the pairing scan's state class keyed on
+an eye id per live slot, the number of eyes born and, per interleaved eye
+pair, the strand pair that entered its current interval.  It keeps no
+mates: an eye's two slots are the two slots with its id, so each mate is
+read off the eye ids.  Each crossing's edge tallies its eye pair and the
+clasps it closed.  clasp_report is one
 linear scan with it, which sums the tallies per pair, and ruling_reports
 counts during the transfer scan that lists the rulings (the backward pass
 sums each suffix's tallies), so no ruling is scanned twice.  The scan
 yields each distinct count once, as a fold, and its rulings already by
 size, then lexicographic, so the listing behind both (_sorted_reports)
 builds one report per fold and sorts nothing.  resolve steps the same
-keys and keeps what it passes: the eyes, the slices, the crossing records
-and each clasp's interval (for rendering).
+keys and keeps what it passes: the eyes, the slices (each labelled in one
+pass over its eye ids), the crossing records and each clasp's interval
+(for rendering).
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .diagram import CROSSING, LEFT_CUSP, FrontDiagram
 from .errors import InvalidRuling
-from .rulings import (PairingState, _enumerate, _failure, _switch_ok, scan,
-                      switch_flags)
+from .rulings import _enumerate, _failure, _switch_ok, scan, switch_flags
 
 
 class CrossingRecord(NamedTuple):
@@ -69,10 +71,10 @@ def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
     """Run one ClaspState scan, checking the ruling and building its eyes.
 
     Eye ids and strand labels are the keys': a strand is upper (1) where
-    its mate lies below it, else lower (0).  Each crossing is recorded
-    from the key before it.  After an unswitched crossing, its pair is
-    open when it opened an interleaved interval, and its tally counts 1
-    when it closed a clasp.
+    its eye's other slot lies below it, else lower (0).  Each crossing is
+    recorded from the slice before it.  After an unswitched crossing, its
+    pair is open when it opened an interleaved interval, and its tally
+    counts 1 when it closed a clasp.
     """
     flags = switch_flags(diagram, ruling)
     edges, key = ClaspState.edges, ClaspState.start
@@ -81,7 +83,7 @@ def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
     entered: dict = {}  # eye pair -> event index entering its interval
     for i, (e, switch, ordinal) in enumerate(
             zip(diagram.events, flags, diagram.walk.ordinals), start=1):
-        m, eyes, _, opened = key
+        eyes, _, opened = key
         edge = edges(key, e)[not switch]
         if edge is None:
             raise InvalidRuling(f"event {i}: {_failure(key, e, switch)}")
@@ -91,19 +93,20 @@ def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
             birth.append(i)
             death.append(0)
         elif e.kind == CROSSING:
-            (ea, sa), (eb, sb) = sorted(((eyes[p], int(m[p] < p)),
-                                         (eyes[p + 1], int(m[p + 1] < p + 1))))
+            (ea, sa), (eb, sb) = sorted(slices[-1][p - 1:p + 1])
             records.append(CrossingRecord(
                 ordinal, i, ea, sa, eb, sb, switch=switch))
-            if len(key[3]) > len(opened):  # it opened an interval
+            if len(key[2]) > len(opened):  # it opened an interval
                 entered[ea, eb] = i
             elif tally[1]:
                 clasps.append((ea, eb, entered[ea, eb], i))
         else:
             death[eyes[p]] = i
-        m, eyes = key[:2]
-        slices.append(tuple((eyes[q], int(m[q] < q))
-                            for q in range(1, len(m))))
+        labels, seen = [], set()  # an eye's lower strand comes first
+        for eye in key[0][1:]:
+            labels.append((eye, int(eye in seen)))
+            seen.add(eye)
+        slices.append(tuple(labels))
     return Resolution(len(birth), tuple(birth), tuple(death), tuple(slices),
                       tuple(records), tuple(clasps))
 
@@ -134,51 +137,60 @@ def parity_of_total(total: int) -> str:
 class ClaspState:
     """The pairing scan's state class extended to count clasps.
 
-    A key is (mates, eyes, born, opened): the mates as in PairingState,
-    the eye id of each live slot (eyes are numbered by birth; index 0 is
-    None, as the mates' is 0), the number of eyes born, and a frozenset of
-    (eye pair, entering strands) for each pair inside an interleaved
-    interval, with the strand pair of the crossing that opened it.  The
-    eyes through slots p, p+1 interleave exactly when the switch test
-    fails there, so reading it before and after an unswitched crossing
-    tells whether the crossing enters or leaves an interleaved interval;
-    a strand is the upper one of its eye (True) when its mate lies below
-    it.  Each crossing's tally is (eye pair, clasps it closed), which the
-    scans sum per pair.  No records, slices or per-pair strand orders are
-    built.  The mates and the number born merge nothing the eye ids alone
-    would not: the eye ids fix the mates, and every state of one layer
-    has seen the same left cusps.
+    A key is (eyes, born, opened): the eye id of each live slot (eyes are
+    numbered by birth; index 0 is None), the number of eyes born, and a
+    frozenset of (eye pair, entering strands) for each pair inside an
+    interleaved interval, with the strand pair of the crossing that
+    opened it.  The eye ids fix the mates, the pairing scan's key: an
+    eye's two slots are the two slots with its id, so ``edges`` reads each
+    mate off them and keeps no mates of its own.  A strand is the upper
+    one of its eye (True) when its mate lies below it.  The eyes through
+    slots p, p+1 interleave exactly when the switch test fails there, and
+    an unswitched crossing between them toggles that, so the test before
+    a crossing tells whether it enters or leaves an interleaved interval.
+    Each crossing's tally is (eye pair, clasps it closed), which the scans
+    sum per pair.  No records, slices or per-pair strand orders are
+    built.  The number born merges nothing the eye ids alone would not:
+    every state of one layer has seen the same left cusps.
     """
 
-    start = ((0,), (None,), 0, frozenset())
+    start = ((None,), 0, frozenset())
 
     @staticmethod
     def edges(key: tuple, event) -> tuple:
-        """PairingState.edges on the mates, with the eye ids, the open
-        intervals and each crossing's tally stepped alongside."""
-        m, eyes, born, opened = key
-        switch, plain = PairingState.edges(m, event)
-        if plain is None:
-            return None, None
-        p, mates = event.pos, plain[0]
-        if event.kind == LEFT_CUSP:
+        """PairingState.edges on the mates that the eye ids fix, with the
+        eye ids, the open intervals and each crossing's tally stepped."""
+        eyes, born, opened = key
+        p, kind = event.pos, event.kind
+        if kind == LEFT_CUSP:
             eyes = eyes[:p] + (born, born) + eyes[p:]
-            return None, ((mates, eyes, born + 1, opened), None)
-        if event.kind != CROSSING:
-            return None, ((mates, eyes[:p] + eyes[p + 2:], born, opened), None)
-        a, b = eyes[p], eyes[p + 1]
-        at_p, at_q = m[p] < p, m[p + 1] < p + 1
-        pair, strands = ((a, b), (at_p, at_q)) if a < b else \
-            ((b, a), (at_q, at_p))
-        if switch is None:  # the pair interleaves, and the crossing leaves
-            clasp = int((pair, strands) in opened)
-            opened = frozenset(o for o in opened if o[0] != pair)
-        else:
-            switch, clasp = (key, (pair, 0)), 0
-            if not _switch_ok(mates, p):  # the crossing enters an interval
-                opened = opened | {(pair, strands)}
-        eyes = eyes[:p] + (b, a) + eyes[p + 2:]
-        return switch, ((mates, eyes, born, opened), (pair, clasp))
+            return None, ((eyes, born + 1, opened), None)
+        x, y = eyes[p], eyes[p + 1]
+        if kind != CROSSING:
+            if x != y:
+                return None, None  # a right cusp of two eyes
+            return None, ((eyes[:p] + eyes[p + 2:], born, opened), None)
+        if x == y:
+            return None, None  # an eye crossing itself
+        a = eyes.index(x)  # the mates of p and p + 1
+        if a == p:
+            a = eyes.index(x, p + 2)
+        b = eyes.index(y)
+        if b == p + 1:
+            b = eyes.index(y, p + 2)
+        pair, strands = ((x, y), (a < p, b < p)) if x < y else \
+            ((y, x), (b < p, a < p))
+        swapped = list(eyes)
+        swapped[p], swapped[p + 1] = y, x
+        after = tuple(swapped)
+        if _switch_ok(a, b, p):  # the plain step enters an interval
+            return (key, (pair, 0)), \
+                ((after, born, opened | {(pair, strands)}), (pair, 0))
+        clasp = int((pair, strands) in opened)  # and here it leaves one
+        # close the pair's interval, whichever strand pair entered it
+        opened = opened - {(pair, (False, False)), (pair, (False, True)),
+                           (pair, (True, False)), (pair, (True, True))}
+        return None, ((after, born, opened), (pair, clasp))
 
 
 def report_of(tallies: tuple) -> ClaspReport:

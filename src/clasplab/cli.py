@@ -393,10 +393,13 @@ def main(argv=None) -> int:
         sys.stderr.write(_dumps({"error": type(exc).__name__,
                                  "message": message}))
         return 1
-    except MemoryError:  # an unbounded listing; its lists are freed by now
-        sys.stderr.write(_dumps({"error": "MemoryError", "message": "out of "
-                                 "memory; --budget N bounds the listing"}))
-        return 1
+    except MemoryError:
+        pass  # written below: leaving the handler frees the failing frames
+    message = "out of memory"
+    if args.command in _BUDGETED:
+        message += "; --budget N bounds the listing"
+    sys.stderr.write(_dumps({"error": "MemoryError", "message": message}))
+    return 1
 
 
 if __name__ == "__main__":

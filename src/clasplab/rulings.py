@@ -16,10 +16,13 @@ slots into eyes; each event updates the pairing:
 * right cusp at p: slots p, p+1 must be the two slots of a single eye.
 
 A scan state is its key, an immutable tuple: for the bare pairing
-(PairingState), the mates.  Each state class has a start key and one
-transition, ``edges(key, event)``, which gives the key's switch step and
-plain step, each as (next key, tally) or None for a dead end.  A class
-that counts something (clasps.ClaspState) reports each edge's tally, and
+(PairingState), the mates; for the clasp count (clasps.ClaspState), the
+eye id of each slot, which fixes the mates, and what the count needs
+besides.  Each state class has a start key and one transition,
+``edges(key, event)``, which gives the key's switch step and plain step,
+each as (next key, tally) or None for a dead end; the normality rule at
+a switch is written once, in _switch_ok, which both classes call on the
+two mates.  A class that counts something reports each edge's tally, and
 the scans sum them per label without knowing what they count.
 
 A switch choice is carried as per-event flags (True at switched crossings,
@@ -50,20 +53,16 @@ from .diagram import (CROSSING, LEFT_CUSP, Event, FrontDiagram,
 from .errors import BudgetExceeded, InvalidRuling, TransportFailure
 
 
-def _same_eye(m, p: int) -> bool:
-    """Slots p, p+1 of the mates ``m`` carry the two strands of one eye."""
-    return m[p] == p + 1
-
-
-def _switch_ok(m, p: int) -> bool:
+def _switch_ok(a: int, b: int, p: int) -> bool:
     """Normality at a switch between the eyes through slots p, p+1.
 
     With a and b the mates of p and p+1, exactly three of the six mate
     configurations are admissible: the two eyes vertically disjoint, or
     nested with both mates above, or nested with both mates below.
-    Interleaved eyes never switch.
+    Interleaved eyes never switch.  An unswitched crossing swaps a and b,
+    so it turns each admissible configuration into an interleaved one and
+    back.
     """
-    a, b = m[p], m[p + 1]
     return (a < p and b > p + 1) or (p + 1 < b < a) or (b < a < p)
 
 
@@ -96,7 +95,7 @@ class PairingState:
     the eye through slot p; slots are 1-based and ``m[0]`` is 0.  The
     pairing alone decides every ruling condition; eye identities are not
     needed here.  ``start`` is the empty pairing, and ``edges`` is the one
-    transition, built from _same_eye, _switch_ok, _born, _died and _cross.
+    transition, built from _switch_ok, _born and _died.
     """
 
     start = (0,)
@@ -108,23 +107,33 @@ class PairingState:
         (_failure names it); the switch step is None off crossings.  A
         switch keeps the pairing, so its key is ``m`` itself."""
         p, kind = event.pos, event.kind
-        if kind != LEFT_CUSP and _same_eye(m, p) == (kind == CROSSING):
-            return None, None  # an eye crossing itself, or two eyes' cusp
+        if kind == CROSSING:
+            a, b = m[p], m[p + 1]
+            if a == p + 1:
+                return None, None  # an eye crossing itself
+            mates = list(m)  # slots p, p+1 trade eyes (_cross)
+            mates[a], mates[b], mates[p], mates[p + 1] = p + 1, p, b, a
+            return ((m, None) if _switch_ok(a, b, p) else None,
+                    (tuple(mates), None))
         mates = list(m)
-        if kind != CROSSING:
-            (_born if kind == LEFT_CUSP else _died)(mates, p)
-            return None, (tuple(mates), None)
-        _cross(mates, p)
-        return (m, None) if _switch_ok(m, p) else None, (tuple(mates), None)
+        if kind == LEFT_CUSP:
+            _born(mates, p)
+        elif m[p] != p + 1:
+            return None, None  # a right cusp of two eyes
+        else:
+            _died(mates, p)
+        return None, (tuple(mates), None)
 
 
 def _failure(key: tuple, event: Event, is_switch: bool) -> str:
     """Why the edge over ``event`` from ``key`` is dead, read off the mates
-    (a counting state's key leads with them)."""
-    m = key if isinstance(key[0], int) else key[0]
+    or off the eye ids that lead a counting state's key."""
     if event.kind != CROSSING:
         return "right cusp joins strands of two different eyes"
-    if not _same_eye(m, event.pos):
+    p, eyes = event.pos, key[0]
+    same = key[p] == p + 1 if isinstance(eyes, int) else \
+        eyes[p] == eyes[p + 1]
+    if not same:
         return "normality violated: eyes interleave at switch"
     if is_switch:
         return "switch between two strands of one eye"
@@ -257,15 +266,17 @@ def _transfer(diagram: FrontDiagram, budget: Optional[int],
         next_paths, nxt, tal = [], [], []
         for key, n in zip(keys, paths):
             for edge in edges(key, e):
-                k = -1
-                if edge is not None:
-                    k = index.setdefault(edge[0], len(next_paths))
-                    if k == len(next_paths):
-                        next_paths.append(n)
-                    else:
-                        next_paths[k] += n
+                if edge is None:
+                    nxt.append(-1)
+                    tal.append(None)
+                    continue
+                k = index.setdefault(edge[0], len(next_paths))
+                if k == len(next_paths):
+                    next_paths.append(n)
+                else:
+                    next_paths[k] += n
                 nxt.append(k)
-                tal.append(None if edge is None else edge[1])
+                tal.append(edge[1])
         layers.append((nxt, tal))
         keys, paths = list(index), next_paths
 
@@ -437,7 +448,8 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
     after the ruling is mapped back.  What a counting class counts on the
     reordered word is not proven equal to its count on ``diagram`` (a
     lone switch can pass to the other crossing of a ``tr`` hop), so the
-    reordered scan runs on a bare pairing.
+    reordered scan runs on a bare pairing.  A mapped-back ruling that the
+    linear scan refuses raises TransportFailure.
     """
     reordered = far_commutation_order(diagram, max(diagram.walk.counts))
     if reordered is None:
@@ -447,8 +459,13 @@ def _enumerate(diagram: FrontDiagram, budget: Optional[int],
     rows = []
     for ruling in _transfer(narrow, budget)[0]:
         flags = _map_back(narrow, origins, ruling)
-        tallies = () if cls is PairingState else \
-            scan(diagram.events, flags, cls)[1]
+        tallies = ()
+        if cls is not PairingState:
+            _, tallies, fail = scan(diagram.events, flags, cls)
+            if fail is not None:
+                raise TransportFailure(
+                    f"a ruling mapped back to the original word fails at "
+                    f"event {fail[0]}: {fail[1]}")
         rows.append((tuple(compress(ordinals, flags)), tallies))
     rows.sort(key=lambda row: (len(row[0]), row[0]))
     ids: dict = {}  # fold -> fold id, in listing order

@@ -182,6 +182,31 @@ class TestErrorsAndDeterminism:
         assert payload["error"] == "MemoryError"
         assert "--budget" in payload["message"]
 
+    @pytest.mark.parametrize("argv, stdin, message", [
+        (("render", "--style", "ascii", "--generate", "torus4", "--n",
+          "3000"), None, "out of memory"),
+        (("rulings", "--input", "-"), "lc 1\n" * 30_000 + "rc 1\n" * 30_000,
+         "out of memory; --budget N bounds the listing"),
+    ], ids=["render_ascii", "rulings_nested_eyes"])
+    def test_memory_error_in_a_capped_process(self, argv, stdin, message):
+        """Memory that runs out for real, in a process that caps its own
+        address space at 200 MB: the failing frames are released before
+        the message is written, so it is one JSON line, not a chained
+        traceback, and it names --budget only where the subcommand has
+        one."""
+        env = {k: v for k, v in os.environ.items() if k != "CLASPLAB_BUDGET"}
+        env["PYTHONPATH"] = str(SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", "import resource; resource.setrlimit("
+             "resource.RLIMIT_AS, (200 << 20, 200 << 20)); from clasplab.cli "
+             "import main; raise SystemExit(main())", *argv],
+            input=stdin, env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1
+        assert json.loads(done.stderr) == {"error": "MemoryError",
+                                           "message": message}
+
     def test_parse_error_structured(self, capsys, tmp_path):
         f = tmp_path / "d.front"
         f.write_text("x zero\n")

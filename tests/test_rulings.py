@@ -16,8 +16,8 @@ from clasplab import clasps, rulings
 from clasplab import diagram as diagram_mod
 from clasplab.diagram import CROSSING, Event, far_commutation_order
 from clasplab.fillability import random_script, run_script
-from clasplab.rulings import (PairingState, _map_back, _same_eye,
-                              _switch_ok, _transfer, window_matches)
+from clasplab.rulings import (PairingState, _map_back, _switch_ok,
+                              _transfer, window_matches)
 from conftest import (as_columns, as_rows, backtrack_rulings,
                       brute_force_rulings, far_commutation_windows,
                       hop_counts, match_swap, partition, reference_enumerate,
@@ -44,20 +44,20 @@ class TestSwitchAllowed:
         # two stacked eyes, crossing slots (2,3): mates at 1 and 4
         key = state_at(generate_trefoil(), frozenset(), 2)
         assert partition(key) == ((1, 2), (3, 4))
-        assert _switch_ok(key, 2)
+        assert _switch_ok(key[2], key[3], 2)
         assert switch_fail(key, x(2)) is None
 
     def test_interleaved_eyes_forbid_switch(self):
         # after one unswitched crossing the trefoil eyes interleave
         key = state_at(generate_trefoil(), frozenset(), 3)
         assert partition(key) == ((1, 3), (2, 4))
-        assert not _switch_ok(key, 2)
+        assert not _switch_ok(key[2], key[3], 2)
         assert switch_fail(key, x(2)) == \
             "normality violated: eyes interleave at switch"
 
     def test_same_eye_raises(self):
         key = state_at(generate_unknot(), frozenset(), 1)
-        assert _same_eye(key, 1)
+        assert key[1] == 2  # slot 1's mate is slot 2
         assert switch_fail(key, x(1)) == \
             "switch between two strands of one eye"
 
@@ -65,7 +65,7 @@ class TestSwitchAllowed:
         d = FrontDiagram([lc(1), lc(2), x(1), rc(2), rc(1)])
         key = state_at(d, frozenset(), 2)
         assert partition(key) == ((1, 4), (2, 3))
-        assert _switch_ok(key, 1)
+        assert _switch_ok(key[1], key[2], 1)
 
 
 class TestScanKernel:
@@ -250,6 +250,74 @@ class TestReorderedEnumeration:
         verdict = obstruction_verdict(d)
         assert verdict.obstructed
         assert verdict.evidence[0].switches == tuple(sorted(rulings[0]))
+
+    def test_a_mapped_back_ruling_that_does_not_scan_raises(self,
+                                                            monkeypatch):
+        """The clasp count of a ruling found on the reordered word is a
+        rescan of the caller's word; a mapped-back ruling that fails it
+        is an error, not a listing with the tallies of a prefix."""
+        d = generate_torus4(1)
+        assert is_narrower(d)
+
+        def corrupted(narrow, origins, ruling):
+            flags = _map_back(narrow, origins, ruling)
+            flags[flags.index(True)] = False
+            return flags
+
+        monkeypatch.setattr(rulings, "_map_back", corrupted)
+        with pytest.raises(TransportFailure, match="mapped back to the "
+                           "original word fails at event"):
+            ruling_reports(d)
+
+    def test_eye_ids_fix_the_mates(self, fillable_300):
+        """A ClaspState key keeps no mates: at every key a scan passes,
+        the mates read off its eye ids are PairingState's key at the same
+        index, and a failing scan stops at the same event.  So both
+        classes key the same states, and the transfer scan runs out of
+        budget at the same step count.  The budget is checked on the word
+        as given and on its reordering when that is narrower, except for
+        torus4(3) and torus4(4) as given, whose scans take seconds."""
+        def mates(key):
+            slots: dict = {}
+            for q, eye in enumerate(key[0][1:], start=1):
+                slots.setdefault(eye, []).append(q)
+            m = [0] * len(key[0])
+            for a, b in slots.values():
+                m[a], m[b] = b, a
+            return tuple(m)
+
+        def outcome(d, budget, cls):
+            return budget_outcome(lambda w, budget: _transfer(w, budget, cls),
+                                  d, budget)
+
+        torus = [generate_torus4(n) for n in range(5)]
+        words = (list(small_corpus().values()) + torus + fillable_300
+                 + [generate_negative_braid_closure(2, [1] * k)
+                    for k in range(1, 13)]
+                 + [generate_negative_braid_closure(4, [1, 2, 3] * k)
+                    for k in range(1, 5)])
+        failures = 0
+        for d in words:
+            c = d.n_crossings
+            for r in enumerate_rulings(d)[:50] + [range(1, c + 1),
+                                                  range(1, c + 1, 2)]:
+                flags = switch_flags(d, r)
+                keys, _, fail = scan(d.events, flags)
+                counted, _, counted_fail = scan(d.events, flags, ClaspState)
+                assert list(map(mates, counted)) == keys
+                assert counted_fail == fail
+                failures += fail is not None
+            scanned = [] if d in torus[3:] else [d]
+            if is_narrower(d):
+                scanned.append(far_commutation_order(d)[0])
+            for w in scanned:
+                steps = []
+                backtrack_rulings(w, steps=steps)
+                assert outcome(w, steps[0], ClaspState) is None
+                for b in range(steps[0] - 1, -1, -max(steps[0] // 3, 1)):
+                    assert outcome(w, b, ClaspState) == b + 1
+                    assert outcome(w, b, PairingState) == b + 1
+        assert failures > 100
 
     def test_budget_counts_steps_on_the_searched_word(self):
         d = generate_torus4(3)
