@@ -24,10 +24,10 @@ counts during the transfer scan that lists the rulings (the backward pass
 sums each suffix's tallies), so no ruling is scanned twice.  The scan
 yields each distinct count once, as a fold, and its rulings already by
 size, then lexicographic, so the listing behind both (_sorted_reports)
-builds one report per fold and sorts nothing.  resolve steps the same
-keys and keeps what it passes: the eyes, the slices (each labelled in one
-pass over its eye ids), the crossing records and each clasp's interval
-(for rendering).
+builds one report per fold and sorts nothing.  resolve runs the same
+scan once and reads what it needs off the keys it passes: the eyes, the
+slices (each labelled in one pass over its eye ids), the crossing
+records and each clasp's interval (for rendering).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .diagram import CROSSING, LEFT_CUSP, FrontDiagram
 from .errors import InvalidRuling
-from .rulings import _enumerate, _failure, _switch_ok, scan, switch_flags
+from .rulings import _enumerate, _switch_ok, scan, switch_flags
 
 
 class CrossingRecord(NamedTuple):
@@ -68,26 +68,27 @@ class Resolution(NamedTuple):
 
 
 def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
-    """Run one ClaspState scan, checking the ruling and building its eyes.
+    """Run one ClaspState scan, checking the ruling and building its eyes
+    from the keys it passes; a ruling the scan refuses raises InvalidRuling
+    naming the failing event.
 
     Eye ids and strand labels are the keys': a strand is upper (1) where
     its eye's other slot lies below it, else lower (0).  Each crossing is
-    recorded from the slice before it.  After an unswitched crossing, its
-    pair is open when it opened an interleaved interval, and its tally
-    counts 1 when it closed a clasp.
+    recorded from the slice before it.  An interleaved interval opens
+    where the crossing's key after it holds more open pairs than the key
+    before it, and a clasp closes where the key before it holds the pair
+    opened by the same strands, as the ClaspState tally counts it.
     """
     flags = switch_flags(diagram, ruling)
-    edges, key = ClaspState.edges, ClaspState.start
+    keys, _, fail = scan(diagram.events, flags, ClaspState)
+    if fail is not None:
+        raise InvalidRuling(f"event {fail[0]}: {fail[1]}")
     slices = [()]
     birth, death, records, clasps = [], [], [], []
     entered: dict = {}  # eye pair -> event index entering its interval
-    for i, (e, switch, ordinal) in enumerate(
-            zip(diagram.events, flags, diagram.walk.ordinals), start=1):
-        eyes, _, opened = key
-        edge = edges(key, e)[not switch]
-        if edge is None:
-            raise InvalidRuling(f"event {i}: {_failure(key, e, switch)}")
-        key, tally = edge
+    for i, (e, switch, ordinal, (eyes, _, opened), after) in enumerate(
+            zip(diagram.events, flags, diagram.walk.ordinals, keys,
+                keys[1:]), start=1):
         p = e.pos
         if e.kind == LEFT_CUSP:
             birth.append(i)
@@ -96,14 +97,14 @@ def resolve(diagram: FrontDiagram, ruling: Iterable) -> Resolution:
             (ea, sa), (eb, sb) = sorted(slices[-1][p - 1:p + 1])
             records.append(CrossingRecord(
                 ordinal, i, ea, sa, eb, sb, switch=switch))
-            if len(key[2]) > len(opened):  # it opened an interval
+            if len(after[2]) > len(opened):  # it opened an interval
                 entered[ea, eb] = i
-            elif tally[1]:
+            elif ((ea, eb), (sa == 1, sb == 1)) in opened:  # a clasp
                 clasps.append((ea, eb, entered[ea, eb], i))
         else:
             death[eyes[p]] = i
         labels, seen = [], set()  # an eye's lower strand comes first
-        for eye in key[0][1:]:
+        for eye in after[0][1:]:
             labels.append((eye, int(eye in seen)))
             seen.add(eye)
         slices.append(tuple(labels))

@@ -28,8 +28,11 @@ the scans sum them per label without knowing what they count.
 A switch choice is carried as per-event flags (True at switched crossings,
 False everywhere else), and ``scan`` runs a class over a word or a window
 of one, taking each event's edge by its flag and listing the keys it
-passes.  Four loops step keys themselves: _transfer's forward pass,
-window_matches, _map_back and clasps.resolve.
+passes.  Every linear walk reads its keys off ``scan``, _map_back and
+clasps.resolve included.  Only two loops step keys themselves:
+_transfer's forward pass, which merges equal keys, and window_matches,
+which tries each switch choice of a rewritten window (measured slower
+through ``scan``).  Boundary matching runs only in move transport.
 Switch sets of crossing ordinals meet the flags only in switch_flags,
 switches_of and _enumerate.
 
@@ -82,13 +85,6 @@ def _died(m: list, p: int) -> None:
             m[i] -= 2
 
 
-def _cross(m: list, p: int) -> None:
-    """Slots p, p+1 trade eyes, in place."""
-    a, b = m[p], m[p + 1]
-    m[a], m[b] = p + 1, p
-    m[p], m[p + 1] = b, a
-
-
 class PairingState:
     """The pairing scan's state class.  A state is its key, the tuple of
     mates: ``m[p]`` is the slot currently occupied by the other strand of
@@ -111,7 +107,7 @@ class PairingState:
             a, b = m[p], m[p + 1]
             if a == p + 1:
                 return None, None  # an eye crossing itself
-            mates = list(m)  # slots p, p+1 trade eyes (_cross)
+            mates = list(m)  # slots p, p+1 trade eyes
             mates[a], mates[b], mates[p], mates[p + 1] = p + 1, p, b, a
             return ((m, None) if _switch_ok(a, b, p) else None,
                     (tuple(mates), None))
@@ -129,6 +125,9 @@ def _failure(key: tuple, event: Event, is_switch: bool) -> str:
     """Why the edge over ``event`` from ``key`` is dead, read off the mates
     or off the eye ids that lead a counting state's key."""
     if event.kind != CROSSING:
+        if is_switch:
+            side = "left" if event.kind == LEFT_CUSP else "right"
+            return f"switch flag on a {side} cusp"
         return "right cusp joins strands of two different eyes"
     p, eyes = event.pos, key[0]
     same = key[p] == p + 1 if isinstance(eyes, int) else \
@@ -331,33 +330,37 @@ def _map_back(narrow: FrontDiagram, origins: tuple, ruling: tuple) -> list:
 
     Undoing the reordering moves each emitted event back past the events
     emitted after it that precede it in the word, last emitted first;
-    each swap is a ``tr`` move.  A swap past a cusp, or of two crossings
-    with equal flags, keeps every switch on its crossing, so the flags
-    travel by the permutation ``origins``.  A swap of two crossings with
-    different flags takes the boundary-matching switch choice, which can
-    pass the lone switch to the other crossing only when both strands
-    entering one crossing are mated with the two entering the other.  With
+    each swap is a ``tr`` move, whose transport takes the boundary-matching
+    switch choice.  A swap past a cusp keeps every switch on its crossing,
+    and so does a swap of two crossings that share at most one eye: with
     one eye shared, the other one-switch choice crosses the other eye pair
     instead and leaves different exit mates; with none, neither crossing
-    can change the other's switch test (_switch_ok).
+    can change the other's switch test (_switch_ok).  So the flags travel
+    by the permutation ``origins``, except by one rule: two crossings
+    that carry the same two eyes, the strands entering one mated with the
+    two entering the other, trade flags, so a lone switch passes to the
+    other crossing (with equal flags the trade changes nothing).  Of the
+    eight local cases (the moving crossing below or above, the switch on
+    either crossing, its strands mated straight or across), four put the
+    switch between interleaved eyes, so their window does not scan, and in
+    the other four boundary matching gives exactly the trade.  The window
+    is part of a normal ruling, so it scans, and no match is needed.
 
     A swap starts from the pairing on a cut of the dependency order: the
     reordered word before the moving crossing, then the events it has
     passed.  Those never touch its strands, and a mate changes strand
     only at a switch on that mate, so the walk visits only crossings on
     the two mated strands (named by their left cusp's index in the
-    word).  Crossings on one strand never commute, so they come in the
-    same order in both words, and one walk of the reordered word lists
-    each strand's crossings.  The moving crossing lies below the other one
-    when its lower strand is the lower arc of its eye, which no ``tr``
-    move changes, so a match runs on the four strands of the swap alone.
+    word), read off ``scan``'s key before the moving crossing.  Crossings
+    on one strand never commute, so they come in the same order in both
+    words, and one walk of the reordered word lists each strand's
+    crossings.
     """
-    # Per crossing of the reordered word: its strands, their mates on
-    # the slice before it, and whether its lower strand is the lower arc;
-    # per strand, the times of its crossings in the reordered word.
+    # Per crossing of the reordered word: its strands and their mates on
+    # the slice before it; per strand, the times of its crossings in the
+    # reordered word.
     flags = switch_flags(narrow, ruling)
-    # reading the mates off scan's keys made this ~30% slower on torus4(3)
-    m, stack, walks = [0], [], []  # the mates, stepped in place
+    keys, stack, walks = scan(narrow.events, flags)[0], [], []
     strands, on = {}, {}
     for t, e in enumerate(narrow.events):
         p = e.pos
@@ -365,24 +368,20 @@ def _map_back(narrow: FrontDiagram, origins: tuple, ruling: tuple) -> list:
             lower = 2 * origins[t]
             stack[p - 1:p - 1] = (lower, lower + 1)
             on[lower], on[lower + 1] = [], []
-            _born(m, p)
         elif e.kind == CROSSING:
             a, b = strands[origins[t]] = stack[p - 1], stack[p]
             on[a].append(t)
             on[b].append(t)
-            walks.append((t, a, b, stack[m[p] - 1], stack[m[p + 1] - 1],
-                          m[p] > p))
+            m = keys[t]
+            walks.append((t, stack[m[p] - 1], stack[m[p + 1] - 1]))
             stack[p - 1], stack[p] = b, a
-            if not flags[t]:
-                _cross(m, p)
         else:
             del stack[p - 1:p + 1]
-            _died(m, p)
 
     out = [False] * len(origins)
     for t, f in enumerate(flags):
         out[origins[t]] = f
-    for t, s1, s2, mate1, mate2, below in reversed(walks):
+    for t, mate1, mate2 in reversed(walks):
         moving = origins[t]
         c = -1
         while True:
@@ -398,23 +397,8 @@ def _map_back(narrow: FrontDiagram, origins: tuple, ruling: tuple) -> list:
                 break
             c = min(passed)
             u1, u2 = strands[c]
-            if out[c] != out[moving] and {u1, u2} == {mate1, mate2}:
-                pm, po = (1, 3) if below else (3, 1)
-                slot = {s1: pm, s2: pm + 1, u1: po, u2: po + 1}
-                mates = [0] * 5
-                for a, b in ((s1, mate1), (s2, mate2)):
-                    mates[slot[a]], mates[slot[b]] = slot[b], slot[a]
-                entry = tuple(mates)
-                old = (Event(CROSSING, pm), Event(CROSSING, po))
-                old_flags = (out[moving], out[c])
-                keys, _, fail = scan(old, old_flags, key=entry)
-                matches = [] if fail is not None else window_matches(
-                    entry, keys[-1], old, old_flags, old[::-1])
-                if len(matches) != 1:
-                    raise TransportFailure(
-                        "no unique boundary-matching switch choice while "
-                        "mapping a ruling back to the original word")
-                out[c], out[moving] = matches[0][0]
+            if {u1, u2} == {mate1, mate2}:  # the two trade flags
+                out[c], out[moving] = out[moving], out[c]
             if out[c]:  # the eyes turn: a mate on u1 goes on along u2
                 turn = {u1: u2, u2: u1}
                 mate1, mate2 = turn.get(mate1, mate1), turn.get(mate2, mate2)

@@ -120,6 +120,23 @@ class TestScanKernel:
         check = is_normal_ruling(d, {2})
         assert (check.event_index, check.reason) == fail
 
+    @pytest.mark.parametrize("cls", [PairingState, ClaspState])
+    def test_switch_flag_on_a_cusp_is_named(self, cls):
+        unknot = generate_unknot().events
+        assert scan(unknot, [True, False], cls)[2] == \
+            (1, "switch flag on a left cusp")
+        assert scan(unknot, [False, True], cls)[2] == \
+            (2, "switch flag on a right cusp")
+        # a right cusp of two eyes, unflagged, keeps its own reason
+        two_eyes = cls.start
+        for e in (lc(1), lc(3)):
+            two_eyes = scan((e,), (False,), cls, two_eyes)[0][-1]
+        assert scan((rc(2),), (False,), cls, two_eyes)[2] == \
+            (1, "right cusp joins strands of two different eyes")
+        d = generate_trefoil()
+        assert scan(d.events, [True] * len(d), cls)[2] == \
+            (1, "switch flag on a left cusp")
+
     def test_resumes_from_a_given_state(self, corpus):
         for d in corpus.values():
             for r in enumerate_rulings(d):
@@ -231,6 +248,28 @@ class TestReorderedEnumeration:
     def test_lone_switch_passes_to_the_other_crossing(self):
         d = run_script(random_script(15, 139)).diagram
         assert enumerate_rulings(d) == [frozenset({9})]
+
+    def test_lone_switch_trades_by_rule(self):
+        """_map_back trades the flags of two swapped crossings that carry
+        both mates' strands, without a boundary match.  All 8 local cases
+        on four slots: the moving crossing below or above, the lone switch
+        on it or on the other one, and its strands mated straight or
+        across.  A window either does not scan (the switch sits between
+        interleaved eyes, which a normal ruling never has) or matches
+        only the traded flags: the switch stays at the first crossing."""
+        outcomes = []
+        for pm, po in ((1, 3), (3, 1)):
+            for across in (False, True):
+                m = [0] * 5
+                for s, u in zip((pm, pm + 1),
+                                (po + across, po + 1 - across)):
+                    m[s], m[u] = u, s
+                old = (x(pm), x(po))
+                for old_flags in ((True, False), (False, True)):
+                    matches = match_swap(tuple(m), old, old_flags, old[::-1])
+                    assert matches in (None, [list(old_flags)])
+                    outcomes.append(matches is None)
+        assert len(outcomes) == 8 and sum(outcomes) == 4
 
     @pytest.mark.parametrize("k", range(6, 19))
     def test_braid2_fibonacci_counts(self, k):
@@ -433,10 +472,10 @@ class TestTransferScan:
         assert info.value.nodes == 20_001
 
 
-def retrace_matching_every_swap(narrow, windows, ruling, matched):
-    """_retrace without its shared-eye test: boundary matching runs at
-    every two-crossing swap whose flags differ, each one appended to
-    ``matched``."""
+def retrace_matching_every_swap(narrow, windows, ruling, passed):
+    """retrace without its shared-eye test: boundary matching runs at
+    every two-crossing swap whose flags differ, and ``passed`` receives
+    per match whether the lone switch passed to the other crossing."""
     flags = switch_flags(narrow, ruling)
     keys = scan(narrow.events, flags)[0]
     for t in reversed([t for t, swaps in enumerate(windows) if swaps]):
@@ -445,9 +484,9 @@ def retrace_matching_every_swap(narrow, windows, ruling, matched):
             f1, f2 = flags[i], flags[i + 1]
             if f1 != f2 and first.kind == CROSSING == second.kind:
                 matches = match_swap(key, (first, second), (f1, f2), old)
-                matched.append(i)
                 if matches is None or len(matches) != 1:
                     raise TransportFailure("no unique match")
+                passed.append(matches[0] == [f1, f2])
                 f2, f1 = matches[0]
             flags[i], flags[i + 1] = f2, f1
             key = step(key, old[0], f2)
@@ -456,7 +495,7 @@ def retrace_matching_every_swap(narrow, windows, ruling, matched):
 
 class TestRetrace:
     def test_equals_matching_every_swap(self, fillable_300, monkeypatch):
-        calls, matched = [], []
+        calls, passed = [], []
 
         def counted(*args):
             calls.append(args)
@@ -472,12 +511,13 @@ class TestRetrace:
                 flags = retrace(narrow, windows, ruling)
                 assert flags == \
                     retrace_matching_every_swap(narrow, windows, ruling,
-                                                matched)
+                                                passed)
                 assert _map_back(narrow, origins, ruling) == flags
                 checked += 1
         assert checked > 300
-        # the two-shared-eye test skips some matches, not all
-        assert 0 < len(calls) < len(matched)
+        # _map_back trades a lone switch by rule, never by a match, and
+        # the sweep holds swaps where the lone switch passes
+        assert calls == [] and any(passed)
 
 
 @pytest.mark.parametrize("d", [
