@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Every subcommand reads a diagram from a file, stdin, or a named generator,
-and writes JSON by default (text mode is a human courtesy).  Nothing is
+Every subcommand reads a diagram from a file, stdin, or a named generator.
+Its handler returns one value, and ``_run`` alone formats and writes it:
+as JSON by default, or, under ``--format text`` (a human courtesy), as
+the subcommand's text view of that same value (``_TEXT``).  generate and
+render return their text, written as is under either format.  Nothing is
 random, so identical invocations produce byte-identical output.  Exit
-codes: 0 success, 1 domain error (structured JSON on stderr), 2 usage
-error.
+codes: 0 success, 1 domain error (structured JSON on stderr) or a
+validate violation, 2 usage error.
 """
 
 from __future__ import annotations
@@ -121,17 +124,6 @@ def _parse_ruling(text: str):
     return frozenset(data)
 
 
-def _emit(args, payload: str) -> None:
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-            raise _UsageError(f"cannot write {args.out}: {exc}") from None
-    else:
-        sys.stdout.write(payload)
-
-
 def _budget(args, default=None) -> int:
     """--budget, else CLASPLAB_BUDGET, else ``default`` (LISTING_BUDGET
     when None), which sets ``args.default_budget`` so that running out
@@ -153,90 +145,51 @@ def _budget(args, default=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the value that --format json prints; _TEXT
+# below holds the text views of those values
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> dict:
     # A generated diagram is valid by construction, so every violation
     # lies in a parsed word, at an event that has a source line.
     text = _input_text(args)
     word, lines = (_generated(args).events, ()) if text is None \
         else diagram_mod.parse_with_lines(text)
     report = diagram_mod.validate(word)
-    violations = [{"event": v.event_index, "line": lines[v.event_index - 1],
-                   "rule": v.rule} for v in report.violations]
-    if args.format == "text":
-        body = "ok\n" if report.ok else "".join(
-            f"violation at event {v['event']} (line {v['line']}): "
-            f"{v['rule']}\n" for v in violations)
-    else:
-        body = _dumps({"ok": report.ok, "violations": violations})
-    _emit(args, body)
-    return 0 if report.ok else 1
+    return {"ok": report.ok, "violations": [
+        {"event": v.event_index, "line": lines[v.event_index - 1],
+         "rule": v.rule} for v in report.violations]}
 
 
-def _cmd_rulings(args) -> int:
-    from .rulings import enumerate_rulings
-    diagram = _load_diagram(args)
-    rulings = enumerate_rulings(diagram, budget=_budget(args))
-    listed = [sorted(r) for r in rulings]
-    if args.format == "text":
-        body = "".join(_braced(r) + "\n" for r in listed)
-        body = body or "(no normal rulings)\n"
-    else:
-        body = _dumps(listed)
-    _emit(args, body)
-    return 0
+def _cmd_rulings(args) -> list:
+    from .rulings import _enumerate
+    return _enumerate(_load_diagram(args), _budget(args))[0]
 
 
-#: Per-subcommand (row of one ruling's report, text line of one row).
-_REPORT_FORMATS = {
-    "clasps": (lambda sw, report: {"switches": sw, **report.to_json()},
-               lambda r: f"switches {_braced(r['switches'])}: "
-                         f"{r['total']} clasps, {r['parity']}\n"),
-    "parity": (lambda sw, report: {"switches": sw, "clasps": report.total,
-                                   "parity": report.parity},
-               lambda r: f"{_braced(r['switches'])}: {r['parity']}\n"),
+#: Per-subcommand row of one ruling's clasp report.
+_REPORT_ROWS = {
+    "clasps": lambda sw, report: {"switches": sw, **report.to_json()},
+    "parity": lambda sw, report: {"switches": sw, "clasps": report.total,
+                                  "parity": report.parity},
 }
 
 
-def _cmd_reports(args) -> int:
-    """``clasps`` and ``parity``: one row per ruling, or for --ruling."""
-    from .clasps import clasp_report, ruling_reports
-    diagram = _load_diagram(args)
+def _cmd_reports(args):
+    """clasps and parity: one row per ruling, or the row of --ruling."""
+    from .clasps import _sorted_reports, clasp_report
+    row, diagram = _REPORT_ROWS[args.command], _load_diagram(args)
     if args.ruling is not None:
         ruling = _parse_ruling(args.ruling)
-        reports = [(ruling, clasp_report(diagram, ruling))]
-    else:
-        reports = ruling_reports(diagram, _budget(args))
-    row, line = _REPORT_FORMATS[args.command]
-    rows = [row(sorted(r), report) for r, report in reports]
-    if args.format == "text":
-        body = "".join(map(line, rows))
-    else:
-        body = _dumps(rows if args.ruling is None else rows[0])
-    _emit(args, body)
-    return 0
+        return row(sorted(ruling), clasp_report(diagram, ruling))
+    switches, fold_ids, reports = _sorted_reports(diagram, _budget(args))
+    return [row(s, reports[f]) for s, f in zip(switches, fold_ids)]
 
 
-def _cmd_obstruct(args) -> int:
+def _cmd_obstruct(args) -> dict:
     from .fillability import obstruction_verdict
-    diagram = _load_diagram(args)
-    verdict = obstruction_verdict(diagram, budget=_budget(args))
-    if args.format == "text":
-        lines = [f"verdict: {verdict.verdict}\n"]
-        for e in verdict.evidence:
-            lines.append(f"  ruling {_braced(e.switches)}: "
-                         f"{e.clasps} clasps, {e.parity}\n")
-        if verdict.note:
-            lines.append(f"note: {verdict.note}\n")
-        body = "".join(lines)
-    else:
-        body = _dumps(verdict.to_json())
-    _emit(args, body)
-    return 0
+    return obstruction_verdict(_load_diagram(args), _budget(args)).to_json()
 
 
-def _cmd_cobordism(args) -> int:
+def _cmd_cobordism(args) -> dict:
     from .fillability import cobordism_parity_check
     if args.upper is not None and args.generate_upper is not None:
         raise _UsageError("--upper and --generate-upper are mutually "
@@ -248,70 +201,73 @@ def _cmd_cobordism(args) -> int:
         upper = _generated(args, upper=True)
     else:
         raise _UsageError("need --upper PATH or --generate-upper NAME")
-    result = cobordism_parity_check(lower, upper, budget=_budget(args))
-    if args.format == "text":
-        body = f"{result.status}\n"
-        if result.reason:
-            body += f"reason: {result.reason}\n"
-    else:
-        body = _dumps(result.to_json())
-    _emit(args, body)
-    return 0
+    return cobordism_parity_check(lower, upper, _budget(args)).to_json()
 
 
-def _cmd_apply_script(args) -> int:
+def _cmd_apply_script(args) -> dict:
     from .fillability import run_script
     from .moves import parse_script
-    text = _read_source(args.script)
-    certificate = run_script(parse_script(text))
-    if args.format == "text":
-        body = (f"final diagram: {certificate.diagram}\n"
-                f"ruling: {_braced(sorted(certificate.ruling))}\n"
-                f"clasps: {certificate.report.total} "
-                f"({certificate.report.parity})\n")
-    else:
-        body = _dumps(certificate.to_json())
-    _emit(args, body)
-    return 0
+    return run_script(parse_script(_read_source(args.script))).to_json()
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> dict:
     if args.depth is not None and args.depth < 0:
         raise _UsageError(f"--depth must be >= 0, got {args.depth}")
     from . import fillability
     depth = fillability.SEARCH_DEPTH if args.depth is None else args.depth
-    diagram = _load_diagram(args)
-    result = fillability.search_filling(
-        diagram, depth_bound=depth,
-        node_budget=_budget(args, fillability.SEARCH_NODE_BUDGET))
-    if args.format == "text":
-        body = f"{result.status}\n"
-        if result.script is not None:
-            body += "".join(str(m) + "\n" for m in result.script)
-    else:
-        body = _dumps(result.to_json())
-    _emit(args, body)
-    return 0
+    return fillability.search_filling(
+        _load_diagram(args), depth_bound=depth,
+        node_budget=_budget(args, fillability.SEARCH_NODE_BUDGET)).to_json()
 
 
-def _cmd_generate(args) -> int:
-    diagram = _generated(args)
-    _emit(args, diagram_mod.serialize(diagram))
-    return 0
+def _cmd_generate(args) -> str:
+    return diagram_mod.serialize(_generated(args))
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> str:
     from .render import ascii_render, svg_render
     diagram = _load_diagram(args)
     ruling = _parse_ruling(args.ruling) if args.ruling is not None else None
     if args.style == "ascii":
         if ruling is not None:
             raise _UsageError("ascii rendering does not take --ruling")
-        body = ascii_render(diagram)
-    else:
-        body = svg_render(diagram, ruling)
-    _emit(args, body)
-    return 0
+        return ascii_render(diagram)
+    return svg_render(diagram, ruling)
+
+
+def _rows_text(line):
+    """The text view of clasps or parity: ``line`` of each row."""
+    return lambda rows: line(rows) if isinstance(rows, dict) \
+        else "".join(map(line, rows))
+
+
+#: The text view of each subcommand's value; generate and render return
+#: the text that they print under either format.
+_TEXT = {
+    "validate": lambda value: "ok\n" if value["ok"] else "".join(
+        f"violation at event {v['event']} (line {v['line']}): {v['rule']}\n"
+        for v in value["violations"]),
+    "rulings": lambda rows: (
+        "".join(_braced(r) + "\n" for r in rows) or "(no normal rulings)\n"),
+    "clasps": _rows_text(lambda r: f"switches {_braced(r['switches'])}: "
+                                   f"{r['total']} clasps, {r['parity']}\n"),
+    "parity": _rows_text(
+        lambda r: f"{_braced(r['switches'])}: {r['parity']}\n"),
+    "obstruct": lambda verdict: (
+        f"verdict: {verdict['verdict']}\n" + "".join(
+            f"  ruling {_braced(e['switches'])}: {e['clasps']} clasps, "
+            f"{e['parity']}\n" for e in verdict["rulings"])
+        + (f"note: {verdict['note']}\n" if verdict["note"] else "")),
+    "cobordism": lambda result: f"{result['status']}\n" + (
+        f"reason: {result['reason']}\n" if result["reason"] else ""),
+    "apply-script": lambda certificate: (
+        f"final diagram: [{', '.join(certificate['diagram'].splitlines())}]\n"
+        f"ruling: {_braced(certificate['ruling'])}\n"
+        f"clasps: {certificate['clasps']['total']} "
+        f"({certificate['clasps']['parity']})\n"),
+    "search": lambda result: f"{result['status']}\n" + "".join(
+        move + "\n" for move in result["script"] or ()),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     register("validate", _cmd_validate)
     register("rulings", _cmd_rulings)
-    for name in _REPORT_FORMATS:
+    for name in _REPORT_ROWS:
         p = register(name, _cmd_reports)
         p.add_argument("--ruling", help="JSON array of switch ordinals")
     register("obstruct", _cmd_obstruct)
@@ -377,12 +333,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Run the subcommand and write its value: as JSON, or as its text
+    view under --format text.  validate exits 1 on a violation."""
+    value = args.handlers[args.command](args)
+    text = _TEXT.get(args.command)
+    body = value if text is None else \
+        text(value) if args.format == "text" else _dumps(value)
+    if not args.out:
+        sys.stdout.write(body)
+    else:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            raise _UsageError(f"cannot write {args.out}: {exc}") from None
+    return 1 if args.command == "validate" and not value["ok"] else 0
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handler = args.handlers[args.command]
     try:
-        return handler(args)
+        return _run(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2

@@ -21,7 +21,7 @@ from .diagram import (LEFT_CUSP, RIGHT_CUSP, FrontDiagram, serialize,
                       transpose_events)
 from .errors import (BudgetExceeded, EvennessViolation, NotApplicable,
                      ScriptError, TransportFailure)
-from .rulings import PairingState, enumerate_rulings, switches_of
+from .rulings import PairingState, _enumerate, switches_of
 # moves is imported where a script runs, so verdicts do not load it.
 
 
@@ -151,15 +151,14 @@ def cobordism_parity_check(lower: FrontDiagram, upper: FrontDiagram,
     for diagram in (lower, upper):
         # a report is needed only for a unique ruling, so counting
         # clasps during the search would mostly be wasted
-        rulings = enumerate_rulings(diagram, budget=budget)
-        if len(rulings) != 1:
+        switches = _enumerate(diagram, budget)[0]
+        if len(switches) != 1:
             return CobordismParity(
                 "not_applicable",
-                reason=f"a diagram has {len(rulings)} normal rulings; "
+                reason=f"a diagram has {len(switches)} normal rulings; "
                        "the test needs exactly 1 on each side")
-        report = clasp_report(diagram, rulings[0])
-        sides.append(RulingEvidence(tuple(sorted(rulings[0])), report.total,
-                                    report.parity))
+        report = clasp_report(diagram, switches[0])
+        sides.append(RulingEvidence(switches[0], report.total, report.parity))
     status = ("compatible" if sides[0].parity == sides[1].parity
               else "incompatible")
     return CobordismParity(status, sides[0], sides[1])

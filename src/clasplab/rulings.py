@@ -170,14 +170,15 @@ def scan(events, flags, cls=PairingState,
 
 def switch_flags(diagram: FrontDiagram, switches: Iterable) -> list:
     """Per-event switch flags of a set of crossing ordinals (1-based)."""
-    switches = frozenset(switches)
     c = diagram.n_crossings
-    for o in switches:
+    chosen = set()
+    for o in switches:  # checked before hashing: [1] or {1} is unhashable
         if type(o) is not int:
             raise InvalidRuling(f"switch ordinal {o!r} is not an int")
         if not 1 <= o <= c:
             raise InvalidRuling(f"switch ordinal {o} outside 1..{c}")
-    return [o in switches for o in diagram.walk.ordinals]
+        chosen.add(o)
+    return [o in chosen for o in diagram.walk.ordinals]
 
 
 def switches_of(diagram: FrontDiagram, flags) -> frozenset:

@@ -139,6 +139,40 @@ def ruling_sort_key(ruling: Iterable) -> tuple:
     return (len(t), t)
 
 
+def tb(diagram: FrontDiagram) -> Optional[int]:
+    """The Thurston-Bennequin number of a knot's front, writhe minus half
+    the cusps, or None for a link or the empty front (orienting a link is
+    a convention, which this does not pick).  A crossing counts +1 when
+    both strands run the same x-direction, under either orientation."""
+    slots, crossings = [], []
+    mates = ({}, {})  # strand -> its mate at the (left, right) cusp
+    for e in diagram.events:
+        p = e.pos - 1
+        if e.kind == LEFT_CUSP:
+            a = len(mates[0])
+            b = a + 1
+            slots[p:p] = [a, b]
+            mates[0].update({a: b, b: a})
+        elif e.kind == RIGHT_CUSP:
+            a, b = slots[p:p + 2]
+            del slots[p:p + 2]
+            mates[1].update({a: b, b: a})
+        else:
+            slots[p:p + 2] = slots[p + 1], slots[p]
+            crossings.append((slots[p], slots[p + 1]))
+    # A strand runs from its left cusp to its right cusp; walking the knot
+    # rightward along strand 0, each cusp turns the direction around.
+    rightward, s = {}, 0
+    while mates[0] and s not in rightward:
+        rightward[s] = len(rightward) % 2 == 0
+        s = mates[rightward[s]][s]
+    if not rightward or len(rightward) < len(mates[0]):
+        return None
+    writhe = sum(1 if rightward[a] == rightward[b] else -1
+                 for a, b in crossings)
+    return writhe - len(mates[0]) // 2
+
+
 def partition(m: tuple) -> tuple:
     """The eyes of the pairing keyed ``m`` (its mates), as slot pairs."""
     return tuple((p, m[p]) for p in range(1, len(m)) if p < m[p])

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import operator
 import random
+from collections import Counter
 from itertools import combinations
 
 from clasplab import (FrontDiagram, InvalidRuling, Move, NotApplicable,
@@ -13,14 +14,14 @@ from clasplab import (FrontDiagram, InvalidRuling, Move, NotApplicable,
                       generate_negative_braid_closure, generate_torus4,
                       generate_trefoil, generate_unknot, is_normal_ruling,
                       lc, obstruction_verdict, parse, parse_script, rc,
-                      resolve, serialize_script, transpose_events, validate,
-                      x)
+                      resolve, run_script, serialize_script, transpose_events,
+                      validate, x)
 from clasplab.fillability import random_script
 from clasplab.moves import (MOVE_KINDS, RulingTransport, _menu,
                             _r2_variants, _undo, applicable_kinds)
 from clasplab.rulings import PairingState, scan, switch_flags, switches_of
 from conftest import (assert_value_contract, normalize, partition,
-                      random_fillable, ruling_sort_key, step)
+                      random_fillable, ruling_sort_key, step, tb)
 
 EMPTY = frozenset()
 
@@ -516,6 +517,36 @@ class TestInvariance:
 def parse_word(word):
     """A diagram from a comma-separated event word like "lc 1, x 1"."""
     return parse("\n".join(e.strip() for e in word.split(",")) + "\n")
+
+
+class TestThurstonBennequin:
+    """tb (the conftest oracle): its closed forms, and that no isotopy
+    move changes it."""
+
+    def test_closed_forms(self):
+        assert tb(generate_trefoil()) == 1
+        for n in range(6):
+            assert tb(generate_torus4(n)) == -4 * (2 * n + 5)
+        for k in range(1, 16, 2):
+            assert tb(generate_negative_braid_closure(2, [1] * k)) == k - 2
+
+    def test_isotopy_moves_keep_tb(self, corpus):
+        """On the corpus knots, the knots among seeded scripts, and two
+        3-braid closures, which have r3 windows."""
+        diagrams = [*corpus.values(), *(
+            run_script(random_script(6, seed)).diagram for seed in range(200))]
+        diagrams += [generate_negative_braid_closure(3, [1, 2] * k)
+                     for k in (2, 4)]
+        moved = Counter()
+        for d in diagrams:
+            if tb(d) is None:
+                continue
+            for m in enumerate_applicable_moves(d):
+                if m.kind not in ("h0", "h1"):
+                    assert tb(apply_move(d, m)[0]) == tb(d), (d, m)
+                    moved[m.kind] += 1
+        assert set(moved) == set(MOVE_KINDS) - {"h0", "h1"}
+        assert sum(moved.values()) > 1000
 
 
 class TestClaspRuleRegressions:

@@ -75,6 +75,7 @@ class TestScanKernel:
                 flags = switch_flags(d, r)
                 assert len(flags) == len(d)
                 assert switches_of(d, flags) == r
+                assert switch_flags(d, iter(r)) == flags
 
     def test_flags_reject_out_of_range_ordinals(self):
         with pytest.raises(InvalidRuling, match="outside 1..3"):
@@ -88,8 +89,10 @@ class TestScanKernel:
         lambda d: is_normal_ruling(d, {True}),
         lambda d: is_normal_ruling(d, ["1"]),
         lambda d: resolve(d, {1.0}),
+        lambda d: clasp_report(d, [[1]]),
+        lambda d: clasp_report(d, [{1}]),
     ], ids=["report_float", "transport_float", "check_bool", "check_str",
-            "resolve_float"])
+            "resolve_float", "report_list", "report_set"])
     def test_flags_reject_ordinals_that_are_not_ints(self, check):
         with pytest.raises(InvalidRuling, match="is not an int"):
             check(generate_trefoil())
